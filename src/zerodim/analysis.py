@@ -54,12 +54,9 @@ def _check_probe(horizon: int, depth: int) -> None:
 
 def _length_ordered(group, radius: int, cap: int = DEFAULT_BALL_CAP) -> list:
     """Group elements of length <= radius, identity first, then by
-    word length with deterministic tie-breaking."""
-    layers = _ball_layers(group, radius, cap)
-    out = []
-    for layer in layers:
-        out.extend(sorted(layer, key=group.sort_key))
-    return out
+    word length with deterministic tie-breaking (the search keeps its
+    layers in ``sort_key`` order)."""
+    return list(itertools.chain.from_iterable(_ball_layers(group, radius, cap)))
 
 
 def _close(system: FlowSystem, a, b, depth: int) -> bool:

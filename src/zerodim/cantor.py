@@ -15,6 +15,7 @@ that structural equality is set equality.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -328,7 +329,7 @@ def _normalize_empty(scheme: Scheme, lo: int, left: Optional[Tail],
     assert left is not None
     # the point is fully periodic iff the left rule equals the right
     # pattern continued leftward across the boundary
-    L = _lcm(left.period(), right.period())
+    L = math.lcm(left.period(), right.period())
     meshes = all(left.at(k) == right.symbols[(-1 - k) % right.period()]
                  for k in range(L))
     if meshes:
@@ -348,11 +349,6 @@ def _normalize_empty(scheme: Scheme, lo: int, left: Optional[Tail],
     return lo, lo - 1, left, right
 
 
-def _lcm(a: int, b: int) -> int:
-    import math
-    return a * b // math.gcd(a, b)
-
-
 def points_equal(x: Point, y: Point) -> bool:
     return distance(x, y) == 0
 
@@ -364,8 +360,8 @@ def distance(x: Point, y: Point) -> Fraction:
     if x.scheme != y.scheme:
         raise DomainError("points live on different schemes")
     span = max(x.span(), y.span())
-    period = _lcm(_lcm(x.right.period(), y.right.period()),
-                  _lcm(x.left.period() if x.left else 1,
+    period = math.lcm(math.lcm(x.right.period(), y.right.period()),
+                  math.lcm(x.left.period() if x.left else 1,
                        y.left.period() if y.left else 1))
     bound = span + period + 1
     for k in range(bound + 1):

@@ -320,7 +320,7 @@ def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
     """Add the integer n in the mixed-radix carry arithmetic."""
     if n == 0:
         return x
-    block = _lcm(x.right.period(), scheme.alphabet_period())
+    block = math.lcm(x.right.period(), scheme.alphabet_period())
     span = x.hi - scheme.start + 1
     count = max(span, _digit_count_for(scheme, abs(n))) + block + 2
     digits, tail = _materialize(x, scheme.start + count - 1)
@@ -374,10 +374,6 @@ def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
         metadata={"moduli": list(moduli)},
         summary="carry arithmetic on digit streams with moduli cycling "
                 "through %s" % (list(moduli),))
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ and dict keys work without ceremony.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -453,6 +452,88 @@ def group_from_json(data: Mapping) -> Group:
 # word metric and balls
 
 
+class _CayleySearch:
+    """Breadth-first layers of one group instance's Cayley graph, grown
+    one whole layer at a time as callers ask for more.
+
+    ``layers[k]`` holds the elements of word length k sorted by the
+    group's ``sort_key``, ``sizes[k]`` is the size of the closed ball of
+    radius k, and ``length`` maps every element found to its word
+    length.  A layer is kept only once it is complete and fits under
+    the caller's cap, so what the search holds, and what a call returns
+    or raises, never depends on which calls came before.  The search
+    keeps no reference to its group: callers pass it in, and
+    ``group.multiply`` is looked up afresh for every layer.  Growth is
+    not locked, so one instance must not be searched from two threads
+    at once.
+    """
+
+    def __init__(self, group: Group):
+        e = group.identity
+        self.gens = tuple(x for x in group.generators() if x != e)
+        self.layers = [(e,)]
+        self.sizes = [1]
+        self.length = {e: 0}
+        self.exhausted = False
+
+    def _grow(self, group: Group, cap: int) -> bool:
+        """Add the next layer, or mark the group exhausted when it is
+        empty.  False, with nothing kept, when the closed ball through
+        the new layer would have more than ``cap`` elements."""
+        multiply, length, gens = group.multiply, self.length, self.gens
+        room = max(cap, 1) - self.sizes[-1]
+        new = set()
+        for a in self.layers[-1]:
+            for s in gens:
+                b = multiply(a, s)
+                if b not in length and b not in new:
+                    new.add(b)
+                    if len(new) > room:
+                        return False
+        if not new:
+            self.exhausted = True
+            return True
+        radius = len(self.layers)
+        self.layers.append(tuple(sorted(new, key=group.sort_key)))
+        self.sizes.append(self.sizes[-1] + len(new))
+        length.update(dict.fromkeys(new, radius))
+        return True
+
+    def _fits(self, radius: int, cap: int) -> bool:
+        # the identity alone never exceeds a cap
+        return self.sizes[radius] <= max(cap, 1)
+
+    def layers_through(self, group: Group, radius: int,
+                       cap: int) -> Optional[list]:
+        """Layers 0..radius, fewer once the group is exhausted; None
+        when the closed ball of that radius exceeds ``cap``."""
+        while len(self.layers) <= radius and not self.exhausted:
+            if not self._grow(group, cap):
+                return None
+        top = min(radius, len(self.layers) - 1)
+        return self.layers[:top + 1] if self._fits(top, cap) else None
+
+    def word_length(self, group: Group, g, cap: int) -> Optional[int]:
+        """|g|; None when the closed ball of radius |g| exceeds ``cap``."""
+        while g not in self.length:
+            if self.exhausted:
+                raise RangeError("element %s not generated"
+                                 % group.format_element(g))
+            if not self._grow(group, cap):
+                return None
+        n = self.length[g]
+        return n if self._fits(n, cap) else None
+
+
+def _search(group: Group) -> _CayleySearch:
+    """The instance's own Cayley search, created on first use.  It lives
+    in the instance's ``__dict__`` and goes away with the instance."""
+    search = group.__dict__.get("_cayley_search")
+    if search is None:
+        search = group.__dict__["_cayley_search"] = _CayleySearch(group)
+    return search
+
+
 def word_length(group: Group, g, method: str = "auto",
                 cap: int = DEFAULT_BALL_CAP) -> int:
     """Least r with g a product of r generators (0 for the identity).
@@ -461,6 +542,12 @@ def word_length(group: Group, g, method: str = "auto",
     one and otherwise searches the Cayley graph breadth first;
     ``method="bfs"`` forces the search and is the reference oracle the
     closed forms are tested against.
+
+    The search is the one the instance shares with ``ball``, ``sphere``
+    and ``cone_layer``: it grows whole layers and keeps them for as
+    long as the instance lives (drop the instance to free it).  It
+    raises ResourceCapError iff the closed ball of radius |g| has more
+    than ``cap`` elements, whatever was asked of the instance before.
     """
     group.validate(g)
     if method not in ("auto", "bfs", "closed"):
@@ -471,35 +558,12 @@ def word_length(group: Group, g, method: str = "auto",
             return closed
         if method == "closed":
             raise DomainError("no closed form for variant %r" % group.variant)
-    return _word_length_bfs(group, g, cap)
-
-
-def _word_length_bfs(group: Group, g, cap: int) -> int:
-    e = group.identity
-    if g == e:
-        return 0
-    gens = [x for x in group.generators() if x != e]
-    seen = {e}
-    frontier = [e]
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt = []
-        for a in frontier:
-            for s in gens:
-                b = group.multiply(a, s)
-                if b in seen:
-                    continue
-                if b == g:
-                    return dist
-                seen.add(b)
-                nxt.append(b)
-                if len(seen) > cap:
-                    raise ResourceCapError(
-                        "Cayley search exceeded cap %d before reaching %s"
-                        % (cap, group.format_element(g)))
-        frontier = nxt
-    raise RangeError("element %s not generated" % group.format_element(g))
+    n = _search(group).word_length(group, g, cap)
+    if n is None:
+        raise ResourceCapError(
+            "Cayley search exceeded cap %d before reaching %s"
+            % (cap, group.format_element(g)))
+    return n
 
 
 @dataclass(frozen=True)
@@ -524,18 +588,22 @@ class ElementSet:
 
 
 def ball(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
-    """Non-identity elements of word length <= radius, by Cayley search."""
+    """Non-identity elements of word length <= radius, read from the
+    instance's shared Cayley search (see ``word_length``).  Raises
+    ResourceCapError iff the closed ball has more than ``cap``
+    elements."""
     if radius < 0:
         raise PreconditionError("ball radius must be >= 0")
     layers = _ball_layers(group, radius, cap)
-    out = set()
-    for layer in layers[1:]:
-        out |= layer
-    return ElementSet(frozenset(out), radius)
+    return ElementSet(frozenset(itertools.chain.from_iterable(layers[1:])),
+                      radius)
 
 
 def sphere(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
-    """Elements of word length exactly radius."""
+    """Elements of word length exactly radius, read from the instance's
+    shared Cayley search; same cap rule as ``ball``."""
+    if radius < 0:
+        raise PreconditionError("sphere radius must be >= 0")
     layers = _ball_layers(group, radius, cap)
     if radius >= len(layers):
         return ElementSet(frozenset(), radius)
@@ -543,26 +611,11 @@ def sphere(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet
 
 
 def _ball_layers(group: Group, radius: int, cap: int) -> list:
-    e = group.identity
-    gens = [x for x in group.generators() if x != e]
-    seen = {e}
-    layers = [{e}]
-    frontier = [e]
-    for _ in range(radius):
-        nxt = set()
-        for a in frontier:
-            for s in gens:
-                b = group.multiply(a, s)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.add(b)
-                    if len(seen) > cap:
-                        raise ResourceCapError(
-                            "ball enumeration exceeded cap %d" % cap)
-        if not nxt:
-            break
-        layers.append(nxt)
-        frontier = sorted(nxt, key=group.sort_key)
+    """Layers 0..radius of the instance's Cayley search, each a tuple in
+    ``sort_key`` order; shorter once the group is exhausted."""
+    layers = _search(group).layers_through(group, radius, cap)
+    if layers is None:
+        raise ResourceCapError("ball enumeration exceeded cap %d" % cap)
     return layers
 
 
@@ -584,6 +637,11 @@ def cone_layer(group: Group, g, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
     This is the closed ball of radius |g|-1 around g (right-invariant
     metric); it contains g, never contains the identity, and every
     member has word length at most 2|g|-1.  Undefined at the identity.
+
+    |g| and the shell come from the instance's shared Cayley search (see
+    ``word_length``); raises ResourceCapError iff the closed ball of
+    radius |g| has more than ``cap`` elements when |g| needs the search,
+    else iff the shell of radius |g|-1 does.
     """
     n = word_length(group, g, cap=cap)
     if n == 0:

@@ -11,6 +11,7 @@ Hermite normal forms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -236,7 +237,7 @@ def intersect_subgroups(group: Group, subs: Sequence[Subgroup]) -> Subgroup:
 
 def _intersect_pair(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
     if isinstance(group, IntegerGroup):
-        return IntegerSubgroup(_lcm(a.modulus, b.modulus))
+        return IntegerSubgroup(math.lcm(a.modulus, b.modulus))
     if isinstance(group, LatticeGroup):
         return _intersect_lattices(group.dim, a, b)
     if isinstance(group, FiniteGroup):
@@ -247,9 +248,9 @@ def _intersect_pair(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
             # subgroup d*Z_m has index d; the intersection is generated by
             # lcm(da, db) which must again divide m (both do, so it does
             # whenever m admits it; reduce by gcd with m to stay a divisor)
-            l = _lcm(da, db)
+            l = math.lcm(da, db)
             if m % l != 0:
-                l = _gcd(l, m)
+                l = math.gcd(l, m)
             divisors.append(l)
         return CyclicSumSubgroup(group, tuple(divisors))
     raise DomainError("no intersection for variant %r" % group.variant)
@@ -264,7 +265,7 @@ def _intersect_lattices(dim: int, a: LatticeSubgroup,
     scale = 1
     for row in dual_a + dual_b:
         for entry in row:
-            scale = _lcm(scale, entry.denominator)
+            scale = math.lcm(scale, entry.denominator)
     int_rows = [tuple(int(entry * scale) for entry in row)
                 for row in dual_a + dual_b]
     summed = _hnf_rows(int_rows, dim)  # basis of scale * (dual_a + dual_b)
@@ -302,15 +303,6 @@ def _inv_transpose(m: Sequence[Sequence[int]]) -> tuple:
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row) for row in aug)
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-    return math.gcd(a, b)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b)
 
 
 def normal_core(group: Group, sub: Subgroup) -> Subgroup:

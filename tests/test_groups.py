@@ -106,6 +106,11 @@ class TestBalls:
         assert Z.identity in power_set(Z, 3)
         assert Z.identity not in ball(Z, 3)
 
+    def test_negative_radius_rejected(self):
+        for fn in (ball, sphere):
+            with pytest.raises(PreconditionError):
+                fn(Z, -1)
+
 
 class TestConeLayer:
     def test_integer_layer_is_interval(self):
@@ -224,3 +229,151 @@ class TestVariants:
         ai = F2.inverse(a)
         assert ai == (-1,)
         assert F2.multiply(a, ai) == F2.identity
+
+
+def counting(cls):
+    """``cls`` with a per-instance count of ``multiply`` calls."""
+
+    class Counting(cls):
+        multiplies = 0
+
+        def multiply(self, a, b):
+            self.multiplies += 1
+            return super().multiply(a, b)
+
+    return Counting
+
+
+def reduced_word(letters):
+    word = ()
+    for x in letters:
+        word = F2.multiply(word, (x,))
+    return word
+
+
+# fresh instances with a closed form, and element strategies for them
+CLOSED_FORM_CASES = {
+    "Z": (IntegerGroup, st.integers(-40, 40)),
+    "Z3": (lambda: LatticeGroup(3),
+           st.tuples(*[st.integers(-4, 4)] * 3)),
+    "F2": (lambda: FreeGroupVariant(2),
+           st.lists(st.sampled_from((1, -1, 2, -2)),
+                    max_size=6).map(reduced_word)),
+    "cyclic-sum": (lambda: CyclicSumGroup.symmetric(1, 5),
+                   st.tuples(*[st.integers(0, 4)] * 3)),
+}
+
+
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+class TestSharedSearch:
+    """Every metric helper reads one breadth-first search per instance."""
+
+    def test_metric_sweep_expands_each_layer_once(self):
+        # the criterion-01 sweep: 882 bfs lookups reaching radius 20
+        Zc, Z2c = counting(IntegerGroup)(), counting(LatticeGroup)(2)
+        calls = 0
+        for n in range(-20, 21):
+            assert word_length(Zc, n, method="bfs") == abs(n)
+            calls += 1
+        for a, b in itertools.product(range(-20, 21), repeat=2):
+            if abs(a) + abs(b) <= 20:
+                assert word_length(Z2c, (a, b), method="bfs") == \
+                    abs(a) + abs(b)
+                calls += 1
+        assert calls == 882
+        # layer 20 comes from expanding each element of B(19) once
+        assert Z2c.multiplies == 4 * (2 * 19 * 19 + 2 * 19 + 1) == 3044
+        assert Zc.multiplies == 2 * (2 * 19 + 1)
+
+    def test_repeated_ball_does_no_work(self):
+        F = counting(FreeGroupVariant)(2)
+        first = ball(F, 8)
+        assert F.multiplies > 0
+        F.multiplies = 0
+        assert ball(F, 8) == first
+        assert F.multiplies == 0
+
+    def test_instances_share_no_state(self):
+        Counting = counting(LatticeGroup)
+        a, b = Counting(2), Counting(2)
+        ball(a, 6)
+        assert b.multiplies == 0
+        assert ball(b, 6) == ball(a, 6)
+        assert b.multiplies == a.multiplies > 0
+
+    @PROPERTY
+    @given(st.data())
+    def test_bfs_matches_closed_form_in_any_call_order(self, data):
+        name = data.draw(st.sampled_from(sorted(CLOSED_FORM_CASES)))
+        make, elements = CLOSED_FORM_CASES[name]
+        group = make()
+        for g in data.draw(st.lists(elements, min_size=1, max_size=12)):
+            assert word_length(group, g, method="bfs") == \
+                group.closed_form_length(g)
+
+    @PROPERTY
+    @given(st.sampled_from(sorted(CLOSED_FORM_CASES)),
+           st.lists(st.integers(0, 5), min_size=1, max_size=4),
+           st.integers(0, 5))
+    def test_warm_results_equal_fresh(self, name, warmups, radius):
+        make = CLOSED_FORM_CASES[name][0]
+        warm = make()
+        for r in warmups:
+            sphere(warm, r)
+        assert ball(warm, radius) == ball(make(), radius)
+        assert sphere(warm, radius) == sphere(make(), radius)
+
+    @PROPERTY
+    @given(st.integers(1, 6), st.integers(0, 8))
+    def test_cap_boundary_ignores_history(self, radius, warm_radius):
+        size = len(bfs_lengths(Z2, radius))  # |B(radius)|, identity included
+        cold, warm = LatticeGroup(2), LatticeGroup(2)
+        ball(warm, warm_radius)
+        for group in (cold, warm):
+            with pytest.raises(ResourceCapError):
+                ball(group, radius, cap=size - 1)
+            with pytest.raises(ResourceCapError):
+                word_length(group, (radius, 0), method="bfs", cap=size - 1)
+        for group in (cold, warm):
+            # after a cap error a large enough cap answers
+            assert len(ball(group, radius, cap=size)) == size - 1
+            assert word_length(group, (radius, 0), method="bfs",
+                               cap=size) == radius
+
+    def test_identity_alone_never_exceeds_cap(self):
+        assert len(ball(IntegerGroup(), 0, cap=0)) == 0
+        assert word_length(IntegerGroup(), 0, method="bfs", cap=0) == 0
+
+    def test_finite_group_search_is_exhausted(self):
+        G = CyclicSumGroup((0,), 5)
+        assert len(ball(G, 10)) == 4
+        assert len(sphere(G, 3)) == 0
+        # Z/4 generated by its square reaches only {0, 2}
+        names = ("0", "1", "2", "3")
+        table = {(a, b): str((int(a) + int(b)) % 4)
+                 for a in names for b in names}
+        half = FiniteGroup(names, table, "0", generators=["2"])
+        assert word_length(half, "2") == 1
+        with pytest.raises(RangeError):
+            word_length(half, "1")
+
+    @PROPERTY
+    @given(st.lists(st.integers(0, 9), max_size=4))
+    def test_two_copy_and_mcmahon_lengths(self, picks):
+        from zerodim.flows import McMahonGroup, TwoCopyGroup
+        two, mc = TwoCopyGroup(2), McMahonGroup(2)
+        oracle = bfs_lengths(two, 4)
+        for group in (two, mc):
+            gens = group.generators()
+            g = group.identity
+            for i in picks:
+                g = group.multiply(g, gens[i % len(gens)])
+            n = word_length(group, g, method="bfs")
+            assert n <= len(picks)
+            if group is mc:
+                assert n == mc.closed_form_length(g)
+            else:
+                # no closed form: "auto" goes through the same search
+                assert n == word_length(two, g) == oracle[g]

@@ -4,6 +4,8 @@ brute-force all-subsets oracle on groups small enough to allow it."""
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zerodim.errors import DomainError, PreconditionError
 from zerodim.groups import IntegerGroup, LatticeGroup, CyclicSumGroup
@@ -106,6 +108,23 @@ class TestIntersect:
         meet = intersect_subgroups(Z, [IntegerSubgroup(4), IntegerSubgroup(6)])
         assert meet.modulus == 12
         assert meet.index() == 12
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    def test_integer_intersection_is_least_common_multiple(self, moduli):
+        meet = intersect_subgroups(Z, [IntegerSubgroup(m) for m in moduli])
+        least = next(n for n in itertools.count(1)
+                     if all(n % m == 0 for m in moduli))
+        assert meet.modulus == least
+
+    def test_cyclic_sum_intersection_matches_members(self):
+        G = CyclicSumGroup((0, 1), (12, 6))
+        divisors = [(a, b) for a in (1, 2, 3, 4, 6, 12) for b in (1, 2, 3, 6)]
+        elements = list(itertools.product(range(12), range(6)))
+        for da, db in itertools.product(divisors, repeat=2):
+            a, b = CyclicSumSubgroup(G, da), CyclicSumSubgroup(G, db)
+            meet = intersect_subgroups(G, [a, b])
+            assert all(meet.contains(g) == (a.contains(g) and b.contains(g))
+                       for g in elements)
 
     def test_lattice_intersection(self):
         a = LatticeSubgroup(((2, 0), (0, 1)))
