@@ -473,6 +473,7 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
     name = "orbit-upper-semicontinuity"
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth, neighbor_depth_max=neighbor_depth_max)
+    system.neighbor_reps(x, depth)  # no representatives: fail before the ball
     reach = _length_ordered(system.group, horizon)
     cellwise = system.kind == "cylinder-z"
     if cellwise:

@@ -22,12 +22,13 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .analysis import (ap_verdict, confinement_verdict, depth_ball,
-                       equicontinuity_verdict, orbit_symmetry_verdict,
-                       pair_type1_verdict, pointwise_period_verdict,
-                       proximal_verdict, regional_proximal_check,
-                       regular_ap_verdict, standard_rp_witness,
-                       translate_cover_verdict, type1_verdict, type2_verdict,
+from .analysis import (_require_cells, ap_verdict, confinement_verdict,
+                       depth_ball, equicontinuity_verdict,
+                       orbit_symmetry_verdict, pair_type1_verdict,
+                       pointwise_period_verdict, proximal_verdict,
+                       regional_proximal_check, regular_ap_verdict,
+                       standard_rp_witness, translate_cover_verdict,
+                       type1_verdict, type2_verdict,
                        uniform_recurrence_verdict, usc_verdict,
                        weak_rigidity_verdict)
 from .config import default_config, load_config, validate_config
@@ -55,54 +56,17 @@ def _default_point(system) -> str:
     return "zero" if "zero" in names else names[0]
 
 
-def _points(system, ns, count: Optional[int] = None) -> list:
+def _points(system, ns, count: int) -> list:
     names = list(ns.point or [])
-    if count is not None and names and len(names) != count:
+    if names and len(names) != count:
         raise UsageError("analyzer %r needs exactly %d --point arguments"
                          % (ns.analyzer, count))
     if not names:
-        if count is not None and count > 1:
+        if count > 1:
             raise UsageError("analyzer %r needs %d --point arguments"
                              % (ns.analyzer, count))
         names = [_default_point(system)]
     return [system.point(n) for n in names]
-
-
-def _need_cells(system) -> None:
-    if system.scheme is None:
-        raise DomainError("analyzer needs a symbol-space system, %r is not "
-                          "one" % system.system_id)
-
-
-def _run_ap(system, ns):
-    return ap_verdict(system, _points(system, ns, 1)[0],
-                      horizon=ns.horizon, depth=ns.depth)
-
-
-def _run_regular(system, ns):
-    return regular_ap_verdict(system, _points(system, ns, 1)[0],
-                              horizon=ns.horizon, depth=ns.depth)
-
-
-def _run_period(system, ns):
-    return pointwise_period_verdict(system, _points(system, ns, 1)[0],
-                                    period_max=ns.period_max)
-
-
-def _run_type1(system, ns):
-    return type1_verdict(system, _points(system, ns, 1)[0],
-                         horizon=ns.horizon, depth=ns.depth)
-
-
-def _run_pair(system, ns):
-    x, y = _points(system, ns, 2)
-    return pair_type1_verdict(system, x, y, horizon=ns.horizon,
-                              depth=ns.depth)
-
-
-def _run_type2(system, ns):
-    return type2_verdict(system, _points(system, ns, 1)[0],
-                         horizon=ns.horizon, depth=ns.depth)
 
 
 def _run_rigidity(system, ns):
@@ -113,7 +77,7 @@ def _run_rigidity(system, ns):
 
 
 def _run_confinement(system, ns):
-    _need_cells(system)
+    _require_cells(system)
     x = _points(system, ns, 1)[0]
     return confinement_verdict(system, x, depth_ball(x, ns.depth),
                                horizon=ns.horizon)
@@ -140,48 +104,45 @@ def _run_symmetry(system, ns):
                                   depth=ns.depth)
 
 
-def _run_equicontinuity(system, ns):
-    return equicontinuity_verdict(system, horizon=ns.horizon, depth=ns.depth)
-
-
-def _run_uniform_recurrence(system, ns):
-    return uniform_recurrence_verdict(system, word_length=ns.word_length,
-                                      window_max=ns.window_max)
-
-
-def _run_proximal(system, ns):
-    x, y = _points(system, ns, 2)
-    return proximal_verdict(system, x, y, horizon=ns.horizon, depth=ns.depth)
-
-
 def _run_regional(system, ns):
     witness = standard_rp_witness(system, ns.depth)
     return regional_proximal_check(system, witness, depth=ns.depth)
 
 
-def _run_cover(system, ns):
-    return translate_cover_verdict(system, _points(system, ns, 1)[0],
-                                   horizon=ns.horizon, depth=ns.depth,
-                                   cover_cap=ns.cover_cap)
+_PROBE = ("horizon", "depth")
 
-
+# analyzer name -> (verdict function, number of --point arguments, the
+# options it reads as keywords); an analyzer that builds its own
+# arguments maps to a runner taking (system, ns) instead
 ANALYZERS: dict = {
-    "almost-periodic": _run_ap,
-    "regular-return": _run_regular,
-    "pointwise-period": _run_period,
-    "two-sided-recurrence": _run_type1,
-    "pair-recurrence": _run_pair,
-    "cone-subnet-recurrence": _run_type2,
+    "almost-periodic": (ap_verdict, 1, _PROBE),
+    "regular-return": (regular_ap_verdict, 1, _PROBE),
+    "pointwise-period": (pointwise_period_verdict, 1, ("period_max",)),
+    "two-sided-recurrence": (type1_verdict, 1, _PROBE),
+    "pair-recurrence": (pair_type1_verdict, 2, _PROBE),
+    "cone-subnet-recurrence": (type2_verdict, 1, _PROBE),
     "weak-rigidity": _run_rigidity,
     "orbit-confinement": _run_confinement,
     "orbit-upper-semicontinuity": _run_usc,
     "orbit-symmetry": _run_symmetry,
-    "equicontinuity": _run_equicontinuity,
-    "uniform-recurrence": _run_uniform_recurrence,
-    "proximal-pair": _run_proximal,
+    "equicontinuity": (equicontinuity_verdict, 0, _PROBE),
+    "uniform-recurrence": (uniform_recurrence_verdict, 0,
+                           ("word_length", "window_max")),
+    "proximal-pair": (proximal_verdict, 2, _PROBE),
     "regional-proximal": _run_regional,
-    "translate-cover": _run_cover,
+    "translate-cover": (translate_cover_verdict, 1,
+                        _PROBE + ("cover_cap",)),
 }
+
+
+def _run_analyzer(system, ns):
+    entry = ANALYZERS[ns.analyzer]
+    if callable(entry):
+        return entry(system, ns)
+    analyzer, count, options = entry
+    points = _points(system, ns, count) if count else []
+    return analyzer(system, *points,
+                    **{name: getattr(ns, name) for name in options})
 
 
 def available_analyzers() -> tuple:
@@ -320,7 +281,7 @@ def _cmd_analyze(ns) -> int:
     if ns.analyzer not in ANALYZERS:
         raise UsageError("unknown analyzer %r (have: %s)"
                          % (ns.analyzer, ", ".join(available_analyzers())))
-    verdict = ANALYZERS[ns.analyzer](system, ns)
+    verdict = _run_analyzer(system, ns)
     if ns.json:
         _emit(_to_json(verdict.to_json()), ns.out)
     else:
@@ -333,9 +294,9 @@ def _cmd_verify(ns) -> int:
         config = load_config(ns.config)
     else:
         config = validate_config(default_config())
-    start = time.time()
+    start = time.perf_counter()
     run = run_config(config)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     if ns.json:
         payload = run.to_json()
         if ns.timings:

@@ -189,18 +189,36 @@ def _solve_left(basis: tuple, g: tuple) -> Optional[tuple]:
 
 
 def _hnf_rows(rows: Sequence[Sequence[int]], dim: int) -> tuple:
-    """Row span basis via Hermite normal form (sympy does the work)."""
-    from sympy import Matrix
-    from sympy.matrices.normalforms import hermite_normal_form
+    """Row span basis in Hermite normal form, by exact integer row
+    reduction (Cohen, A Course in Computational Algebraic Number
+    Theory, section 2.4).
 
-    m = Matrix([list(r) for r in rows])
-    # sympy computes a column-style HNF; transpose in and out
-    h = hermite_normal_form(m.T)
-    cols = [tuple(int(x) for x in h.col(j)) for j in range(h.cols)]
-    rows_out = [c for c in cols if any(c)]
-    if len(rows_out) != dim:
-        raise DomainError("row span does not have full rank %d" % dim)
-    return tuple(rows_out)
+    The basis is lower triangular with row i's pivot in column i, the
+    pivots are positive, and every entry left of the diagonal lies in
+    [0, pivot of its column).  This form is unique for a full-rank
+    lattice."""
+    work = [list(r) for r in rows]
+    basis = []
+    for col in range(dim - 1, -1, -1):
+        live = [r for r in work if r[col]]
+        work = [r for r in work if not r[col]]
+        if not live:
+            raise DomainError("row span does not have full rank %d" % dim)
+        pivot = live.pop()
+        for row in live:
+            while row[col]:  # Euclid on this column, carried along the rows
+                q = pivot[col] // row[col]
+                pivot, row = row, [p - q * r for p, r in zip(pivot, row)]
+            work.append(row)
+        if pivot[col] < 0:
+            pivot = [-p for p in pivot]
+        basis.append(pivot)
+    basis.reverse()
+    for i in range(dim):
+        for j in range(i - 1, -1, -1):
+            q = basis[i][j] // basis[j][j]
+            basis[i] = [a - q * b for a, b in zip(basis[i], basis[j])]
+    return tuple(tuple(r) for r in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +261,10 @@ def _intersect_pair(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
     if isinstance(group, FiniteGroup):
         return FiniteSubgroup(group, a.members & b.members)
     if isinstance(group, CyclicSumGroup):
-        divisors = []
-        for da, db, m in zip(a.divisors, b.divisors, group.moduli):
-            # subgroup d*Z_m has index d; the intersection is generated by
-            # lcm(da, db) which must again divide m (both do, so it does
-            # whenever m admits it; reduce by gcd with m to stay a divisor)
-            l = math.lcm(da, db)
-            if m % l != 0:
-                l = math.gcd(l, m)
-            divisors.append(l)
-        return CyclicSumSubgroup(group, tuple(divisors))
+        # d*Z_m has index d; da and db both divide m, so lcm(da, db) does
+        # too and generates the intersection
+        return CyclicSumSubgroup(group, tuple(
+            math.lcm(da, db) for da, db in zip(a.divisors, b.divisors)))
     raise DomainError("no intersection for variant %r" % group.variant)
 
 

@@ -321,6 +321,18 @@ class TestUpperSemicontinuity:
                         neighbor_depth_max=8)
         assert v.holds and v.certificate["neighbor_depth"] == 3
 
+    def test_no_representatives_fails_before_acting(self, monkeypatch):
+        system = build_two_copy()
+        x = system.point(sorted(system.point_names())[0])
+        acted = []
+        act = system.act
+        monkeypatch.setattr(system, "act",
+                            lambda g, y: acted.append(g) or act(g, y))
+        with pytest.raises(DomainError,
+                           match="no neighborhood representatives"):
+            usc_verdict(system, x, horizon=3, depth=2, neighbor_depth_max=4)
+        assert acted == []
+
 
 class TestOrbitSymmetry:
     def test_odometer_pair_symmetric(self):

@@ -7,6 +7,7 @@ import pytest
 from zerodim.cli import (EXIT_GENERIC, EXIT_INCONCLUSIVE, EXIT_NOINPUT,
                          EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
                          available_analyzers, main)
+from zerodim.flows import available_systems
 
 
 def run(capsys, *argv):
@@ -86,6 +87,25 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "atlantis", "almost-periodic")
         assert code == EXIT_GENERIC
         assert "unknown system" in err
+
+    @pytest.mark.parametrize("system", ["two-copy", "mcmahon"])
+    def test_confinement_rejects_word_action(self, capsys, system):
+        code, out, err = run(capsys, "analyze", system, "orbit-confinement")
+        assert code == EXIT_GENERIC
+        assert out == ""
+        assert err.startswith("error: analyzer needs a symbol-space system")
+
+    @pytest.mark.parametrize("system", available_systems())
+    @pytest.mark.parametrize("analyzer", available_analyzers())
+    def test_every_pair_exits_cleanly(self, capsys, system, analyzer):
+        code, _, err = run(capsys, "analyze", system, analyzer,
+                           "--horizon", "4", "--depth", "2")
+        if code in (EXIT_OK, EXIT_INCONCLUSIVE):
+            assert err == ""
+        else:
+            assert code in (EXIT_GENERIC, EXIT_USAGE)
+            prefix = "error: " if code == EXIT_GENERIC else "usage error: "
+            assert err.startswith(prefix)
 
 
 class TestVerify:

@@ -2,9 +2,15 @@
 brute-force all-subsets oracle on groups small enough to allow it."""
 
 import itertools
+import math
+import os
+import subprocess
+import sys
+from functools import reduce
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerodim.errors import DomainError, PreconditionError
@@ -15,6 +21,7 @@ from zerodim.subgroups import (CyclicSumSubgroup, FiniteSubgroup,
                                generates_within, generation_check,
                                induced_generating_set, intersect_subgroups,
                                normal_core, subgroup_index, symmetric_group)
+from zerodim.subgroups import _hnf_rows, _solve_left
 
 Z = IntegerGroup()
 Z2 = LatticeGroup(2)
@@ -214,3 +221,88 @@ class TestValidation:
         sub = CyclicSumSubgroup(G, (2, 3))
         assert sub.index() == 6
         assert sub.contains((2, 3)) and not sub.contains((1, 3))
+
+
+def leibniz_det(m) -> int:
+    d = len(m)
+    total = 0
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(d) for j in range(i + 1, d))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]]
+                                                for i in range(d))
+    return total
+
+
+def lattice_index(rows, dim) -> int:
+    """Index of the row span in Z^dim: the gcd of the maximal minors,
+    0 when the span has lower rank."""
+    return reduce(math.gcd, (abs(leibniz_det(c))
+                             for c in itertools.combinations(rows, dim)), 0)
+
+
+@st.composite
+def integer_rows(draw):
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * dim),
+                         min_size=1, max_size=8))
+    return rows, dim
+
+
+class TestHermiteNormalForm:
+    @pytest.mark.parametrize("rows, expect", [
+        ([(1, 7, 4), (7, -3, 0), (0, 9, 6)], ((10, 0, 0), (3, 3, 0),
+                                              (9, 2, 2))),
+        ([(12, 6, 4), (3, 9, 6), (2, 16, 14)], ((30, 0, 0), (25, 5, 0),
+                                                (21, 3, 2))),
+        ([(6, 0), (0, 10), (4, 4)], ((2, 0), (0, 2))),
+        ([(-3, 5), (2, -7)], ((11, 0), (6, 1))),
+        ([(-6,), (10,)], ((2,),)),
+        ([(2, 1, 0, 3), (0, -4, 5, 1), (7, 0, 0, 2), (1, 1, 1, 1),
+          (3, -2, 9, 0)], ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                           (0, 0, 0, 1))),
+    ])
+    def test_golden(self, rows, expect):
+        assert _hnf_rows(rows, len(expect)) == expect
+
+    @pytest.mark.parametrize("rows, dim", [([(1, 2), (2, 4)], 2),
+                                           ([(1, 0, 0), (0, 1, 0)], 3)])
+    def test_rank_deficient(self, rows, dim):
+        with pytest.raises(DomainError,
+                           match="row span does not have full rank %d" % dim):
+            _hnf_rows(rows, dim)
+
+    @given(integer_rows())
+    @settings(max_examples=300)
+    def test_unique_form_of_the_span(self, case):
+        rows, dim = case
+        index = lattice_index(rows, dim)
+        if index == 0:
+            with pytest.raises(DomainError):
+                _hnf_rows(rows, dim)
+            return
+        h = _hnf_rows(rows, dim)
+        for i, row in enumerate(h):
+            assert row[i] > 0
+            assert all(row[j] == 0 for j in range(i + 1, dim))
+            assert all(0 <= row[j] < h[j][j] for j in range(i))
+        for row in rows:
+            assert all(x.denominator == 1 for x in _solve_left(h, row))
+        for row in h:
+            assert lattice_index(rows + [row], dim) == index
+        assert math.prod(h[i][i] for i in range(dim)) == index
+
+    def test_lattice_intersection_imports_no_sympy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, zerodim\n"
+                "from zerodim.groups import LatticeGroup\n"
+                "from zerodim.subgroups import (LatticeSubgroup,\n"
+                "                               intersect_subgroups)\n"
+                "meet = intersect_subgroups(LatticeGroup(2), [\n"
+                "    LatticeSubgroup(((2, 0), (0, 1))),\n"
+                "    LatticeSubgroup(((1, 1), (1, -1)))])\n"
+                "assert meet.index() == 4, meet\n"
+                "assert 'sympy' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
