@@ -59,10 +59,6 @@ def _length_ordered(group, radius: int, cap: int = DEFAULT_BALL_CAP) -> list:
     return list(itertools.chain.from_iterable(_ball_layers(group, radius, cap)))
 
 
-def _close(system: FlowSystem, a, b, depth: int) -> bool:
-    return system.distance(a, b) <= Fraction(1, 2 ** depth)
-
-
 def depth_ball(x: Point, depth: int) -> ClopenSet:
     """The clopen 2^-depth ball around a symbol-space point."""
     return from_cylinder(depth_cylinder(x, depth))
@@ -74,7 +70,7 @@ def return_times(system: FlowSystem, x, depth: int, lo: int,
     depth cell."""
     _require_integer_flow(system)
     out = [n for n in range(lo, hi + 1)
-           if n != 0 and _close(system, system.act(n, x), x, depth)]
+           if n != 0 and system.close(system.act(n, x), x, depth)]
     return tuple(out)
 
 
@@ -181,9 +177,9 @@ def type1_verdict(system: FlowSystem, x, *, horizon: int,
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth)
     forward = next((n for n in range(1, horizon + 1)
-                    if _close(system, system.act(n, x), x, depth)), None)
+                    if system.close(system.act(n, x), x, depth)), None)
     backward = next((n for n in range(-1, -horizon - 1, -1)
-                     if _close(system, system.act(n, x), x, depth)), None)
+                     if system.close(system.act(n, x), x, depth)), None)
     if forward is not None and backward is not None:
         return holds(name, params, {"forward": forward, "backward": backward})
     missing = [side for side, w in (("forward", forward),
@@ -207,8 +203,8 @@ def pair_type1_verdict(system: FlowSystem, x, y, *, horizon: int,
                      depth=depth)
 
     def simultaneous(n: int) -> bool:
-        return (_close(system, system.act(n, x), x, depth)
-                and _close(system, system.act(n, y), y, depth))
+        return (system.close(system.act(n, x), x, depth)
+                and system.close(system.act(n, y), y, depth))
 
     forward = next((n for n in range(1, horizon + 1) if simultaneous(n)),
                    None)
@@ -248,7 +244,7 @@ def type2_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
         best = None
         for c in sorted(layer, key=lambda h: (word_length(group, h),
                                               group.sort_key(h))):
-            if _close(system, system.act(c, x), x, depth):
+            if system.close(system.act(c, x), x, depth):
                 best = word_length(group, c)
                 break
         minima.append((g, best))
@@ -283,7 +279,7 @@ def weak_rigidity_verdict(system: FlowSystem, points: Sequence, *,
                      horizon=horizon, depth=depth)
     for n in itertools.chain.from_iterable((k, -k)
                                            for k in range(1, horizon + 1)):
-        if all(_close(system, system.act(n, p), p, depth) for p in points):
+        if all(system.close(system.act(n, p), p, depth) for p in points):
             return holds(name, params, {"shift": n, "points": len(points)})
     return fails(name, params, {"checked_through": horizon,
                                 "points": len(points)})
@@ -490,7 +486,7 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
                 if cellwise:
                     bad = depth_cylinder(moved, depth).pattern not in own
                 else:
-                    bad = all(not _close(system, moved, p, depth)
+                    bad = all(not system.close(moved, p, depth)
                               for p in own_pts)
                 if bad:
                     failure = (dprime, rep, g)
@@ -525,13 +521,13 @@ def orbit_symmetry_verdict(system: FlowSystem, pairs: Sequence, *,
     unestablished = []
     for x, y in pairs:
         fwd = next((g for g in reach
-                    if _close(system, system.act(g, x), y, depth)), None)
+                    if system.close(system.act(g, x), y, depth)), None)
         if fwd is None:
             unestablished.append([system.format_point(x),
                                   system.format_point(y)])
             continue
         back = next((h for h in reach
-                     if _close(system, system.act(h, y), x, depth)), None)
+                     if system.close(system.act(h, y), x, depth)), None)
         if back is None:
             return fails(name, params, {
                 "from": system.format_point(x),

@@ -153,12 +153,6 @@ def _primitive(pattern: tuple) -> tuple:
     return pattern
 
 
-def _rotate_out(tail: Tail) -> Tail:
-    """Re-anchor a tail one step further out (pattern rotates)."""
-    s = tail.symbols
-    return Tail(_primitive(s[-1:] + s[:-1]))
-
-
 def reanchor_tail(tail: Tail, steps: int) -> Tail:
     """The same infinite tail read from an anchor moved ``steps``
     positions further out (steps >= 0)."""
@@ -231,7 +225,14 @@ def make_point(scheme: Scheme, window: Mapping[int, int] | Sequence[int],
     ``window`` is either a coordinate->symbol mapping or a sequence laid
     out from ``lo`` (default: scheme start, or 0).  Tails may be given
     as bare symbols (constant).  One-sided schemes take no left tail and
-    the window is anchored at the scheme start.
+    the window is anchored at the scheme start.  Every symbol must be an
+    ``int`` (not a bool) inside its coordinate's alphabet.
+
+    The canonical form drops window edges that repeat the tails.  That
+    step reads only the window and the tails, never a coordinate, so a
+    translate of a canonical point with a non-empty window is canonical
+    as it stands (``shift_point`` relies on this); only an empty window
+    is anchored by coordinate, in ``_normalize_empty``.
     """
     if isinstance(right, int):
         right = constant_tail(right)
@@ -265,60 +266,71 @@ def make_point(scheme: Scheme, window: Mapping[int, int] | Sequence[int],
         raise DomainError("two-sided schemes need a left tail")
 
     hi = lo + len(symbols) - 1
-    for n, s in zip(range(lo, hi + 1), symbols):
-        _check_symbol(scheme, n, s)
+    _check_symbols(scheme, lo, symbols)
+    # check the tails as given: reducing first would let 1.0 or True
+    # merge into a repeat of 1 and vanish unchecked
+    _check_tails(scheme, lo, hi, right, left)
     right = Tail(_primitive(right.symbols))
     if left is not None:
         left = Tail(_primitive(left.symbols))
-    _check_tails(scheme, lo, hi, right, left)
 
-    # absorb window edges that merely repeat the tails
-    window_list = list(symbols)
-    while window_list and window_list[-1] == right.symbols[-1]:
-        window_list.pop()
-        hi -= 1
-        right = _rotate_out(right)
+    # absorb window edges that merely repeat the tails: the k-th symbol
+    # in from an edge is absorbed when it equals the tail's pattern read
+    # k steps back across the edge
+    width = len(symbols)
+    start, end = 0, width
+    r = right.symbols
+    while end > start and symbols[end - 1] == r[(end - width - 1) % len(r)]:
+        end -= 1
+    right = reanchor_tail(right, (end - width) % len(r))
+    hi -= width - end
     if left is not None:
-        while window_list and window_list[0] == left.symbols[-1]:
-            window_list.pop(0)
-            lo += 1
-            left = _rotate_out(left)
+        l = left.symbols
+        while start < end and symbols[start] == l[(-1 - start) % len(l)]:
+            start += 1
+        left = reanchor_tail(left, -start % len(l))
+        lo += start
 
-    if not window_list:
+    if start == end:
         lo, hi, left, right = _normalize_empty(scheme, lo, left, right)
-    return Point(scheme=scheme, lo=lo, hi=hi, window=tuple(window_list),
+    return Point(scheme=scheme, lo=lo, hi=hi, window=symbols[start:end],
                  right=right, left=left)
 
 
+def _is_symbol(s, size: int) -> bool:
+    """The one symbol test: exactly an ``int`` (a bool or a float is
+    rejected, so equal points serialize alike) in ``range(size)``."""
+    return type(s) is int and 0 <= s < size
+
+
 def _check_symbol(scheme: Scheme, n: int, s: int) -> None:
-    if not (isinstance(s, int) and 0 <= s < scheme.size(n)):
+    if not _is_symbol(s, scheme.size(n)):
         raise RangeError("symbol %r invalid at coordinate %d (alphabet %d)"
                          % (s, n, scheme.size(n)))
 
 
+def _check_symbols(scheme: Scheme, first: int, symbols: Sequence) -> None:
+    """Check symbols laid out at coordinates first, first + 1, ...;
+    integer alphabets take one pass, and the per-coordinate loop runs
+    only for the other alphabets or to name the bad symbol."""
+    size = scheme.alphabet
+    if isinstance(size, int) and all(_is_symbol(s, size) for s in symbols):
+        return
+    for n, s in enumerate(symbols, first):
+        _check_symbol(scheme, n, s)
+
+
 def _check_tails(scheme: Scheme, lo: int, hi: int, right: Tail,
                  left: Optional[Tail]) -> None:
-    if scheme.alphabet == "index":
-        # each tail symbol must fit at the first coordinate it reaches
-        first = max(hi + 1, scheme.start)
-        for k, s in enumerate(right.symbols):
-            _check_symbol(scheme, first + k, s)
-    elif isinstance(scheme.alphabet, tuple):
-        # a tail symbol recurs with the tail period; check it against
-        # every alphabet residue it can land on
-        first = max(hi + 1, scheme.start)
-        period = len(right.symbols)
-        for k, s in enumerate(right.symbols):
-            for j in range(scheme.alphabet_period()):
-                _check_symbol(scheme, first + k + j * period, s)
-    else:
-        for s in right.symbols:
-            if not 0 <= s < scheme.alphabet:
-                raise RangeError("tail symbol %r outside alphabet" % (s,))
-        if left is not None:
-            for s in left.symbols:
-                if not 0 <= s < scheme.alphabet:
-                    raise RangeError("tail symbol %r outside alphabet" % (s,))
+    # a tail symbol recurs with the tail period; check it against every
+    # alphabet residue it can land on (one residue unless the alphabet
+    # cycles); "index" alphabets only grow, so the first coordinate a
+    # symbol reaches is the binding one
+    period = len(right.symbols)
+    for j in range(scheme.alphabet_period()):
+        _check_symbols(scheme, hi + 1 + j * period, right.symbols)
+    if left is not None:
+        _check_symbols(scheme, lo - len(left.symbols), left.symbols[::-1])
 
 
 def _normalize_empty(scheme: Scheme, lo: int, left: Optional[Tail],
@@ -344,7 +356,7 @@ def _normalize_empty(scheme: Scheme, lo: int, left: Optional[Tail],
     # pattern's continuation; the first disagreement pins a unique anchor
     while left.at(0) == right.symbols[-1]:
         lo -= 1
-        right = _rotate_out(right)
+        right = reanchor_tail(right, -1 % right.period())
         left = reanchor_tail(left, 1)
     return lo, lo - 1, left, right
 
@@ -369,6 +381,20 @@ def distance(x: Point, y: Point) -> Fraction:
             if x.value(n) != y.value(n):
                 return Fraction(1, 2 ** k)
     return Fraction(0)
+
+
+def agree_to_depth(x: Point, y: Point, depth: int) -> bool:
+    """Whether x and y agree on every coordinate at offset < depth,
+    that is ``distance(x, y) <= 2^-depth``, without building the
+    distance: the scan stops at the first disagreement and never looks
+    past the depth."""
+    if x.scheme != y.scheme:
+        raise DomainError("points live on different schemes")
+    for k in range(depth):
+        for n in x.scheme.coords_at_offset(k):
+            if x.value(n) != y.value(n):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

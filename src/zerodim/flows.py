@@ -21,6 +21,7 @@ from .cantor import (
     Point,
     Scheme,
     Tail,
+    agree_to_depth,
     clopen,
     depth_cylinder,
     distance as cantor_distance,
@@ -88,6 +89,14 @@ class FlowSystem:
 
     def equal(self, x, y) -> bool:
         return self.distance(x, y) == 0
+
+    def close(self, x, y, depth: int) -> bool:
+        """Whether y lies in the depth cell of x: ``distance(x, y) <=
+        2^-depth``.  Symbol-space points answer by agreement on the
+        offsets < depth; a system with its own metric asks it."""
+        if self._dist is not None:
+            return self._dist(x, y) <= Fraction(1, 2 ** depth)
+        return agree_to_depth(x, y, depth)
 
     def required_input_depth(self, g, depth: int) -> int:
         if depth < 1:
@@ -177,14 +186,21 @@ class FlowSystem:
 
 
 def shift_point(x: Point, n: int) -> Point:
-    """The point m -> x(m + n) (two-sided schemes)."""
+    """The point m -> x(m + n) (two-sided schemes).
+
+    A point with a non-empty window moves as it is, in O(1): a
+    two-sided scheme has one alphabet at every coordinate, so the
+    symbols stay valid, and ``make_point``'s canonical form reads only
+    the window and the tails, so the translate of a canonical point is
+    canonical.  An empty window is anchored by coordinate and goes
+    through ``make_point``."""
     if x.scheme.kind != "two-sided":
         raise DomainError("shift needs a two-sided scheme")
     if n == 0:
         return x
-    window = {c - n: x.value(c) for c in range(x.lo, x.hi + 1)}
-    return make_point(x.scheme, window, right=x.right, left=x.left,
-                      lo=x.lo - n)
+    if x.window:
+        return Point(x.scheme, x.lo - n, x.hi - n, x.window, x.right, x.left)
+    return make_point(x.scheme, (), right=x.right, left=x.left, lo=x.lo - n)
 
 
 def step_point(scheme: Scheme, i: int) -> Point:
@@ -209,11 +225,10 @@ def ring_point(scheme: Scheme, j: int, flip_at: Optional[int] = None) -> Point:
 def _materialize(x: Point, upto: int):
     """One-sided helper: explicit symbols from the start through
     ``upto`` plus the right tail re-anchored past them."""
-    lo = x.scheme.start
-    hi = max(x.hi, upto)
-    symbols = [x.value(c) for c in range(lo, hi + 1)]
-    tail = reanchor_tail(x.right, hi - x.hi)
-    return symbols, tail
+    extra = max(0, upto - x.hi)
+    symbols = list(x.window)
+    symbols.extend(x.right.at(k) for k in range(extra))
+    return symbols, reanchor_tail(x.right, extra)
 
 
 def _flip_coords(y: Point, coords) -> Point:

@@ -2,10 +2,12 @@
 independent oracles (2-adic valuations, popcount words) before the
 verdicts are checked, and certificates are frozen exactly."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+from zerodim import cantor
 from zerodim.analysis import (ap_verdict, confinement_verdict, depth_ball,
                               equicontinuity_verdict, escape_length,
                               invariant_core, orbit_cylinders,
@@ -18,7 +20,8 @@ from zerodim.analysis import (ap_verdict, confinement_verdict, depth_ball,
                               usc_verdict, weak_rigidity_verdict)
 from zerodim.cantor import Cylinder, from_cylinder
 from zerodim.errors import DomainError, PreconditionError
-from zerodim.flows import build_mcmahon, build_two_copy, get_system
+from zerodim.flows import (FlowSystem, build_mcmahon, build_two_copy,
+                           get_system)
 
 OD = get_system("odometer")
 TM = get_system("thue-morse")
@@ -195,6 +198,53 @@ class TestTwoSidedRecurrence:
         assert v.certificate == {
             "missing_directions": ["forward", "backward"],
             "forward": None, "backward": None}
+
+
+class TestReturnTestWork:
+    """Deterministic work counts, so a slide back to rebuilding a point
+    per shift or to exact distances per return test fails even where
+    wall-clock timing is noisy."""
+
+    LONG = TM.family("reflection", 600)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"make_point": 0, "distance": 0, "FlowSystem.distance": 0,
+                  "FlowSystem.act": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        # rebind every name a zerodim module holds the function under
+        for name in ("make_point", "distance"):
+            original = getattr(cantor, name)
+            wrapped = counting(name, original)
+            for modname, mod in list(sys.modules.items()):
+                if modname.startswith("zerodim"):
+                    for key, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, key, wrapped)
+        for name in ("distance", "act"):
+            monkeypatch.setattr(FlowSystem, name, counting(
+                "FlowSystem." + name, getattr(FlowSystem, name)))
+        return counts
+
+    def test_type1_on_a_long_window_builds_nothing(self, counts):
+        v = type1_verdict(TM, self.LONG, horizon=512, depth=4)
+        assert v.holds and counts["FlowSystem.act"] > 0
+        assert counts["make_point"] == 0
+        assert counts["distance"] == 0
+        assert counts["FlowSystem.distance"] == 0
+
+    def test_ap_on_a_long_window_builds_nothing(self, counts):
+        v = ap_verdict(TM, self.LONG, horizon=256, depth=4)
+        assert v.holds and counts["FlowSystem.act"] == 2 * 384
+        assert counts["make_point"] == 0
+        assert counts["distance"] == 0
+        assert counts["FlowSystem.distance"] == 0
 
 
 class TestConeSubnetRecurrence:

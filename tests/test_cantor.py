@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, Tail, clopen,
-                            complement, constant_tail, depth_cylinder,
-                            distance, from_cylinder, full_cylinder,
-                            intersection, make_point, periodic_tail,
-                            points_equal, reanchor_tail, scheme_from_json,
-                            sym_diff, union)
+from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
+                            agree_to_depth, clopen, complement,
+                            constant_tail, depth_cylinder, distance,
+                            from_cylinder, full_cylinder, intersection,
+                            make_point, periodic_tail, points_equal,
+                            reanchor_tail, scheme_from_json, sym_diff, union)
 from zerodim.errors import (DomainError, PreconditionError, RangeError,
                             ResourceCapError)
 
@@ -31,6 +31,54 @@ def binary_points():
         st.lists(sym, min_size=0, max_size=5),
         st.integers(-3, 3),
         tails, tails)
+
+
+def scheme_points(scheme):
+    """Strategy: points on any scheme, with windows of up to 6 symbols
+    (each reduced into its coordinate's alphabet) and tails of up to 3
+    symbols below 2, which every alphabet admits at every coordinate."""
+    sym = st.integers(0, 1)
+    tails = st.lists(sym, min_size=1, max_size=3).map(periodic_tail)
+    anchor = scheme.start if scheme.kind == "one-sided" else 0
+
+    def build(raw, lo, right, left):
+        if scheme.kind == "one-sided":
+            lo, left = scheme.start, None
+        window = [s % scheme.size(lo + i) for i, s in enumerate(raw)]
+        return make_point(scheme, window, right, left, lo=lo)
+
+    return st.builds(build, st.lists(st.integers(0, 5), max_size=6),
+                     st.integers(anchor - 3, anchor + 3), tails, tails)
+
+
+SCHEMES = (BIN, ONE, Scheme("two-sided", alphabet=3),
+           Scheme("one-sided", start=1, alphabet=(2, 3)),
+           Scheme("one-sided", start=2, alphabet="index"))
+
+
+@st.composite
+def near_pairs(draw):
+    """A scheme and two points on it: equal, independent, or one
+    coordinate apart at a random offset."""
+    scheme = draw(st.sampled_from(SCHEMES))
+    x = draw(scheme_points(scheme))
+    how = draw(st.sampled_from(("equal", "independent", "one-apart")))
+    if how == "equal":
+        return scheme, x, make_point(scheme, x.window, x.right, x.left,
+                                     lo=x.lo)
+    if how == "independent":
+        return scheme, x, draw(scheme_points(scheme))
+    coord = draw(st.sampled_from(scheme.coords_at_offset(
+        draw(st.integers(0, 9)))))
+    lo, hi = min(x.lo, coord), max(x.hi, coord)
+    if scheme.kind == "one-sided":
+        lo = scheme.start
+    window = [x.value(n) for n in range(lo, hi + 1)]
+    window[coord - lo] = (window[coord - lo] + 1) % scheme.size(coord)
+    left = None if x.left is None else reanchor_tail(x.left, x.lo - lo)
+    return scheme, x, make_point(scheme, window,
+                                 reanchor_tail(x.right, hi - x.hi), left,
+                                 lo=lo)
 
 
 class TestScheme:
@@ -128,6 +176,38 @@ class TestPoints:
         assert q == p
 
 
+class TestSymbolTypes:
+    """Only exact ints are symbols: a float or a bool equal to a valid
+    symbol would serialize differently from the point it equals."""
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+    @pytest.mark.parametrize("where", ["window", "right", "left"])
+    def test_non_int_symbol_rejected(self, bad, where):
+        window, right, left = [1, 0, 1], Tail((0,)), Tail((0, 1))
+        if where == "window":
+            window = [1, bad, 1]
+        elif where == "right":
+            right = Tail((bad, 0))
+        else:
+            left = Tail((1, bad))
+        with pytest.raises(RangeError):
+            make_point(BIN, window, right, left)
+
+    @pytest.mark.parametrize("scheme", [ONE, Scheme("one-sided", 0, (2, 3)),
+                                        Scheme("one-sided", 2, "index")])
+    def test_non_int_rejected_on_one_sided_schemes(self, scheme):
+        with pytest.raises(RangeError):
+            make_point(scheme, [1, True], 0)
+        with pytest.raises(RangeError):
+            make_point(scheme, [1, 0], Tail((1.0,)))
+        with pytest.raises(RangeError):
+            make_point(scheme, [1, 0], True)
+
+    def test_cylinder_rejects_bool(self):
+        with pytest.raises(RangeError):
+            Cylinder(BIN, 0, 0, (True,))
+
+
 class TestDistance:
     def test_exact_values(self):
         zero = make_point(BIN, (), 0, 0)
@@ -160,6 +240,28 @@ class TestDistance:
     @settings(max_examples=100)
     def test_ultrametric(self, x, y, z):
         assert distance(x, z) <= max(distance(x, y), distance(y, z))
+
+
+class TestAgreeToDepth:
+    @given(near_pairs(), st.integers(0, 14))
+    @settings(max_examples=400)
+    def test_matches_distance(self, pair, depth):
+        _, x, y = pair
+        expected = distance(x, y) <= Fraction(1, 2 ** depth)
+        assert agree_to_depth(x, y, depth) == expected
+        assert agree_to_depth(y, x, depth) == expected
+
+    def test_stops_at_first_disagreement(self):
+        zero = make_point(BIN, (), 0, 0)
+        for k in range(6):
+            y = make_point(BIN, {-k: 1}, 0, 0)
+            assert agree_to_depth(zero, y, k)
+            assert not agree_to_depth(zero, y, k + 1)
+
+    def test_schemes_must_match(self):
+        with pytest.raises(DomainError):
+            agree_to_depth(make_point(BIN, (), 0, 0),
+                           make_point(ONE, (), 0), 1)
 
 
 class TestCylinders:

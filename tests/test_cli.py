@@ -1,6 +1,7 @@
 """Workbench entry point: subcommands, exit codes, output determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +196,20 @@ class TestUsage:
         code, _, err = run(capsys, "list", "--frobnicate")
         assert code == EXIT_USAGE
         assert "usage error" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenOutput:
+    """The default battery and the seed-7 gallery, byte for byte as
+    recorded in tests/golden; a speed-up must not change a byte."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (("verify", "--json"), "verify.json"),
+        (("gallery", "--json", "--seed", "7"), "gallery_seed7.json"),
+    ])
+    def test_matches_golden(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

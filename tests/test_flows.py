@@ -19,6 +19,7 @@ from zerodim.flows import (CirclePoint, McMahonGroup, TwoCopyGroup,
                            shift_point, step_point, substitution_factors)
 
 BIN = Scheme("two-sided")
+FULL_SHIFT = build_full_shift()
 
 
 def binary_points():
@@ -132,6 +133,27 @@ class TestOdometer:
     def test_addition_is_isometry(self, x, y, n):
         od = build_odometer()
         assert distance(od.act(n, x), od.act(n, y)) == distance(x, y)
+
+    @given(st.sampled_from([(2,), (2, 3)]), st.integers(0, 500),
+           st.integers(-600, 600))
+    @settings(max_examples=200)
+    def test_addition_matches_integers(self, moduli, v, n):
+        od = build_odometer(moduli)
+        sizes = [od.scheme.size(k) for k in range(24)]
+
+        def digits(value):
+            out = []
+            for size in sizes:
+                out.append(value % size)
+                value //= size
+            return out
+
+        x = make_point(od.scheme, digits(v), right=0)
+        moved = od.act(n, x)
+        # the low digits of the sum, modulo every place value
+        assert [moved.value(k) for k in range(24)] == digits(v + n)
+        if v + n >= 0:
+            assert moved == make_point(od.scheme, digits(v + n), right=0)
 
     def test_bad_moduli(self):
         with pytest.raises(DomainError):
@@ -365,10 +387,38 @@ class TestPointBuilders:
         with pytest.raises(RangeError):
             ring_point(BIN, 2, flip_at=5)
 
+    @given(st.one_of(
+        binary_points(),
+        st.sampled_from(FULL_SHIFT.point_names()).map(FULL_SHIFT.point),
+        st.integers(-9, 9).map(lambda i: step_point(BIN, i)),
+        st.integers(-9, 9).map(lambda k: FULL_SHIFT.family("single", k))),
+        st.integers(-40, 40).filter(bool))
+    @settings(max_examples=200)
+    def test_shift_point_equals_rebuilt_translate(self, x, n):
+        # the translate as make_point builds it from every window symbol
+        rebuilt = make_point(BIN, {c - n: x.value(c)
+                                   for c in range(x.lo, x.hi + 1)},
+                             right=x.right, left=x.left, lo=x.lo - n)
+        moved = shift_point(x, n)
+        assert moved == rebuilt and hash(moved) == hash(rebuilt)
+        assert shift_point(moved, -n) == x
+
     def test_shift_point_requires_two_sided(self):
         x = make_point(Scheme("one-sided"), (1,), 0)
         with pytest.raises(DomainError):
             shift_point(x, 1)
+
+
+class TestClose:
+    @pytest.mark.parametrize("sid", available_systems())
+    def test_close_is_the_distance_test(self, sid):
+        system = get_system(sid)
+        pts = [system.point(n) for n in system.point_names()]
+        for x in pts:
+            for y in pts:
+                for depth in range(1, 7):
+                    assert system.close(x, y, depth) == (
+                        system.distance(x, y) <= Fraction(1, 2 ** depth))
 
 
 class TestInputDepth:
