@@ -277,13 +277,9 @@ def make_point(scheme: Scheme, window: Mapping[int, int] | Sequence[int],
     # absorb window edges that merely repeat the tails: the k-th symbol
     # in from an edge is absorbed when it equals the tail's pattern read
     # k steps back across the edge
-    width = len(symbols)
-    start, end = 0, width
-    r = right.symbols
-    while end > start and symbols[end - 1] == r[(end - width - 1) % len(r)]:
-        end -= 1
-    right = reanchor_tail(right, (end - width) % len(r))
-    hi -= width - end
+    end, right = absorb_right(symbols, right)
+    hi -= len(symbols) - end
+    start = 0
     if left is not None:
         l = left.symbols
         while start < end and symbols[start] == l[(-1 - start) % len(l)]:
@@ -295,6 +291,18 @@ def make_point(scheme: Scheme, window: Mapping[int, int] | Sequence[int],
         lo, hi, left, right = _normalize_empty(scheme, lo, left, right)
     return Point(scheme=scheme, lo=lo, hi=hi, window=symbols[start:end],
                  right=right, left=left)
+
+
+def absorb_right(symbols: Sequence[int], right: Tail) -> tuple[int, Tail]:
+    """The right half of ``make_point``'s absorb step: how many of
+    ``symbols`` stay once the trailing ones that repeat the primitive
+    tail ``right`` (read back across the edge) are dropped, and
+    ``right`` re-anchored at the new edge."""
+    width = end = len(symbols)
+    r = right.symbols
+    while end and symbols[end - 1] == r[(end - width - 1) % len(r)]:
+        end -= 1
+    return end, reanchor_tail(right, (end - width) % len(r))
 
 
 def _is_symbol(s, size: int) -> bool:

@@ -21,6 +21,7 @@ from .cantor import (
     Point,
     Scheme,
     Tail,
+    absorb_right,
     agree_to_depth,
     clopen,
     depth_cylinder,
@@ -222,15 +223,6 @@ def ring_point(scheme: Scheme, j: int, flip_at: Optional[int] = None) -> Point:
     return make_point(scheme, window, right=1, left=1)
 
 
-def _materialize(x: Point, upto: int):
-    """One-sided helper: explicit symbols from the start through
-    ``upto`` plus the right tail re-anchored past them."""
-    extra = max(0, upto - x.hi)
-    symbols = list(x.window)
-    symbols.extend(x.right.at(k) for k in range(extra))
-    return symbols, reanchor_tail(x.right, extra)
-
-
 def _flip_coords(y: Point, coords) -> Point:
     """Flip the binary symbols of a two-sided point at the given
     coordinates."""
@@ -322,42 +314,56 @@ def build_full_shift(alphabet: int = 2) -> FlowSystem:
 # odometers
 
 
-def _digit_count_for(scheme: Scheme, amount: int) -> int:
-    """Digits from the start whose place values exceed ``amount``."""
-    k, prod = 0, 1
-    while prod <= amount:
-        prod *= scheme.size(scheme.start + k)
-        k += 1
-    return k + 1
-
-
 def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
-    """Add the integer n in the mixed-radix carry arithmetic."""
+    """Add the integer n in the mixed-radix carry arithmetic.
+
+    The cost grows with the digits the carry touches, not with the
+    window: each digit is read in place (from the window, or from the
+    right tail by index) only when the carry reaches it, and its size
+    comes from the scheme's alphabet (an int, or a tuple cycling from
+    the start).  The walk stops when the carry dies, or after
+    ``max(window, digits of |n| + 1) + lcm(tail period, alphabet
+    period) + 2`` digits: past the digits of |n| the carry is -1, 0 or
+    1, and one that survives a whole period of the tail means the tail
+    is uniformly extremal, so it wraps to 0 (or to the maximal digits).
+
+    The result is canonical as built, the same ``Point`` that
+    ``make_point`` would return.  Every new digit is ``total % size``,
+    so in range.  A carry that dies inside the window leaves the last
+    window symbol and the tail as they were, so no edge absorbs.
+    Otherwise the trailing digits that repeat the re-anchored (or the
+    wrap) tail are dropped by ``make_point``'s absorb rule.
+    """
     if n == 0:
         return x
-    block = math.lcm(x.right.period(), scheme.alphabet_period())
-    span = x.hi - scheme.start + 1
-    count = max(span, _digit_count_for(scheme, abs(n))) + block + 2
-    digits, tail = _materialize(x, scheme.start + count - 1)
-    carry = n
-    for i in range(len(digits)):
-        if carry == 0:
-            break
-        size = scheme.size(scheme.start + i)
-        total = digits[i] + carry
-        digits[i] = total % size
-        carry = total // size
-    if carry == 0:
-        return make_point(scheme, digits, right=tail)
-    # a surviving carry means the tail was uniformly extremal: wrap it
-    anchor = scheme.start + len(digits)
-    if carry > 0:
-        new_tail: Tail | int = 0
+    sizes = scheme.alphabet if isinstance(scheme.alphabet, tuple) \
+        else (scheme.alphabet,)
+    m = len(sizes)
+    window, tail = x.window, x.right.symbols
+    width, period = len(window), len(tail)
+    count, place, amount = 0, 1, abs(n)     # count: the digits of |n|
+    while place <= amount:
+        place *= sizes[count % m]
+        count += 1
+    limit = max(width, count + 1) + math.lcm(period, m) + 2
+    digits = []
+    carry, i = n, 0
+    while carry and i < limit:
+        digit = window[i] if i < width else tail[(i - width) % period]
+        carry, digit = divmod(digit + carry, sizes[i % m])
+        digits.append(digit)
+        i += 1
+    if not carry and i < width:
+        return Point(scheme, x.lo, x.hi, tuple(digits) + window[i:], x.right)
+    if not carry:
+        right = reanchor_tail(x.right, i - width)
+    elif carry > 0:
+        right = Tail((0,))
     else:
-        maxes = tuple(scheme.size(anchor + k) - 1
-                      for k in range(scheme.alphabet_period()))
-        new_tail = periodic_tail(maxes)
-    return make_point(scheme, digits, right=new_tail)
+        right = periodic_tail(tuple(sizes[(i + k) % m] - 1
+                                    for k in range(m)))
+    end, right = absorb_right(digits, right)
+    return Point(scheme, x.lo, x.lo + end - 1, tuple(digits[:end]), right)
 
 
 def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
@@ -492,14 +498,26 @@ def _first_active(x: Point) -> Optional[int]:
 
 
 def successor_act(n: int, x: Point) -> Point:
+    """Turn the dial at q, one past the first engaged position, by n.
+    Only the symbol at q changes, so the result is built directly: a
+    change before the last window symbol leaves the point canonical,
+    and otherwise the symbols through q are trimmed against the tail
+    by ``make_point``'s absorb rule."""
     p = _first_active(x)
     if p is None:
         return x
     q = p + 1
-    symbols, tail = _materialize(x, q)
-    idx = q - x.scheme.start
-    symbols[idx] = (symbols[idx] + n) % q
-    return make_point(x.scheme, symbols, right=tail)
+    idx = q - x.lo
+    window = x.window
+    digit = (x.value(q) + n) % q
+    if idx < len(window) - 1:
+        return Point(x.scheme, x.lo, x.hi,
+                     window[:idx] + (digit,) + window[idx + 1:], x.right)
+    extra = idx + 1 - len(window)
+    symbols = window[:idx] + tuple(x.right.at(k) for k in range(extra - 1)) \
+        + (digit,)
+    end, right = absorb_right(symbols, reanchor_tail(x.right, extra))
+    return Point(x.scheme, x.lo, x.lo + end - 1, symbols[:end], right)
 
 
 def build_successor_map() -> FlowSystem:
@@ -592,7 +610,7 @@ class TwoCopyGroup(Group):
             raise RangeError("element must be a (flips, region) pair")
         v, d = g
         if not isinstance(v, frozenset) or \
-                any(not isinstance(c, int) for c in v):
+                any(type(c) is not int for c in v):
             raise RangeError("flip part must be a frozenset of ints")
         if any(abs(c) > self.m for c in v):
             raise RangeError("flip coordinate outside truncation range")
@@ -731,11 +749,11 @@ class McMahonGroup(Group):
             raise RangeError("element must be a (flips, parity) pair")
         s, b = g
         if not isinstance(s, frozenset) or \
-                any(not isinstance(c, int) for c in s):
+                any(type(c) is not int for c in s):
             raise RangeError("flip part must be a frozenset of ints")
         if any(abs(c) > self.m for c in s):
             raise RangeError("flip coordinate outside truncation range")
-        if b not in (0, 1):
+        if type(b) is not int or b not in (0, 1):
             raise RangeError("parity bit must be 0 or 1")
 
     def sort_key(self, g):

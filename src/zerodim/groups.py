@@ -99,7 +99,7 @@ class IntegerGroup(Group):
         return (-1, 0, 1)
 
     def validate(self, g) -> None:
-        if not isinstance(g, int):
+        if type(g) is not int:
             raise RangeError("integer group element must be int, got %r" % (g,))
 
     def sort_key(self, g: int):
@@ -149,7 +149,7 @@ class LatticeGroup(Group):
 
     def validate(self, g) -> None:
         if not (isinstance(g, tuple) and len(g) == self.dim
-                and all(isinstance(x, int) for x in g)):
+                and all(type(x) is int for x in g)):
             raise RangeError("lattice element must be an int %d-tuple" % self.dim)
 
     def sort_key(self, g: tuple):
@@ -220,7 +220,7 @@ class FreeGroupVariant(Group):
         if not isinstance(g, tuple):
             raise RangeError("free group element must be a tuple of nonzero ints")
         for x in g:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
+            if type(x) is not int or x == 0 or abs(x) > self.rank:
                 raise RangeError("letter %r outside rank %d" % (x, self.rank))
         for u, v in zip(g, g[1:]):
             if u == -v:
@@ -408,7 +408,7 @@ class CyclicSumGroup(Group):
                 "element must be a residue %d-tuple over support %r"
                 % (len(self.support), self.support))
         for x, m in zip(g, self.moduli):
-            if not isinstance(x, int) or not 0 <= x < m:
+            if type(x) is not int or not 0 <= x < m:
                 raise RangeError("residue %r out of range for modulus %d" % (x, m))
 
     def sort_key(self, g: tuple):

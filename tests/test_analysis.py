@@ -2,6 +2,7 @@
 independent oracles (2-adic valuations, popcount words) before the
 verdicts are checked, and certificates are frozen exactly."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from zerodim.analysis import (ap_verdict, confinement_verdict, depth_ball,
                               translate_cover_verdict, type1_verdict,
                               type2_verdict, uniform_recurrence_verdict,
                               usc_verdict, weak_rigidity_verdict)
-from zerodim.cantor import Cylinder, from_cylinder
+from zerodim.cantor import Cylinder, Scheme, from_cylinder, make_point
 from zerodim.errors import DomainError, PreconditionError
 from zerodim.flows import (FlowSystem, build_mcmahon, build_two_copy,
                            get_system)
@@ -200,17 +201,29 @@ class TestTwoSidedRecurrence:
             "forward": None, "backward": None}
 
 
+def odometer_digits(seed: int):
+    """A seeded odometer point with exactly eight explicit digits."""
+    rng = random.Random(seed)
+    digits = [rng.randrange(2) for _ in range(7)] + [1]
+    return make_point(OD.scheme, digits, right=0)
+
+
 class TestReturnTestWork:
     """Deterministic work counts, so a slide back to rebuilding a point
     per shift or to exact distances per return test fails even where
     wall-clock timing is noisy."""
 
     LONG = TM.family("reflection", 600)
+    ODOMETER_POINTS = {
+        "eight-digits": odometer_digits(8),
+        "zero": OD.point("zero"),
+        "minus-one": OD.point("minus-one"),
+    }
 
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {"make_point": 0, "distance": 0, "FlowSystem.distance": 0,
-                  "FlowSystem.act": 0}
+                  "FlowSystem.act": 0, "Scheme.size": 0}
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -230,6 +243,8 @@ class TestReturnTestWork:
         for name in ("distance", "act"):
             monkeypatch.setattr(FlowSystem, name, counting(
                 "FlowSystem." + name, getattr(FlowSystem, name)))
+        monkeypatch.setattr(Scheme, "size",
+                            counting("Scheme.size", Scheme.size))
         return counts
 
     def test_type1_on_a_long_window_builds_nothing(self, counts):
@@ -245,6 +260,16 @@ class TestReturnTestWork:
         assert counts["make_point"] == 0
         assert counts["distance"] == 0
         assert counts["FlowSystem.distance"] == 0
+
+    @pytest.mark.parametrize("name", sorted(ODOMETER_POINTS))
+    @pytest.mark.parametrize("verdict", [ap_verdict, type1_verdict])
+    def test_odometer_scan_builds_nothing(self, counts, verdict, name):
+        x = self.ODOMETER_POINTS[name]
+        v = verdict(OD, x, horizon=512, depth=4)
+        assert v.holds and counts["FlowSystem.act"] > 0
+        assert counts["make_point"] == 0
+        assert counts["Scheme.size"] == 0
+        assert counts["distance"] == 0
 
 
 class TestConeSubnetRecurrence:

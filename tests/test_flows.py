@@ -2,21 +2,24 @@
 checked against a from-scratch oracle (digit counters, popcount words,
 rational rotation) rather than its own implementation."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zerodim.cantor import (Scheme, distance, make_point, periodic_tail)
+from zerodim.cantor import (Scheme, distance, make_point, periodic_tail,
+                            reanchor_tail)
 from zerodim.errors import DomainError, PreconditionError, RangeError
 from zerodim.flows import (CirclePoint, McMahonGroup, TwoCopyGroup,
                            available_systems, build_full_shift,
                            build_mcmahon, build_odometer,
                            build_successor_map, build_thue_morse,
                            build_two_copy, circle_distance,
-                           component_projection, get_system, ring_point,
-                           shift_point, step_point, substitution_factors)
+                           component_projection, get_system, odometer_add,
+                           ring_point, shift_point, step_point,
+                           substitution_factors, successor_act)
 
 BIN = Scheme("two-sided")
 FULL_SHIFT = build_full_shift()
@@ -39,6 +42,87 @@ def odometer_points():
     return st.builds(
         lambda win, r: make_point(scheme, win, r),
         st.lists(sym, min_size=0, max_size=6), tails)
+
+
+def _materialize(x, upto):
+    """One-sided: explicit symbols from the start through ``upto`` plus
+    the right tail re-anchored past them."""
+    extra = max(0, upto - x.hi)
+    symbols = list(x.window)
+    symbols.extend(x.right.at(k) for k in range(extra))
+    return symbols, reanchor_tail(x.right, extra)
+
+
+def reference_odometer_add(scheme, n, x):
+    """Oracle: materialize every digit the carry could reach, add, and
+    rebuild the point through ``make_point``."""
+    if n == 0:
+        return x
+    k, prod = 0, 1
+    while prod <= abs(n):
+        prod *= scheme.size(scheme.start + k)
+        k += 1
+    block = math.lcm(x.right.period(), scheme.alphabet_period())
+    count = max(x.hi - scheme.start + 1, k + 1) + block + 2
+    digits, tail = _materialize(x, scheme.start + count - 1)
+    carry = n
+    for i in range(len(digits)):
+        if carry == 0:
+            break
+        size = scheme.size(scheme.start + i)
+        total = digits[i] + carry
+        digits[i] = total % size
+        carry = total // size
+    if carry == 0:
+        return make_point(scheme, digits, right=tail)
+    anchor = scheme.start + len(digits)
+    if carry > 0:
+        return make_point(scheme, digits, right=0)
+    maxes = tuple(scheme.size(anchor + k) - 1
+                  for k in range(scheme.alphabet_period()))
+    return make_point(scheme, digits, right=periodic_tail(maxes))
+
+
+def reference_successor_act(n, x):
+    """Oracle: materialize through the dial, turn it, and rebuild the
+    point through ``make_point``."""
+    bound = max(x.hi, x.lo - 1) + x.right.period() + 1
+    active = [c for c in range(x.lo, bound + 1) if x.value(c) != 0]
+    if not active:
+        return x
+    q = active[0] + 1
+    symbols, tail = _materialize(x, q)
+    symbols[q - x.lo] = (symbols[q - x.lo] + n) % q
+    return make_point(x.scheme, symbols, right=tail)
+
+
+@st.composite
+def odometer_cases(draw):
+    """A point on a mixed-radix odometer scheme: 0-10 window digits and
+    a tail of period 1-3 or the all-maximal tail (where carries wrap)."""
+    moduli = draw(st.sampled_from([(2,), (3,), (2, 3), (3, 2, 2)]))
+    scheme = build_odometer(moduli).scheme
+    m = len(moduli)
+    width = draw(st.integers(0, 10))
+    window = [draw(st.integers(0, moduli[i % m] - 1)) for i in range(width)]
+    if draw(st.booleans()):
+        tail = tuple(moduli[(width + k) % m] - 1 for k in range(m))
+    else:
+        tail = draw(st.lists(st.integers(0, min(moduli) - 1),
+                             min_size=1, max_size=3))
+    return scheme, make_point(scheme, window, right=periodic_tail(tail))
+
+
+def successor_points():
+    scheme = Scheme("one-sided", start=2, alphabet="index")
+    windows = st.integers(0, 8).flatmap(lambda width: st.tuples(*[
+        st.one_of(st.just(0), st.integers(0, c - 1))
+        for c in range(2, 2 + width)]))
+    tails = st.lists(st.integers(0, 1), min_size=1, max_size=3)
+    return st.builds(
+        lambda win, tail: make_point(scheme, list(win),
+                                     right=periodic_tail(tail)),
+        windows, tails)
 
 
 class TestRegistry:
@@ -155,9 +239,32 @@ class TestOdometer:
         if v + n >= 0:
             assert moved == make_point(od.scheme, digits(v + n), right=0)
 
+    @given(odometer_cases(), st.one_of(st.integers(-600, 600),
+                                       st.integers(-3, 3),
+                                       st.integers(-10**9, 10**9)))
+    @example((build_odometer().scheme,
+              build_odometer().point("zero")), -1)
+    @example((build_odometer((2, 3)).scheme,
+              build_odometer((2, 3)).point("minus-one")), 1)
+    @settings(max_examples=400)
+    def test_add_matches_reference(self, case, n):
+        scheme, x = case
+        y = odometer_add(scheme, n, x)
+        expected = reference_odometer_add(scheme, n, x)
+        assert y == expected and hash(y) == hash(expected)
+        assert repr(y) == repr(expected)
+        # built directly, yet canonical and valid
+        assert make_point(scheme, y.window, right=y.right) == y
+
     def test_bad_moduli(self):
         with pytest.raises(DomainError):
             build_odometer((2, 1))
+
+    def test_elements_must_be_exact_ints(self):
+        od = build_odometer()
+        for g in (True, False, 1.0):
+            with pytest.raises(RangeError, match="must be int"):
+                od.act(g, od.point("zero"))
 
 
 def popcount_word(length: int) -> list:
@@ -238,6 +345,14 @@ class TestSuccessorMap:
             for b in range(-4, 5):
                 assert sm.act(a, sm.act(b, x)) == sm.act(a + b, x)
 
+    @given(successor_points(), st.integers(-200, 200))
+    @settings(max_examples=300)
+    def test_act_matches_reference(self, x, n):
+        y = successor_act(n, x)
+        expected = reference_successor_act(n, x)
+        assert y == expected and hash(y) == hash(expected)
+        assert make_point(x.scheme, y.window, right=y.right) == y
+
 
 class TestTwoCopy:
     def test_generator_relations(self):
@@ -283,6 +398,14 @@ class TestTwoCopy:
         sys2 = build_two_copy()
         assert sys2.distance(sys2.point("o-plus"),
                              sys2.point("o-minus")) == 1
+
+    def test_flip_coordinates_must_be_exact_ints(self):
+        G = TwoCopyGroup(3)
+        empty = G.identity[1]
+        for flips in (frozenset({True}), frozenset({2, False})):
+            with pytest.raises(RangeError, match="frozenset of ints"):
+                G.validate((flips, empty))
+        G.validate((frozenset({1}), empty))
 
 
 class TestMcMahon:
@@ -332,6 +455,16 @@ class TestMcMahon:
         assert word_length(G, (frozenset({1}), 0)) == 1
         assert word_length(G, (frozenset(), 1)) == 2
         assert word_length(G, (frozenset({-1, 2}), 0)) == 2
+
+    def test_elements_must_be_exact_ints(self):
+        G = McMahonGroup(3)
+        for bad in ((frozenset({True}), 0), (frozenset({1, False}), 0)):
+            with pytest.raises(RangeError, match="frozenset of ints"):
+                G.validate(bad)
+        for parity in (True, False, 1.0):
+            with pytest.raises(RangeError, match="parity bit"):
+                G.validate((frozenset({1}), parity))
+        G.validate((frozenset({1}), 1))
 
 
 class TestCircleStack:

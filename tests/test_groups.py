@@ -231,6 +231,37 @@ class TestVariants:
         assert F2.multiply(a, ai) == F2.identity
 
 
+class TestElementsAreExactInts:
+    """A bool is an int subclass; as a group element it would pass a
+    loose check and be written as "True" into a certificate."""
+
+    C3 = CyclicSumGroup((0, 1), 3)
+
+    @pytest.mark.parametrize("group, bad, message", [
+        (Z, True, "integer group element must be int"),
+        (Z, False, "integer group element must be int"),
+        (Z2, True, "lattice element must be an int 2-tuple"),
+        (Z2, (True, 0), "lattice element must be an int 2-tuple"),
+        (Z2, (0, False), "lattice element must be an int 2-tuple"),
+        (F2, True, "free group element must be a tuple"),
+        (F2, (True,), "letter True outside rank 2"),
+        (F2, (1, True), "letter True outside rank 2"),
+        (F2, (False,), "letter False outside rank 2"),
+        (C3, True, "residue 2-tuple"),
+        (C3, (True, 0), "residue True out of range"),
+        (C3, (0, False), "residue False out of range"),
+    ], ids=lambda v: v.variant if hasattr(v, "variant") else repr(v))
+    def test_bools_are_rejected(self, group, bad, message):
+        with pytest.raises(RangeError, match=message):
+            group.validate(bad)
+
+    @pytest.mark.parametrize("group, good", [
+        (Z, 1), (Z2, (1, 0)), (F2, (1,)), (C3, (1, 0)),
+    ], ids=lambda v: v.variant if hasattr(v, "variant") else repr(v))
+    def test_their_int_twins_are_accepted(self, group, good):
+        group.validate(good)
+
+
 def counting(cls):
     """``cls`` with a per-instance count of ``multiply`` calls."""
 
