@@ -160,7 +160,7 @@ def reanchor_tail(tail: Tail, steps: int) -> Tail:
         raise PreconditionError("reanchor steps must be >= 0")
     s = tail.symbols
     k = steps % len(s)
-    return Tail(s[k:] + s[:k])
+    return Tail(s[k:] + s[:k]) if k else tail
 
 
 @dataclass(frozen=True)
@@ -228,11 +228,8 @@ def make_point(scheme: Scheme, window: Mapping[int, int] | Sequence[int],
     the window is anchored at the scheme start.  Every symbol must be an
     ``int`` (not a bool) inside its coordinate's alphabet.
 
-    The canonical form drops window edges that repeat the tails.  That
-    step reads only the window and the tails, never a coordinate, so a
-    translate of a canonical point with a non-empty window is canonical
-    as it stands (``shift_point`` relies on this); only an empty window
-    is anchored by coordinate, in ``_normalize_empty``.
+    It validates the input, reduces the tails to primitive patterns,
+    and hands the rest to ``canonical_point``.
     """
     if isinstance(right, int):
         right = constant_tail(right)
@@ -265,20 +262,37 @@ def make_point(scheme: Scheme, window: Mapping[int, int] | Sequence[int],
     elif left is None:
         raise DomainError("two-sided schemes need a left tail")
 
-    hi = lo + len(symbols) - 1
     _check_symbols(scheme, lo, symbols)
     # check the tails as given: reducing first would let 1.0 or True
     # merge into a repeat of 1 and vanish unchecked
-    _check_tails(scheme, lo, hi, right, left)
+    _check_tails(scheme, lo, lo + len(symbols) - 1, right, left)
     right = Tail(_primitive(right.symbols))
     if left is not None:
         left = Tail(_primitive(left.symbols))
+    return canonical_point(scheme, lo, symbols, right, left)
 
-    # absorb window edges that merely repeat the tails: the k-th symbol
-    # in from an edge is absorbed when it equals the tail's pattern read
-    # k steps back across the edge
-    end, right = absorb_right(symbols, right)
-    hi -= len(symbols) - end
+
+def canonical_point(scheme: Scheme, lo: int, symbols: tuple, right: Tail,
+                    left: Optional[Tail] = None) -> Point:
+    """The one canonical form of a point, shared by ``make_point`` and
+    the actions that build points themselves.
+
+    It checks nothing: ``symbols`` (a tuple laid out from ``lo``) must
+    be valid at their coordinates and both tails primitive.  It absorbs
+    window edges that merely repeat the tails (the k-th symbol in from
+    an edge is absorbed when it equals the tail's pattern read k steps
+    back across the edge) and anchors an empty window by coordinate, in
+    ``_normalize_empty``.  The absorb step reads only the window and
+    the tails, never a coordinate, so a translate of a canonical point
+    with a non-empty window is canonical as it stands (``shift_point``
+    relies on this).
+    """
+    width = end = len(symbols)
+    r = right.symbols
+    while end and symbols[end - 1] == r[(end - width - 1) % len(r)]:
+        end -= 1
+    right = reanchor_tail(right, (end - width) % len(r))
+    hi = lo + end - 1
     start = 0
     if left is not None:
         l = left.symbols
@@ -291,18 +305,6 @@ def make_point(scheme: Scheme, window: Mapping[int, int] | Sequence[int],
         lo, hi, left, right = _normalize_empty(scheme, lo, left, right)
     return Point(scheme=scheme, lo=lo, hi=hi, window=symbols[start:end],
                  right=right, left=left)
-
-
-def absorb_right(symbols: Sequence[int], right: Tail) -> tuple[int, Tail]:
-    """The right half of ``make_point``'s absorb step: how many of
-    ``symbols`` stay once the trailing ones that repeat the primitive
-    tail ``right`` (read back across the edge) are dropped, and
-    ``right`` re-anchored at the new edge."""
-    width = end = len(symbols)
-    r = right.symbols
-    while end and symbols[end - 1] == r[(end - width - 1) % len(r)]:
-        end -= 1
-    return end, reanchor_tail(right, (end - width) % len(r))
 
 
 def _is_symbol(s, size: int) -> bool:
@@ -478,9 +480,6 @@ class ClopenSet:
     def is_full(self) -> bool:
         return self.lo > self.hi and bool(self.patterns)
 
-    def window_coords(self) -> range:
-        return range(self.lo, self.hi + 1)
-
     def to_json(self) -> dict:
         return {"scheme": self.scheme.to_json(), "lo": self.lo,
                 "patterns": sorted(list(p) for p in self.patterns)}
@@ -493,16 +492,13 @@ class ClopenSet:
 def clopen(scheme: Scheme, lo: int, patterns: Iterable[Sequence[int]]) -> ClopenSet:
     pats = frozenset(tuple(p) for p in patterns)
     if not pats:
-        anchor = scheme.start if scheme.kind == "one-sided" else 0
-        return ClopenSet(scheme, anchor, anchor - 1, frozenset())
+        return _empty_clopen(scheme)
     width = len(next(iter(pats)))
     if any(len(p) != width for p in pats):
         raise DomainError("all patterns must share the window width")
-    hi = lo + width - 1
     for p in pats:
-        for n, s in zip(range(lo, hi + 1), p):
-            _check_symbol(scheme, n, s)
-    return _canonical(scheme, lo, hi, pats)
+        _check_symbols(scheme, lo, p)
+    return _canonical(scheme, lo, lo + width - 1, pats)
 
 
 def from_cylinder(c: Cylinder) -> ClopenSet:
@@ -514,6 +510,11 @@ def from_cylinder(c: Cylinder) -> ClopenSet:
 def _full_clopen(scheme: Scheme) -> ClopenSet:
     anchor = scheme.start if scheme.kind == "one-sided" else 0
     return ClopenSet(scheme, anchor, anchor - 1, frozenset({()}))
+
+
+def _empty_clopen(scheme: Scheme) -> ClopenSet:
+    anchor = scheme.start if scheme.kind == "one-sided" else 0
+    return ClopenSet(scheme, anchor, anchor - 1, frozenset())
 
 
 def _canonical(scheme: Scheme, lo: int, hi: int, pats: frozenset) -> ClopenSet:
@@ -528,35 +529,43 @@ def _canonical(scheme: Scheme, lo: int, hi: int, pats: frozenset) -> ClopenSet:
             continue
         break
     if lo > hi:
-        if pats:
-            return _full_clopen(scheme)
-        anchor = scheme.start if scheme.kind == "one-sided" else 0
-        return ClopenSet(scheme, anchor, anchor - 1, frozenset())
+        return _full_clopen(scheme) if pats else _empty_clopen(scheme)
     return ClopenSet(scheme, lo, hi, pats)
 
 
 def _try_drop(scheme: Scheme, lo: int, hi: int, pats: frozenset,
               left: bool):
-    """Residual pattern set if the chosen edge coordinate is free."""
-    coord = lo if left else hi
-    size = scheme.size(coord)
-    groups: dict = {}
-    for p in pats:
-        rest = p[1:] if left else p[:-1]
-        sym = p[0] if left else p[-1]
-        groups.setdefault(rest, set()).add(sym)
-    if all(len(s) == size for s in groups.values()):
-        return frozenset(groups)
-    return None
+    """Residual pattern set if the chosen edge coordinate is free.
+
+    The coordinate is free when every residual (a pattern with the edge
+    symbol cut off) occurs with all ``size`` symbols there.  Each
+    residual occurs with at most ``size`` symbols, so that holds exactly
+    when ``len(residuals) * size == len(pats)``: one counting pass, with
+    no grouping of symbols by residual.
+    """
+    size = scheme.size(lo if left else hi)
+    if left:
+        rests = frozenset([p[1:] for p in pats])
+    else:
+        rests = frozenset([p[:-1] for p in pats])
+    return rests if len(rests) * size == len(pats) else None
 
 
 def complement(a: ClopenSet) -> ClopenSet:
+    """The complement, on ``a``'s own window.
+
+    An edge coordinate is free for a set iff it is free for its
+    complement: at each residual the complement admits exactly the
+    symbols the set does not, so all-or-none stays all-or-none.  The
+    canonical window of ``a`` is therefore the complement's canonical
+    window, and no trimming pass is needed.
+    """
     if a.is_empty:
         return _full_clopen(a.scheme)
     if a.is_full:
-        return clopen(a.scheme, a.lo, [])
+        return _empty_clopen(a.scheme)
     universe = _all_patterns(a.scheme, a.lo, a.hi)
-    return _canonical(a.scheme, a.lo, a.hi, frozenset(universe - a.patterns))
+    return ClopenSet(a.scheme, a.lo, a.hi, universe - a.patterns)
 
 
 def union(a: ClopenSet, b: ClopenSet) -> ClopenSet:
@@ -570,6 +579,11 @@ def intersection(a: ClopenSet, b: ClopenSet) -> ClopenSet:
 
 
 def sym_diff(a: ClopenSet, b: ClopenSet) -> ClopenSet:
+    """The symmetric difference; an empty operand leaves the other,
+    canonical as it stands (the common case of the ``two-copy`` group
+    law, whose flip-only generators have an empty region)."""
+    if a.scheme == b.scheme and (a.is_empty or b.is_empty):
+        return b if a.is_empty else a
     a2, b2, lo, hi = _refine(a, b)
     return _canonical(a.scheme, lo, hi, a2 ^ b2)
 
@@ -596,17 +610,17 @@ def _refine(a: ClopenSet, b: ClopenSet):
 def _expand(c: ClopenSet, lo: int, hi: int) -> frozenset:
     if c.is_empty:
         return frozenset()
-    base = {(): True}
-    prefix_coords = range(lo, c.lo)
-    suffix_coords = range(c.hi + 1, hi + 1)
-    prefixes = _enumerate(c.scheme, prefix_coords)
-    suffixes = _enumerate(c.scheme, suffix_coords)
-    core = c.patterns if c.lo <= c.hi else {()}
-    total = len(prefixes) * len(core) * len(suffixes)
+    if c.is_full:
+        return _all_patterns(c.scheme, lo, hi)
+    if (c.lo, c.hi) == (lo, hi):
+        return c.patterns
+    prefixes = _enumerate(c.scheme, range(lo, c.lo))
+    suffixes = _enumerate(c.scheme, range(c.hi + 1, hi + 1))
+    total = len(prefixes) * len(c.patterns) * len(suffixes)
     if total > PATTERN_CAP:
         raise ResourceCapError("pattern expansion would produce %d patterns"
                                % total)
-    return frozenset(p + mid + s for p in prefixes for mid in core
+    return frozenset(p + mid + s for p in prefixes for mid in c.patterns
                      for s in suffixes)
 
 

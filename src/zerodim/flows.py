@@ -21,8 +21,8 @@ from .cantor import (
     Point,
     Scheme,
     Tail,
-    absorb_right,
     agree_to_depth,
+    canonical_point,
     clopen,
     depth_cylinder,
     distance as cantor_distance,
@@ -31,10 +31,12 @@ from .cantor import (
     reanchor_tail,
     sym_diff,
 )
-from .errors import DomainError, PreconditionError, RangeError
-from .groups import Group, IntegerGroup, power_set
+from .errors import (DomainError, PreconditionError, RangeError,
+                     ResourceCapError)
+from .groups import Group, IntegerGroup
 
 KINDS = ("cylinder-z", "cylinder-word", "tower", "quotient")
+LANGUAGE_CAP = 1 << 16   # most words one ``language`` call may enumerate
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +106,6 @@ class FlowSystem:
             raise PreconditionError("depth must be >= 1")
         self.group.validate(g)
         return self._input_depth(g, depth)
-
-    def orbit_points(self, x, radius: int) -> dict:
-        """act(g, x) for every g in the radius-ball plus the identity."""
-        reach = power_set(self.group, radius)
-        return {g: self.act(g, x) for g in reach}
 
     # -- named points and families
 
@@ -191,17 +188,17 @@ def shift_point(x: Point, n: int) -> Point:
 
     A point with a non-empty window moves as it is, in O(1): a
     two-sided scheme has one alphabet at every coordinate, so the
-    symbols stay valid, and ``make_point``'s canonical form reads only
-    the window and the tails, so the translate of a canonical point is
-    canonical.  An empty window is anchored by coordinate and goes
-    through ``make_point``."""
+    symbols stay valid, and ``canonical_point`` reads only the window
+    and the tails, so the translate of a canonical point is canonical.
+    An empty window is anchored by coordinate, so it goes through
+    ``canonical_point`` again."""
     if x.scheme.kind != "two-sided":
         raise DomainError("shift needs a two-sided scheme")
     if n == 0:
         return x
     if x.window:
         return Point(x.scheme, x.lo - n, x.hi - n, x.window, x.right, x.left)
-    return make_point(x.scheme, (), right=x.right, left=x.left, lo=x.lo - n)
+    return canonical_point(x.scheme, x.lo - n, (), x.right, x.left)
 
 
 def step_point(scheme: Scheme, i: int) -> Point:
@@ -225,18 +222,26 @@ def ring_point(scheme: Scheme, j: int, flip_at: Optional[int] = None) -> Point:
 
 def _flip_coords(y: Point, coords) -> Point:
     """Flip the binary symbols of a two-sided point at the given
-    coordinates."""
-    coords = sorted(coords)
+    coordinates.
+
+    The symbols over the widened window are read in place, from the
+    left tail, the window and the right tail, and ``canonical_point``
+    builds the result: a flipped binary symbol is a binary symbol, and
+    the re-anchored tails stay primitive, so nothing is checked again.
+    """
     if not coords:
         return y
-    lo = min(coords[0], y.lo)
-    hi = max(coords[-1], y.hi)
-    window = {c: y.value(c) for c in range(lo, hi + 1)}
+    lo = min(min(coords), y.lo)
+    hi = max(max(coords), y.hi)
+    left, right = y.left.symbols, y.right.symbols
+    symbols = [left[(y.lo - 1 - c) % len(left)] for c in range(lo, y.lo)]
+    symbols += y.window
+    symbols += [right[k % len(right)] for k in range(hi - y.hi)]
     for c in coords:
-        window[c] = 1 - window[c]
-    right = reanchor_tail(y.right, hi - y.hi)
-    left = reanchor_tail(y.left, y.lo - lo)
-    return make_point(y.scheme, window, right=right, left=left)
+        symbols[c - lo] ^= 1
+    return canonical_point(y.scheme, lo, tuple(symbols),
+                           reanchor_tail(y.right, hi - y.hi),
+                           reanchor_tail(y.left, y.lo - lo))
 
 
 def _constant_fill_reps(scheme: Scheme):
@@ -288,6 +293,11 @@ def build_full_shift(alphabet: int = 2) -> FlowSystem:
         return depth + abs(n)
 
     def language(length: int) -> frozenset:
+        if alphabet ** length > LANGUAGE_CAP:
+            raise ResourceCapError("the %d-symbol full shift has %d words of "
+                                   "length %d, over the cap of %d"
+                                   % (alphabet, alphabet ** length, length,
+                                      LANGUAGE_CAP))
         return frozenset(itertools.product(range(alphabet), repeat=length))
 
     zero = make_point(scheme, {}, right=0, left=0)
@@ -327,12 +337,12 @@ def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
     1, and one that survives a whole period of the tail means the tail
     is uniformly extremal, so it wraps to 0 (or to the maximal digits).
 
-    The result is canonical as built, the same ``Point`` that
-    ``make_point`` would return.  Every new digit is ``total % size``,
-    so in range.  A carry that dies inside the window leaves the last
-    window symbol and the tail as they were, so no edge absorbs.
-    Otherwise the trailing digits that repeat the re-anchored (or the
-    wrap) tail are dropped by ``make_point``'s absorb rule.
+    The result is the same ``Point`` that ``make_point`` would return.
+    Every new digit is ``total % size``, so in range.  A carry that
+    dies inside the window leaves the last window symbol and the tail
+    as they were, so no edge absorbs and the point is built as it is.
+    Otherwise ``canonical_point`` drops the trailing digits that repeat
+    the re-anchored (or the wrap) tail.
     """
     if n == 0:
         return x
@@ -362,8 +372,7 @@ def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
     else:
         right = periodic_tail(tuple(sizes[(i + k) % m] - 1
                                     for k in range(m)))
-    end, right = absorb_right(digits, right)
-    return Point(scheme, x.lo, x.lo + end - 1, tuple(digits[:end]), right)
+    return canonical_point(scheme, x.lo, tuple(digits), right)
 
 
 def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
@@ -501,8 +510,8 @@ def successor_act(n: int, x: Point) -> Point:
     """Turn the dial at q, one past the first engaged position, by n.
     Only the symbol at q changes, so the result is built directly: a
     change before the last window symbol leaves the point canonical,
-    and otherwise the symbols through q are trimmed against the tail
-    by ``make_point``'s absorb rule."""
+    and otherwise ``canonical_point`` trims the symbols through q
+    against the tail."""
     p = _first_active(x)
     if p is None:
         return x
@@ -516,8 +525,8 @@ def successor_act(n: int, x: Point) -> Point:
     extra = idx + 1 - len(window)
     symbols = window[:idx] + tuple(x.right.at(k) for k in range(extra - 1)) \
         + (digit,)
-    end, right = absorb_right(symbols, reanchor_tail(x.right, extra))
-    return Point(x.scheme, x.lo, x.lo + end - 1, symbols[:end], right)
+    return canonical_point(x.scheme, x.lo, symbols,
+                           reanchor_tail(x.right, extra))
 
 
 def build_successor_map() -> FlowSystem:
@@ -650,15 +659,21 @@ class TwoCopyGroup(Group):
 
 
 def _flip_region(d: ClopenSet, v: frozenset) -> ClopenSet:
-    """Image of a clopen set under flipping the coordinates in v."""
+    """Image of a clopen set under flipping the coordinates in v.
+
+    The image lives on ``d``'s own window and is canonical as it
+    stands: a flip permutes the two symbols at its coordinate, so at an
+    edge it maps the symbols a residual admits onto as many, and inside
+    the window it only renames residuals.  An edge coordinate is free
+    for the image iff it is free for ``d``.
+    """
     if d.lo > d.hi or not v:
         return d
-    idxs = [c - d.lo for c in v if d.lo <= c <= d.hi]
-    if not idxs:
+    mask = tuple(int(c in v) for c in range(d.lo, d.hi + 1))
+    if not any(mask):
         return d
-    pats = [tuple(1 - s if i in idxs else s for i, s in enumerate(p))
-            for p in d.patterns]
-    return clopen(d.scheme, d.lo, pats)
+    return ClopenSet(d.scheme, d.lo, d.hi, frozenset([
+        tuple([s ^ f for s, f in zip(p, mask)]) for p in d.patterns]))
 
 
 def build_two_copy(m: int = 3) -> FlowSystem:

@@ -511,14 +511,26 @@ def all_subgroups(group: FiniteGroup) -> list[FiniteSubgroup]:
 
 
 def _close(group: FiniteGroup, seed: frozenset) -> frozenset:
-    out = set(seed) | {group.identity}
-    out |= {group.inverse(a) for a in out}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.product(list(out), repeat=2):
-            c = group.multiply(a, b)
-            if c not in out:
-                out.add(c)
-                changed = True
+    """The subgroup generated by ``seed``: a breadth-first search from
+    the identity that right-multiplies by the seed elements.
+
+    The search reaches every product of seed elements, that is the
+    monoid the seed generates.  In a finite group that monoid is the
+    generated subgroup: each g has finite order k, so g^-1 = g^(k-1)
+    is a product of g's.  So no inverse is added and no pair of found
+    elements is multiplied; the search costs |closure| * |seed|
+    products.
+    """
+    seed = list(seed)
+    out = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in seed:
+                c = group.multiply(a, g)
+                if c not in out:
+                    out.add(c)
+                    nxt.append(c)
+        frontier = nxt
     return frozenset(out)

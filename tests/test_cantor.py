@@ -16,6 +16,7 @@ from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
                             reanchor_tail, scheme_from_json, sym_diff, union)
 from zerodim.errors import (DomainError, PreconditionError, RangeError,
                             ResourceCapError)
+from zerodim.flows import _flip_region
 
 BIN = Scheme("two-sided")
 ONE = Scheme("one-sided")
@@ -346,6 +347,129 @@ class TestClopenAlgebra:
         with pytest.raises(ResourceCapError):
             union(a, b)
 
+    @pytest.mark.parametrize("op", [union, intersection, sym_diff])
+    def test_schemes_must_match(self, op):
+        three = Scheme("two-sided", alphabet=3)
+        for a, b in ((clopen(BIN, 0, [(1,)]), clopen(three, 0, [(2,)])),
+                     (clopen(BIN, 0, []), clopen(three, 0, [(2,)])),
+                     (clopen(BIN, 0, [(1,)]), clopen(three, 0, []))):
+            with pytest.raises(DomainError, match="different schemes"):
+                op(a, b)
+
     def test_mixed_width_rejected(self):
         with pytest.raises(DomainError):
             clopen(BIN, 0, [(1,), (0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# the canonical clopen forms against the grouping algorithm
+
+
+def grouping_canonical(scheme, lo, hi, pats):
+    """The clopen canonical form as first written: group the patterns by
+    residual at an edge, drop the edge while every group holds the whole
+    alphabet, and repeat.  Kept as the oracle for the counting test and
+    for the operations that skip the trimming pass."""
+    pats = frozenset(pats)
+    while lo <= hi:
+        for left in (True, False):
+            groups = {}
+            for p in pats:
+                rest, sym = (p[1:], p[0]) if left else (p[:-1], p[-1])
+                groups.setdefault(rest, set()).add(sym)
+            size = scheme.size(lo if left else hi)
+            if all(len(s) == size for s in groups.values()):
+                pats = frozenset(groups)
+                lo, hi = (lo + 1, hi) if left else (lo, hi - 1)
+                break
+        else:
+            break
+    if lo > hi:
+        anchor = scheme.start if scheme.kind == "one-sided" else 0
+        return ClopenSet(scheme, anchor, anchor - 1,
+                         frozenset({()}) if pats else frozenset())
+    return ClopenSet(scheme, lo, hi, pats)
+
+
+def window_patterns(scheme, lo, hi):
+    return list(itertools.product(*[range(scheme.size(n))
+                                    for n in range(lo, hi + 1)]))
+
+
+def grouping_expand(c, lo, hi):
+    """Every pattern on lo..hi whose restriction to c's window c admits."""
+    return frozenset(p for p in window_patterns(c.scheme, lo, hi)
+                     if p[c.lo - lo:c.hi - lo + 1] in c.patterns)
+
+
+CLOPEN_SCHEMES = (BIN, Scheme("two-sided", alphabet=3),
+                  Scheme("one-sided", start=1, alphabet=(2, 3)),
+                  Scheme("one-sided", start=2, alphabet="index"))
+
+
+@st.composite
+def clopen_pairs(draw, schemes=CLOPEN_SCHEMES):
+    """Two clopen sets on one scheme, each any subset of the patterns on
+    a window of up to 3 coordinates (4 on the binary scheme), so free
+    edge coordinates and empty or full sets turn up often."""
+    scheme = draw(st.sampled_from(schemes))
+    anchor = scheme.start if scheme.kind == "one-sided" else 0
+    out = []
+    for _ in range(2):
+        lo = draw(st.integers(anchor, anchor + 2))
+        width = draw(st.integers(0, 4 if scheme == BIN else 3))
+        universe = window_patterns(scheme, lo, lo + width - 1)
+        keep = draw(st.lists(st.booleans(), min_size=len(universe),
+                             max_size=len(universe)))
+        pats = [p for p, k in zip(universe, keep) if k]
+        out.append(clopen(scheme, lo, pats) if width else
+                   (clopen(scheme, lo, [(0,), (1,)]) if keep[0]
+                    else clopen(scheme, lo, [])))
+    return tuple(out)
+
+
+class TestCanonicalFormsAgainstGrouping:
+    @given(clopen_pairs())
+    @settings(max_examples=300)
+    def test_clopen_is_the_grouping_form(self, pair):
+        for c in pair:
+            if c.lo <= c.hi:
+                assert grouping_canonical(c.scheme, c.lo, c.hi,
+                                          c.patterns) == c
+
+    @given(clopen_pairs())
+    @settings(max_examples=300)
+    def test_boolean_operations(self, pair):
+        a, b = pair
+        windows = [(c.lo, c.hi) for c in (a, b) if c.lo <= c.hi]
+        if windows:
+            lo = min(w[0] for w in windows)
+            hi = max(w[1] for w in windows)
+        else:
+            lo, hi = a.lo, a.hi
+        a2, b2 = grouping_expand(a, lo, hi), grouping_expand(b, lo, hi)
+        for op, want in ((union, a2 | b2), (intersection, a2 & b2),
+                         (sym_diff, a2 ^ b2)):
+            assert op(a, b) == grouping_canonical(a.scheme, lo, hi, want)
+
+    @given(clopen_pairs())
+    @settings(max_examples=300)
+    def test_complement(self, pair):
+        for c in pair:
+            universe = frozenset(window_patterns(c.scheme, c.lo, c.hi))
+            assert complement(c) == grouping_canonical(
+                c.scheme, c.lo, c.hi, universe - c.patterns)
+
+    @given(clopen_pairs((BIN,)),
+           st.frozensets(st.integers(-1, 6)))
+    @settings(max_examples=300)
+    def test_flip_region(self, pair, flips):
+        for c in pair:
+            flipped = [tuple(1 - s if n in flips else s
+                             for n, s in enumerate(p, c.lo))
+                       for p in c.patterns]
+            if c.lo <= c.hi:
+                want = grouping_canonical(BIN, c.lo, c.hi, flipped)
+            else:
+                want = c
+            assert _flip_region(c, flips) == want

@@ -3,16 +3,20 @@ checked against a from-scratch oracle (digit counters, popcount words,
 rational rotation) rather than its own implementation."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zerodim import cantor, flows
 from zerodim.cantor import (Scheme, distance, make_point, periodic_tail,
                             reanchor_tail)
-from zerodim.errors import DomainError, PreconditionError, RangeError
-from zerodim.flows import (CirclePoint, McMahonGroup, TwoCopyGroup,
+from zerodim.errors import (DomainError, PreconditionError, RangeError,
+                            ResourceCapError)
+from zerodim.flows import (LANGUAGE_CAP, CirclePoint, McMahonGroup,
+                           TwoCopyGroup, _flip_coords,
                            available_systems, build_full_shift,
                            build_mcmahon, build_odometer,
                            build_successor_map, build_thue_morse,
@@ -96,6 +100,27 @@ def reference_successor_act(n, x):
     return make_point(x.scheme, symbols, right=tail)
 
 
+def reference_flip_coords(y, coords):
+    """Oracle: read the widened window through ``value``, flip, and
+    rebuild the point through ``make_point``."""
+    coords = sorted(coords)
+    if not coords:
+        return y
+    lo = min(coords[0], y.lo)
+    hi = max(coords[-1], y.hi)
+    window = {c: y.value(c) for c in range(lo, hi + 1)}
+    for c in coords:
+        window[c] = 1 - window[c]
+    return make_point(y.scheme, window,
+                      right=reanchor_tail(y.right, hi - y.hi),
+                      left=reanchor_tail(y.left, y.lo - lo))
+
+
+def same_point(got, want):
+    return got == want and hash(got) == hash(want) and \
+        repr(got) == repr(want)
+
+
 @st.composite
 def odometer_cases(draw):
     """A point on a mixed-radix odometer scheme: 0-10 window digits and
@@ -157,6 +182,39 @@ class TestFullShift:
         shift = build_full_shift()
         assert len(shift.language(3)) == 8
         assert len(shift.language(5)) == 32
+
+    @pytest.mark.parametrize("alphabet", [2, 3])
+    def test_language_cap_boundary(self, alphabet, monkeypatch):
+        # shrink the cap so the boundary is cheap to reach; the check
+        # must fire before anything is enumerated
+        monkeypatch.setattr(flows, "LANGUAGE_CAP", alphabet ** 4)
+        shift = build_full_shift(alphabet)
+        assert len(shift.language(4)) == alphabet ** 4
+        enumerated = []
+        monkeypatch.setattr(flows.itertools, "product",
+                            lambda *a, **k: enumerated.append(a) or ())
+        with pytest.raises(ResourceCapError, match="over the cap"):
+            shift.language(5)
+        assert enumerated == []
+
+    def test_language_cap_is_a_power_boundary(self):
+        length = LANGUAGE_CAP.bit_length() - 1
+        assert 2 ** length == LANGUAGE_CAP
+        with pytest.raises(ResourceCapError):
+            build_full_shift().language(length + 1)
+
+    def test_uniform_recurrence_stops_at_the_cap(self, capsys):
+        from zerodim.cli import main
+        assert main(["analyze", "full-shift", "uniform-recurrence",
+                     "--window-max", "40"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @given(binary_points(), st.integers(-6, 6))
+    @settings(max_examples=200)
+    def test_shift_matches_reference(self, x, n):
+        want = make_point(BIN, x.window, right=x.right, left=x.left,
+                          lo=x.lo - n)
+        assert same_point(shift_point(x, n), want)
 
     def test_named_points(self):
         shift = build_full_shift()
@@ -406,6 +464,74 @@ class TestTwoCopy:
             with pytest.raises(RangeError, match="frozenset of ints"):
                 G.validate((flips, empty))
         G.validate((frozenset({1}), empty))
+
+
+class TestFlipCoords:
+    @given(binary_points(), st.frozensets(st.integers(-5, 5)))
+    @settings(max_examples=300)
+    def test_matches_reference(self, y, coords):
+        assert same_point(_flip_coords(y, coords),
+                          reference_flip_coords(y, coords))
+
+    def test_far_coordinates_on_an_empty_window(self):
+        for i in (-6, 6):
+            y = step_point(BIN, i)
+            for coords in ({0}, {-2, 3}, {i, i + 1}):
+                assert same_point(_flip_coords(y, coords),
+                                  reference_flip_coords(y, coords))
+
+
+class TestCanonicalFormWork:
+    """Deterministic work counts: the two-copy group law and the
+    two-copy and McMahon actions build results that are canonical by
+    construction, so they validate no symbol and call no
+    ``make_point``."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"make_point": 0, "_check_symbol": 0, "_check_symbols": 0}
+        # rebind every name a zerodim module holds the function under
+        for name in counts:
+            original = getattr(cantor, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for modname, mod in list(sys.modules.items()):
+                if modname.startswith("zerodim"):
+                    for key, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, key, counted)
+        return counts
+
+    def test_two_copy_multiply_validates_nothing(self, counts):
+        G = TwoCopyGroup(3)
+        gens = G.generators()
+        counts.update(dict.fromkeys(counts, 0))
+        products = {G.multiply(a, b) for a in gens for b in gens}
+        products |= {G.inverse(p) for p in products}
+        assert len(products) > len(gens)
+        assert counts == {"make_point": 0, "_check_symbol": 0,
+                          "_check_symbols": 0}
+
+    def test_two_copy_act_builds_no_point(self, counts):
+        system = build_two_copy(3)
+        G = system.group
+        g = G.multiply(G.named_generator("b2"), G.named_generator("e-1"))
+        x = system.family("step", 1)
+        before = dict(counts)
+        y = system.act(g, x)
+        assert y != x
+        assert counts == before
+
+    def test_mcmahon_act_builds_no_point(self, counts):
+        system = build_mcmahon(3)
+        x = system.family("ring", 2)
+        before = dict(counts)
+        y = system.act((frozenset({-3, 0, 2}), 1), x)
+        assert y != x
+        assert counts == before
 
 
 class TestMcMahon:
