@@ -68,10 +68,7 @@ def return_times(system: FlowSystem, x, depth: int, lo: int,
                  hi: int) -> tuple:
     """Nonzero shifts n in [lo, hi] whose action returns x into its own
     depth cell."""
-    _require_integer_flow(system)
-    out = [n for n in range(lo, hi + 1)
-           if n != 0 and system.close(system.act(n, x), x, depth)]
-    return tuple(out)
+    return tuple(n for n in system.returns(x, depth, range(lo, hi + 1)) if n)
 
 
 def _params(system: FlowSystem, **kw) -> dict:
@@ -96,25 +93,16 @@ def ap_verdict(system: FlowSystem, x, *, horizon: int, depth: int) -> Verdict:
                      depth=depth)
     span = horizon + horizon // 2
     times = return_times(system, x, depth, -span, span)
-    tset = set(times) | {0}
+    full = sorted(set(times) | {0})
     kmax = horizon // 2
-    best = None
-    for k in range(1, kmax + 1):
-        if all(any(n in tset for n in range(g, g + k))
-               for g in range(-horizon, horizon - k + 2)):
-            best = k
-            break
+    best, gap_start = _syndetic_search(full, horizon, kmax)
     if best is None:
-        gap_start = next(g for g in range(-horizon, horizon - kmax + 2)
-                         if all(n not in tset
-                                for n in range(g, g + kmax)))
         return fails(name, params, {
             "empty_window_start": gap_start,
             "empty_window_length": kmax,
             "checked_span": span,
             "returns_in_span": list(times),
         })
-    full = sorted(tset)
     gaps = [b - a for a, b in zip(full, full[1:])]
     return holds(name, params, {
         "syndetic_bound": best,
@@ -122,6 +110,25 @@ def ap_verdict(system: FlowSystem, x, *, horizon: int, depth: int) -> Verdict:
         "return_count": len(times),
         "first_returns": list(times[:8]),
     })
+
+
+def _syndetic_search(full: list, horizon: int, kmax: int) -> tuple:
+    """``(bound, None)`` with the least k <= kmax such that every
+    length-k window of shifts inside [-horizon, horizon] holds a time
+    of the sorted list ``full``, or ``(None, start)`` with the first
+    window of length kmax that holds none.
+
+    A length-k window misses every time iff it lies in a run of
+    non-times of length >= k, so the bound is one more than the
+    longest such run, and the first empty window starts the first run
+    that reaches kmax."""
+    inside = [t for t in full if -horizon <= t <= horizon]
+    edges = [-horizon - 1] + inside + [horizon + 1]
+    runs = [(b - a - 1, a + 1) for a, b in zip(edges, edges[1:])]
+    longest = max(length for length, _ in runs)
+    if longest < kmax:
+        return longest + 1, None
+    return None, next(start for length, start in runs if length >= kmax)
 
 
 def regular_ap_verdict(system: FlowSystem, x, *, horizon: int,
@@ -176,10 +183,9 @@ def type1_verdict(system: FlowSystem, x, *, horizon: int,
     name = "two-sided-recurrence"
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth)
-    forward = next((n for n in range(1, horizon + 1)
-                    if system.close(system.act(n, x), x, depth)), None)
-    backward = next((n for n in range(-1, -horizon - 1, -1)
-                     if system.close(system.act(n, x), x, depth)), None)
+    forward = next(system.returns(x, depth, range(1, horizon + 1)), None)
+    backward = next(system.returns(x, depth, range(-1, -horizon - 1, -1)),
+                    None)
     if forward is not None and backward is not None:
         return holds(name, params, {"forward": forward, "backward": backward})
     missing = [side for side, w in (("forward", forward),
@@ -189,6 +195,26 @@ def type1_verdict(system: FlowSystem, x, *, horizon: int,
         "forward": forward,
         "backward": backward,
     })
+
+
+def _first_common(system: FlowSystem, points: Sequence, depth: int,
+                  ns: range) -> Optional[int]:
+    """The first shift of ``ns`` that returns every point into its own
+    depth cell, or None.  Each point's returns come in the order of
+    ``ns``, so the intersection is walked in step: a stream behind the
+    furthest head is advanced up to it, and no stream is read past the
+    first common shift."""
+    sign = 1 if ns.step > 0 else -1
+    streams = [system.returns(p, depth, ns) for p in points]
+    heads = [next(s, None) for s in streams]
+    while None not in heads:
+        lead = max(heads, key=lambda n: sign * n)
+        if all(n == lead for n in heads):
+            return lead
+        for i, stream in enumerate(streams):
+            while heads[i] is not None and sign * heads[i] < sign * lead:
+                heads[i] = next(stream, None)
+    return None
 
 
 def pair_type1_verdict(system: FlowSystem, x, y, *, horizon: int,
@@ -201,15 +227,9 @@ def pair_type1_verdict(system: FlowSystem, x, y, *, horizon: int,
     params = _params(system, point_x=system.format_point(x),
                      point_y=system.format_point(y), horizon=horizon,
                      depth=depth)
-
-    def simultaneous(n: int) -> bool:
-        return (system.close(system.act(n, x), x, depth)
-                and system.close(system.act(n, y), y, depth))
-
-    forward = next((n for n in range(1, horizon + 1) if simultaneous(n)),
-                   None)
-    backward = next((n for n in range(-1, -horizon - 1, -1)
-                     if simultaneous(n)), None)
+    forward = _first_common(system, (x, y), depth, range(1, horizon + 1))
+    backward = _first_common(system, (x, y), depth,
+                             range(-1, -horizon - 1, -1))
     if forward is not None and backward is not None:
         return holds(name, params, {"forward": forward, "backward": backward})
     missing = [side for side, w in (("forward", forward),
@@ -277,10 +297,13 @@ def weak_rigidity_verdict(system: FlowSystem, points: Sequence, *,
     name = "weak-rigidity"
     params = _params(system, points=[system.format_point(p) for p in points],
                      horizon=horizon, depth=depth)
-    for n in itertools.chain.from_iterable((k, -k)
-                                           for k in range(1, horizon + 1)):
-        if all(system.close(system.act(n, p), p, depth) for p in points):
-            return holds(name, params, {"shift": n, "points": len(points)})
+    # the least |n| wins, and n before -n
+    forward = _first_common(system, points, depth, range(1, horizon + 1))
+    reach = horizon if forward is None else forward - 1
+    backward = _first_common(system, points, depth, range(-1, -reach - 1, -1))
+    n = forward if backward is None else backward
+    if n is not None:
+        return holds(name, params, {"shift": n, "points": len(points)})
     return fails(name, params, {"checked_through": horizon,
                                 "points": len(points)})
 

@@ -407,6 +407,35 @@ def agree_to_depth(x: Point, y: Point, depth: int) -> bool:
     return True
 
 
+def read_symbols(x: Point, lo: int, hi: int) -> list:
+    """The symbols of a two-sided point at coordinates lo..hi, as a new
+    list: the left tail repeated below the window, a slice of the
+    window, and the right tail repeated above it.  No coordinate is
+    looked up on its own."""
+    out: list = []
+    if lo < x.lo:                       # coordinates read off the left tail
+        rev = x.left.symbols[::-1]
+        count = min(hi, x.lo - 1) - lo + 1
+        out += _cycled(rev, (lo - x.lo) % len(rev), count)
+    first, last = max(lo, x.lo), min(hi, x.hi)
+    if first <= last:
+        out += x.window[first - x.lo:last - x.lo + 1]
+    first = max(lo, x.hi + 1)
+    if first <= hi:                     # coordinates read off the right tail
+        r = x.right.symbols
+        out += _cycled(r, (first - x.hi - 1) % len(r), hi - first + 1)
+    return out
+
+
+def _cycled(pattern: tuple, start: int, count: int) -> tuple:
+    """``count`` symbols of the repeated pattern from index ``start``
+    (0 <= start < len(pattern)); nothing when count <= 0."""
+    if count <= 0:
+        return ()
+    reps = -(-(start + count) // len(pattern))
+    return (pattern * reps)[start:start + count]
+
+
 # ---------------------------------------------------------------------------
 # cylinders and clopen sets
 

@@ -28,6 +28,7 @@ from .cantor import (
     distance as cantor_distance,
     make_point,
     periodic_tail,
+    read_symbols,
     reanchor_tail,
     sym_diff,
 )
@@ -58,6 +59,7 @@ class FlowSystem:
                  dist_fn: Optional[Callable] = None,
                  language_fn: Optional[Callable] = None,
                  reps_fn: Optional[Callable] = None,
+                 returns_fn: Optional[Callable] = None,
                  families: Optional[Mapping[str, Callable]] = None,
                  format_point_fn: Optional[Callable] = None,
                  metadata: Optional[Mapping] = None, summary: str = ""):
@@ -73,6 +75,7 @@ class FlowSystem:
         self._dist = dist_fn
         self._language = language_fn
         self._reps = reps_fn
+        self._returns = returns_fn
         self._families = dict(families or {})
         self._format_point = format_point_fn
         self.metadata = dict(metadata or {})
@@ -100,6 +103,36 @@ class FlowSystem:
         if self._dist is not None:
             return self._dist(x, y) <= Fraction(1, 2 ** depth)
         return agree_to_depth(x, y, depth)
+
+    def returns(self, x, depth: int, ns: range):
+        """The shifts n of ``ns`` that return x into its own depth cell,
+        ``close(act(n, x), x, depth)``, yielded in the order of ``ns``.
+
+        By default each n is acted and compared.  Two kinds of system
+        answer exactly without building a point:
+
+        - A shift moves m -> x(m + n), so ``T^n x`` agrees with x at
+          the offsets < depth iff x's symbols on [n - depth + 1,
+          n + depth - 1] equal its symbols on [-depth + 1, depth - 1].
+          x is read once over the hull of those intervals, and each n
+          compares two list slices.
+        - On an odometer the first ``depth`` digits of x + n are
+          (v + n) mod M, where v is the value of x's first ``depth``
+          digits and M the product of their sizes: carries out of those
+          digits never come back into them.  So n returns iff M
+          divides n, whatever x is.
+        """
+        if self.group.variant != "integers":
+            raise DomainError("return times need an integer acting group, "
+                              "system %r has %s"
+                              % (self.system_id, self.group.describe()))
+        if depth < 1:
+            raise PreconditionError("depth must be >= 1")
+        if not isinstance(ns, range):
+            raise PreconditionError("shifts must be given as a range")
+        if self._returns is not None:
+            return self._returns(x, depth, ns)
+        return (n for n in ns if self.close(self._act(n, x), x, depth))
 
     def required_input_depth(self, g, depth: int) -> int:
         if depth < 1:
@@ -201,6 +234,20 @@ def shift_point(x: Point, n: int) -> Point:
     return canonical_point(x.scheme, x.lo - n, (), x.right, x.left)
 
 
+def shift_returns(x: Point, depth: int, ns: range):
+    """``FlowSystem.returns`` for a shift: the n of ``ns`` whose
+    depth word x[n - depth + 1 .. n + depth - 1] equals the central
+    one, from one read of x over the hull of all those words."""
+    if not ns:
+        return iter(())
+    lo = min(ns[0], ns[-1], 0) - depth + 1
+    symbols = read_symbols(x, lo, max(ns[0], ns[-1], 0) + depth - 1)
+    width = 2 * depth - 1
+    at = -depth + 1 - lo                # index of coordinate -depth + 1
+    word = symbols[at:at + width]
+    return (n for n in ns if symbols[n + at:n + at + width] == word)
+
+
 def step_point(scheme: Scheme, i: int) -> Point:
     """The two-sided point that is 0 at coordinates <= i and 1 above."""
     return make_point(scheme, {}, right=1, left=0, lo=i + 1)
@@ -224,19 +271,16 @@ def _flip_coords(y: Point, coords) -> Point:
     """Flip the binary symbols of a two-sided point at the given
     coordinates.
 
-    The symbols over the widened window are read in place, from the
-    left tail, the window and the right tail, and ``canonical_point``
-    builds the result: a flipped binary symbol is a binary symbol, and
-    the re-anchored tails stay primitive, so nothing is checked again.
+    The symbols over the widened window are read in place by
+    ``read_symbols``, and ``canonical_point`` builds the result: a
+    flipped binary symbol is a binary symbol, and the re-anchored tails
+    stay primitive, so nothing is checked again.
     """
     if not coords:
         return y
     lo = min(min(coords), y.lo)
     hi = max(max(coords), y.hi)
-    left, right = y.left.symbols, y.right.symbols
-    symbols = [left[(y.lo - 1 - c) % len(left)] for c in range(lo, y.lo)]
-    symbols += y.window
-    symbols += [right[k % len(right)] for k in range(hi - y.hi)]
+    symbols = read_symbols(y, lo, hi)
     for c in coords:
         symbols[c - lo] ^= 1
     return canonical_point(y.scheme, lo, tuple(symbols),
@@ -315,6 +359,7 @@ def build_full_shift(alphabet: int = 2) -> FlowSystem:
     return FlowSystem(
         "full-shift", "cylinder-z", group, scheme, act, input_depth, points,
         language_fn=language, reps_fn=_constant_fill_reps(scheme),
+        returns_fn=shift_returns,
         families=families, metadata={"alphabet": alphabet},
         summary="every bi-infinite word over %d symbols under translation"
                 % alphabet)
@@ -322,6 +367,12 @@ def build_full_shift(alphabet: int = 2) -> FlowSystem:
 
 # ---------------------------------------------------------------------------
 # odometers
+
+
+def _digit_sizes(scheme: Scheme) -> tuple:
+    """The odometer's digit sizes, cycling from the start."""
+    return scheme.alphabet if isinstance(scheme.alphabet, tuple) \
+        else (scheme.alphabet,)
 
 
 def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
@@ -346,8 +397,7 @@ def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
     """
     if n == 0:
         return x
-    sizes = scheme.alphabet if isinstance(scheme.alphabet, tuple) \
-        else (scheme.alphabet,)
+    sizes = _digit_sizes(scheme)
     m = len(sizes)
     window, tail = x.window, x.right.symbols
     width, period = len(window), len(tail)
@@ -389,6 +439,12 @@ def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
     def input_depth(n: int, depth: int) -> int:
         return depth
 
+    sizes = _digit_sizes(scheme)
+
+    def returns(x: Point, depth: int, ns: range):
+        cell = math.prod(sizes[k % len(sizes)] for k in range(depth))
+        return (n for n in ns if n % cell == 0)
+
     zero = make_point(scheme, [], right=0)
     maxes = tuple(scheme.size(k) - 1 for k in range(scheme.alphabet_period()))
     points = {
@@ -400,7 +456,7 @@ def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
         "odometer-" + "".join(str(m) for m in moduli)
     return FlowSystem(
         label, "cylinder-z", group, scheme, act, input_depth, points,
-        reps_fn=_constant_fill_reps(scheme),
+        reps_fn=_constant_fill_reps(scheme), returns_fn=returns,
         metadata={"moduli": list(moduli)},
         summary="carry arithmetic on digit streams with moduli cycling "
                 "through %s" % (list(moduli),))
@@ -487,6 +543,7 @@ def build_thue_morse() -> FlowSystem:
     return FlowSystem(
         "thue-morse", "cylinder-z", group, scheme, act, input_depth, points,
         language_fn=language, reps_fn=_constant_fill_reps(scheme),
+        returns_fn=shift_returns,
         families=families,
         metadata={"rules": {str(k): "".join(str(s) for s in v)
                             for k, v in sorted(TM_RULES.items())}},

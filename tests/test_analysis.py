@@ -7,9 +7,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zerodim import cantor
-from zerodim.analysis import (ap_verdict, confinement_verdict, depth_ball,
+from zerodim.analysis import (_syndetic_search, ap_verdict,
+                              confinement_verdict, depth_ball,
                               equicontinuity_verdict, escape_length,
                               invariant_core, orbit_cylinders,
                               orbit_symmetry_verdict, pair_type1_verdict,
@@ -19,7 +22,7 @@ from zerodim.analysis import (ap_verdict, confinement_verdict, depth_ball,
                               translate_cover_verdict, type1_verdict,
                               type2_verdict, uniform_recurrence_verdict,
                               usc_verdict, weak_rigidity_verdict)
-from zerodim.cantor import Cylinder, Scheme, from_cylinder, make_point
+from zerodim.cantor import Cylinder, Point, Scheme, from_cylinder, make_point
 from zerodim.errors import DomainError, PreconditionError
 from zerodim.flows import (FlowSystem, build_mcmahon, build_two_copy,
                            get_system)
@@ -48,6 +51,33 @@ def tm_returns_oracle(depth: int, span: int) -> tuple:
     base = [tm_value(j) for j in offs]
     return tuple(n for n in range(-span, span + 1)
                  if n != 0 and [tm_value(n + j) for j in offs] == base)
+
+
+def reference_syndetic_search(tset: set, horizon: int, kmax: int) -> tuple:
+    """Oracle: try each window length k in turn against every window
+    inside [-horizon, horizon]."""
+    for k in range(1, kmax + 1):
+        if all(any(n in tset for n in range(g, g + k))
+               for g in range(-horizon, horizon - k + 2)):
+            return k, None
+    return None, next(g for g in range(-horizon, horizon - kmax + 2)
+                      if all(n not in tset for n in range(g, g + kmax)))
+
+
+@st.composite
+def return_sets(draw):
+    """A horizon and a return set over ap_verdict's span that holds 0:
+    random sets (mostly sparse, so FAILS is common) or the multiples of
+    a modulus with a few dropped (mostly HOLDS)."""
+    horizon = draw(st.integers(2, 40))
+    span = horizon + horizon // 2
+    if draw(st.booleans()):
+        tset = draw(st.sets(st.integers(-span, span)))
+    else:
+        step = draw(st.integers(1, horizon))
+        dropped = draw(st.sets(st.integers(-span, span), max_size=4))
+        tset = set(range(-(span // step) * step, span + 1, step)) - dropped
+    return horizon, tset | {0}
 
 
 class TestReturnTimes:
@@ -115,6 +145,17 @@ class TestAlmostPeriodic:
         assert v.certificate["empty_window_length"] == 100
         assert v.certificate["returns_in_span"] == []
 
+    @given(return_sets())
+    @example((2, {0}))
+    @example((2, {-2, -1, 0, 1, 2}))
+    @example((3, {0, 3, -3}))
+    @settings(max_examples=400)
+    def test_linear_syndetic_search_matches_the_window_loop(self, case):
+        horizon, tset = case
+        kmax = horizon // 2
+        assert _syndetic_search(sorted(tset), horizon, kmax) == \
+            reference_syndetic_search(tset, horizon, kmax)
+
     def test_horizon_validation(self):
         with pytest.raises(PreconditionError):
             ap_verdict(OD, OD.point("zero"), horizon=1, depth=2)
@@ -178,6 +219,14 @@ class TestTwoSidedRecurrence:
                           horizon=32, depth=1)
         assert v.certificate == {"forward": 3, "backward": -2}
 
+    def test_pair_recurrence_takes_the_nearest_common_return(self):
+        # oracle: x + n agrees with x on d digits iff 2^d divides n
+        for d in (1, 2, 3):
+            v = pair_type1_verdict(OD, OD.point("zero"), OD.point("one"),
+                                   horizon=4 * 2 ** d, depth=d)
+            assert v.holds
+            assert v.certificate == {"forward": 2 ** d, "backward": -2 ** d}
+
     def test_pair_recurrence_fails_backward(self):
         v = pair_type1_verdict(TM, TM.point("reflection"),
                                TM.point("reflection-flipped"),
@@ -222,8 +271,10 @@ class TestReturnTestWork:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"make_point": 0, "distance": 0, "FlowSystem.distance": 0,
-                  "FlowSystem.act": 0, "Scheme.size": 0}
+        counts = {"make_point": 0, "distance": 0, "read_symbols": 0,
+                  "FlowSystem.distance": 0, "FlowSystem.act": 0,
+                  "FlowSystem.returns": 0, "Scheme.size": 0,
+                  "Point.value": 0}
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -232,7 +283,7 @@ class TestReturnTestWork:
             return counted
 
         # rebind every name a zerodim module holds the function under
-        for name in ("make_point", "distance"):
+        for name in ("make_point", "distance", "read_symbols"):
             original = getattr(cantor, name)
             wrapped = counting(name, original)
             for modname, mod in list(sys.modules.items()):
@@ -240,23 +291,38 @@ class TestReturnTestWork:
                     for key, value in list(vars(mod).items()):
                         if value is original:
                             monkeypatch.setattr(mod, key, wrapped)
-        for name in ("distance", "act"):
+        for name in ("distance", "act", "returns"):
             monkeypatch.setattr(FlowSystem, name, counting(
                 "FlowSystem." + name, getattr(FlowSystem, name)))
         monkeypatch.setattr(Scheme, "size",
                             counting("Scheme.size", Scheme.size))
+        monkeypatch.setattr(Point, "value",
+                            counting("Point.value", Point.value))
         return counts
+
+    def test_long_full_shift_scan_reads_the_point_once_per_call(self,
+                                                               counts):
+        alternating = FS.point("alternating")
+        v = ap_verdict(FS, alternating, horizon=4096, depth=6)
+        assert v.holds and v.certificate["syndetic_bound"] == 2
+        v = type1_verdict(FS, alternating, horizon=4096, depth=6)
+        assert v.holds
+        assert counts["FlowSystem.returns"] == 3
+        assert counts["read_symbols"] == counts["FlowSystem.returns"]
+        assert counts["Point.value"] == 0
+        assert counts["FlowSystem.act"] == 0
+        assert counts["make_point"] == 0
 
     def test_type1_on_a_long_window_builds_nothing(self, counts):
         v = type1_verdict(TM, self.LONG, horizon=512, depth=4)
-        assert v.holds and counts["FlowSystem.act"] > 0
+        assert v.holds and counts["FlowSystem.act"] == 0
         assert counts["make_point"] == 0
         assert counts["distance"] == 0
         assert counts["FlowSystem.distance"] == 0
 
     def test_ap_on_a_long_window_builds_nothing(self, counts):
         v = ap_verdict(TM, self.LONG, horizon=256, depth=4)
-        assert v.holds and counts["FlowSystem.act"] == 2 * 384
+        assert v.holds and counts["FlowSystem.act"] == 0
         assert counts["make_point"] == 0
         assert counts["distance"] == 0
         assert counts["FlowSystem.distance"] == 0
@@ -266,7 +332,7 @@ class TestReturnTestWork:
     def test_odometer_scan_builds_nothing(self, counts, verdict, name):
         x = self.ODOMETER_POINTS[name]
         v = verdict(OD, x, horizon=512, depth=4)
-        assert v.holds and counts["FlowSystem.act"] > 0
+        assert v.holds and counts["FlowSystem.act"] == 0
         assert counts["make_point"] == 0
         assert counts["Scheme.size"] == 0
         assert counts["distance"] == 0

@@ -680,6 +680,95 @@ class TestClose:
                         system.distance(x, y) <= Fraction(1, 2 ** depth))
 
 
+def reference_returns(system, x, depth, ns):
+    """Oracle: act by every shift and ask the depth-closeness test."""
+    return [n for n in ns if system.close(system.act(n, x), x, depth)]
+
+
+INTEGER_SYSTEMS = tuple(sid for sid in available_systems()
+                        if get_system(sid).group.variant == "integers")
+RANGES = (range(-20, 21), range(20, -21, -1), range(0), range(0, 1),
+          range(7, 8), range(-7, -8, -1), range(1, 33), range(-1, -33, -1),
+          range(-30, -3), range(3, 30), range(12, -4, -1))
+
+
+def shift_ranges():
+    """Ascending or descending unit-step ranges of length 0-40 that may
+    or may not hold 0."""
+    return st.builds(
+        lambda start, length, step: range(start, start + step * length, step),
+        st.integers(-24, 24), st.integers(0, 40), st.sampled_from((1, -1)))
+
+
+def full_shift_points():
+    return st.one_of(
+        binary_points(),
+        st.integers(-12, 12).map(lambda k: FULL_SHIFT.family("single", k)),
+        st.integers(-12, 12).map(lambda i: FULL_SHIFT.family("step", i)),
+        st.sampled_from([FULL_SHIFT.point(n)
+                         for n in FULL_SHIFT.point_names()]))
+
+
+class TestReturns:
+    """``FlowSystem.returns`` against acting by every shift."""
+
+    @pytest.mark.parametrize("sid", INTEGER_SYSTEMS)
+    def test_named_points(self, sid):
+        system = get_system(sid)
+        for name in system.point_names():
+            x = system.point(name)
+            for depth in range(1, 9):
+                for ns in RANGES:
+                    assert list(system.returns(x, depth, ns)) == \
+                        reference_returns(system, x, depth, ns)
+
+    @given(full_shift_points(), st.integers(1, 8), shift_ranges())
+    @settings(max_examples=400)
+    def test_full_shift(self, x, depth, ns):
+        assert list(FULL_SHIFT.returns(x, depth, ns)) == \
+            reference_returns(FULL_SHIFT, x, depth, ns)
+
+    @given(st.integers(1, 12), st.booleans(), st.integers(1, 8),
+           shift_ranges())
+    @settings(max_examples=200)
+    def test_small_radius_reflections(self, radius, flipped, depth, ns):
+        tm = build_thue_morse()
+        x = tm.family("reflection-flipped" if flipped else "reflection",
+                      radius)
+        assert list(tm.returns(x, depth, ns)) == \
+            reference_returns(tm, x, depth, ns)
+
+    @given(odometer_cases(), st.integers(1, 8), shift_ranges())
+    @settings(max_examples=300)
+    def test_odometers(self, case, depth, ns):
+        scheme, x = case
+        system = build_odometer(scheme.alphabet if isinstance(
+            scheme.alphabet, tuple) else (scheme.alphabet,))
+        for y in (x,) + tuple(system.point(n) for n in system.point_names()):
+            assert list(system.returns(y, depth, ns)) == \
+                reference_returns(system, y, depth, ns)
+
+    @given(successor_points(), st.integers(1, 8), shift_ranges())
+    @settings(max_examples=100)
+    def test_successor_map(self, x, depth, ns):
+        system = build_successor_map()
+        assert list(system.returns(x, depth, ns)) == \
+            reference_returns(system, x, depth, ns)
+
+    def test_word_groups_rejected(self):
+        for system in (build_two_copy(3), build_mcmahon(3)):
+            x = system.point(system.point_names()[0])
+            with pytest.raises(DomainError):
+                system.returns(x, 2, range(1, 4))
+
+    def test_bad_depth_and_shifts_rejected(self):
+        x = FULL_SHIFT.point("zero")
+        with pytest.raises(PreconditionError):
+            FULL_SHIFT.returns(x, 0, range(1, 4))
+        with pytest.raises(PreconditionError):
+            FULL_SHIFT.returns(x, 2, [1, 2, 3])
+
+
 class TestInputDepth:
     def test_depth_profiles(self):
         shift = get_system("full-shift")
