@@ -32,13 +32,6 @@ CELL_CAP = 8192
 # shared plumbing
 
 
-def _require_integer_flow(system: FlowSystem) -> None:
-    if system.group.variant != "integers":
-        raise DomainError("analyzer needs an integer acting group, system %r "
-                          "has %s" % (system.system_id,
-                                      system.group.describe()))
-
-
 def _require_cells(system: FlowSystem) -> None:
     if system.kind != "cylinder-z" or system.scheme is None:
         raise DomainError("analyzer needs a symbol-space system with integer "
@@ -84,7 +77,7 @@ def _params(system: FlowSystem, **kw) -> dict:
 def ap_verdict(system: FlowSystem, x, *, horizon: int, depth: int) -> Verdict:
     """Syndetic return times: every length-(horizon//2) window of
     shifts near the origin must contain a depth-cell return."""
-    _require_integer_flow(system)
+    system.require_integer_action()
     _check_probe(horizon, depth)
     if horizon < 2:
         raise PreconditionError("horizon must be >= 2")
@@ -135,7 +128,7 @@ def regular_ap_verdict(system: FlowSystem, x, *, horizon: int,
                        depth: int) -> Verdict:
     """Return times must contain every multiple of a single modulus
     within the horizon."""
-    _require_integer_flow(system)
+    system.require_integer_action()
     _check_probe(horizon, depth)
     name = "regular-return"
     params = _params(system, point=system.format_point(x), horizon=horizon,
@@ -163,7 +156,7 @@ def regular_ap_verdict(system: FlowSystem, x, *, horizon: int,
 def pointwise_period_verdict(system: FlowSystem, x, *,
                              period_max: int) -> Verdict:
     """Least exact period of the point, if one exists within the cap."""
-    _require_integer_flow(system)
+    system.require_integer_action()
     if period_max < 1:
         raise PreconditionError("period cap must be >= 1")
     name = "pointwise-period"
@@ -178,7 +171,7 @@ def pointwise_period_verdict(system: FlowSystem, x, *,
 def type1_verdict(system: FlowSystem, x, *, horizon: int,
                   depth: int) -> Verdict:
     """A depth-cell return in each direction within the horizon."""
-    _require_integer_flow(system)
+    system.require_integer_action()
     _check_probe(horizon, depth)
     name = "two-sided-recurrence"
     params = _params(system, point=system.format_point(x), horizon=horizon,
@@ -200,20 +193,14 @@ def type1_verdict(system: FlowSystem, x, *, horizon: int,
 def _first_common(system: FlowSystem, points: Sequence, depth: int,
                   ns: range) -> Optional[int]:
     """The first shift of ``ns`` that returns every point into its own
-    depth cell, or None.  Each point's returns come in the order of
-    ``ns``, so the intersection is walked in step: a stream behind the
-    furthest head is advanced up to it, and no stream is read past the
-    first common shift."""
-    sign = 1 if ns.step > 0 else -1
-    streams = [system.returns(p, depth, ns) for p in points]
-    heads = [next(s, None) for s in streams]
-    while None not in heads:
-        lead = max(heads, key=lambda n: sign * n)
-        if all(n == lead for n in heads):
-            return lead
-        for i, stream in enumerate(streams):
-            while heads[i] is not None and sign * heads[i] < sign * lead:
-                heads[i] = next(stream, None)
+    depth cell, or None.  The first point's returns are streamed; each
+    other point is asked only at those shifts, in order, and the
+    question stops at the first one that does not return."""
+    lead, rest = points[0], points[1:]
+    for n in system.returns(lead, depth, ns):
+        if all(list(system.returns(p, depth, range(n, n + 1))) == [n]
+               for p in rest):
+            return n
     return None
 
 
@@ -221,7 +208,7 @@ def pair_type1_verdict(system: FlowSystem, x, y, *, horizon: int,
                        depth: int) -> Verdict:
     """Simultaneous depth-cell returns of two points under the same
     shifts, in each direction."""
-    _require_integer_flow(system)
+    system.require_integer_action()
     _check_probe(horizon, depth)
     name = "pair-recurrence"
     params = _params(system, point_x=system.format_point(x),
@@ -250,7 +237,7 @@ def type2_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
     name = "cone-subnet-recurrence"
     group = system.group
     if schedule is None:
-        _require_integer_flow(system)
+        system.require_integer_action()
         schedule = list(range(1, horizon + 1))
     else:
         schedule = list(schedule)
@@ -290,7 +277,7 @@ def type2_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
 def weak_rigidity_verdict(system: FlowSystem, points: Sequence, *,
                           horizon: int, depth: int) -> Verdict:
     """One shift returning every listed point to its own depth cell."""
-    _require_integer_flow(system)
+    system.require_integer_action()
     _check_probe(horizon, depth)
     if not points:
         raise PreconditionError("need at least one point")
@@ -583,7 +570,7 @@ def equicontinuity_verdict(system: FlowSystem, *, horizon: int, depth: int,
     if system.kind not in ("cylinder-z", "tower", "quotient"):
         raise DomainError("equicontinuity table needs an integer-action "
                           "system, got kind %r" % system.kind)
-    _require_integer_flow(system)
+    system.require_integer_action()
     _check_probe(horizon, depth)
     if horizon < 2:
         raise PreconditionError("horizon must be >= 2")
@@ -789,7 +776,7 @@ def translate_cover_verdict(system: FlowSystem, x, *, horizon: int,
                             depth: int, cover_cap: int) -> Verdict:
     """Greedy cover of the horizon interval by nonnegative translates
     of the return-time set, candidates taken in ascending order."""
-    _require_integer_flow(system)
+    system.require_integer_action()
     _check_probe(horizon, depth)
     if cover_cap < 1:
         raise PreconditionError("cover cap must be >= 1")

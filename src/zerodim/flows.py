@@ -104,35 +104,40 @@ class FlowSystem:
             return self._dist(x, y) <= Fraction(1, 2 ** depth)
         return agree_to_depth(x, y, depth)
 
+    def require_integer_action(self) -> None:
+        """Raise ``DomainError`` unless the acting group is Z."""
+        if self.group.variant != "integers":
+            raise DomainError("analyzer needs an integer acting group, "
+                              "system %r has %s"
+                              % (self.system_id, self.group.describe()))
+
     def returns(self, x, depth: int, ns: range):
         """The shifts n of ``ns`` that return x into its own depth cell,
         ``close(act(n, x), x, depth)``, yielded in the order of ``ns``.
 
-        By default each n is acted and compared.  Two kinds of system
-        answer exactly without building a point:
+        By default each nonzero n is acted and compared, and 0, which
+        acts as the identity, returns.  A shift answers exactly without
+        building a point (``shift_returns``):
 
-        - A shift moves m -> x(m + n), so ``T^n x`` agrees with x at
-          the offsets < depth iff x's symbols on [n - depth + 1,
-          n + depth - 1] equal its symbols on [-depth + 1, depth - 1].
-          x is read once over the hull of those intervals, and each n
-          compares two list slices.
-        - On an odometer the first ``depth`` digits of x + n are
-          (v + n) mod M, where v is the value of x's first ``depth``
-          digits and M the product of their sizes: carries out of those
-          digits never come back into them.  So n returns iff M
-          divides n, whatever x is.
+        - it moves m -> x(m + n), so ``T^n x`` agrees with x at the
+          offsets < depth iff x's symbols on [n - depth + 1,
+          n + depth - 1] equal its symbols on [-depth + 1, depth - 1];
+        - a word that lies wholly in a periodic tail equals the word
+          one tail period further in, so every n may be folded into a
+          hull of the window widened by the depth and the two periods.
+          x is read once over the part of that hull the range reaches,
+          whatever the range's length, and each n compares two list
+          slices.
         """
-        if self.group.variant != "integers":
-            raise DomainError("return times need an integer acting group, "
-                              "system %r has %s"
-                              % (self.system_id, self.group.describe()))
+        self.require_integer_action()
         if depth < 1:
             raise PreconditionError("depth must be >= 1")
         if not isinstance(ns, range):
             raise PreconditionError("shifts must be given as a range")
         if self._returns is not None:
             return self._returns(x, depth, ns)
-        return (n for n in ns if self.close(self._act(n, x), x, depth))
+        return (n for n in ns
+                if n == 0 or self.close(self.act(n, x), x, depth))
 
     def required_input_depth(self, g, depth: int) -> int:
         if depth < 1:
@@ -237,15 +242,40 @@ def shift_point(x: Point, n: int) -> Point:
 def shift_returns(x: Point, depth: int, ns: range):
     """``FlowSystem.returns`` for a shift: the n of ``ns`` whose
     depth word x[n - depth + 1 .. n + depth - 1] equals the central
-    one, from one read of x over the hull of all those words."""
+    one.
+
+    The word at n >= top = x.hi + depth lies in the right tail, so it
+    is the word at n - p (p the right pattern's length) while that
+    stays >= top; likewise below bottom = x.lo - depth with the left
+    period q.  Folding n into [bottom - q + 1, top + p - 1] keeps its
+    word, so x is read once over the folded hull of ``ns`` and 0: a
+    bounded read however far the range reaches, and the words are
+    compared lazily, so a consumer that stops at the first return
+    pays for no more."""
     if not ns:
         return iter(())
-    lo = min(ns[0], ns[-1], 0) - depth + 1
-    symbols = read_symbols(x, lo, max(ns[0], ns[-1], 0) + depth - 1)
+    p, q = len(x.right.symbols), len(x.left.symbols)
+    top, bottom = x.hi + depth, x.lo - depth
+    first = min(max(min(ns[0], ns[-1], 0), bottom - q + 1), top)
+    last = max(min(max(ns[0], ns[-1], 0), top + p - 1), bottom)
+    symbols = read_symbols(x, first - depth + 1, last + depth - 1)
     width = 2 * depth - 1
-    at = -depth + 1 - lo                # index of coordinate -depth + 1
-    word = symbols[at:at + width]
-    return (n for n in ns if symbols[n + at:n + at + width] == word)
+
+    def fold(n: int) -> int:
+        if n >= top:
+            return top + (n - top) % p
+        if n <= bottom:
+            return bottom - (bottom - n) % q
+        return n
+
+    def scan(word):
+        for n in ns:
+            i = (n if bottom < n < top else fold(n)) - first
+            if symbols[i:i + width] == word:
+                yield n
+
+    centre = fold(0) - first
+    return scan(symbols[centre:centre + width])
 
 
 def step_point(scheme: Scheme, i: int) -> Point:
@@ -369,12 +399,6 @@ def build_full_shift(alphabet: int = 2) -> FlowSystem:
 # odometers
 
 
-def _digit_sizes(scheme: Scheme) -> tuple:
-    """The odometer's digit sizes, cycling from the start."""
-    return scheme.alphabet if isinstance(scheme.alphabet, tuple) \
-        else (scheme.alphabet,)
-
-
 def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
     """Add the integer n in the mixed-radix carry arithmetic.
 
@@ -397,7 +421,8 @@ def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
     """
     if n == 0:
         return x
-    sizes = _digit_sizes(scheme)
+    sizes = scheme.alphabet if isinstance(scheme.alphabet, tuple) \
+        else (scheme.alphabet,)
     m = len(sizes)
     window, tail = x.window, x.right.symbols
     width, period = len(window), len(tail)
@@ -439,12 +464,6 @@ def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
     def input_depth(n: int, depth: int) -> int:
         return depth
 
-    sizes = _digit_sizes(scheme)
-
-    def returns(x: Point, depth: int, ns: range):
-        cell = math.prod(sizes[k % len(sizes)] for k in range(depth))
-        return (n for n in ns if n % cell == 0)
-
     zero = make_point(scheme, [], right=0)
     maxes = tuple(scheme.size(k) - 1 for k in range(scheme.alphabet_period()))
     points = {
@@ -456,7 +475,7 @@ def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
         "odometer-" + "".join(str(m) for m in moduli)
     return FlowSystem(
         label, "cylinder-z", group, scheme, act, input_depth, points,
-        reps_fn=_constant_fill_reps(scheme), returns_fn=returns,
+        reps_fn=_constant_fill_reps(scheme),
         metadata={"moduli": list(moduli)},
         summary="carry arithmetic on digit streams with moduli cycling "
                 "through %s" % (list(moduli),))

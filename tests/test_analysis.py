@@ -274,12 +274,15 @@ class TestReturnTestWork:
         counts = {"make_point": 0, "distance": 0, "read_symbols": 0,
                   "FlowSystem.distance": 0, "FlowSystem.act": 0,
                   "FlowSystem.returns": 0, "Scheme.size": 0,
-                  "Point.value": 0}
+                  "Point.value": 0, "symbols_read": 0}
 
         def counting(name, fn):
             def counted(*args, **kwargs):
                 counts[name] += 1
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                if name == "read_symbols":
+                    counts["symbols_read"] += len(out)
+                return out
             return counted
 
         # rebind every name a zerodim module holds the function under
@@ -313,6 +316,38 @@ class TestReturnTestWork:
         assert counts["FlowSystem.act"] == 0
         assert counts["make_point"] == 0
 
+    @pytest.mark.parametrize("name", ["alternating", "zero"])
+    def test_early_exit_scans_read_a_bounded_stretch(self, counts, name):
+        # a word wholly in a tail repeats with the tail's period, so the
+        # read is bounded by the window, the depth and the periods, not
+        # by the horizon
+        x = FS.point(name)
+        horizon = 10 ** 8
+        type1_verdict(FS, x, horizon=horizon, depth=6)
+        pair_type1_verdict(FS, x, FS.point("alternating"),
+                           horizon=horizon, depth=6)
+        weak_rigidity_verdict(FS, [x, FS.point("zero")], horizon=horizon,
+                              depth=6)
+        # at most one read per call: an empty range reads nothing
+        assert counts["read_symbols"] <= counts["FlowSystem.returns"]
+        assert counts["symbols_read"] <= 64 * counts["read_symbols"]
+        assert counts["Point.value"] == 0
+
+    def test_pair_scan_acts_on_the_second_point_only_at_returns(self,
+                                                                  counts):
+        # the odometer acts per shift; zero returns to depth 2 at the
+        # multiples of 4, so each direction acts on it at 1..4 and on
+        # one only at the candidate 4
+        v = pair_type1_verdict(OD, OD.point("zero"), OD.point("one"),
+                               horizon=8, depth=2)
+        assert v.certificate == {"forward": 4, "backward": -4}
+        assert counts["FlowSystem.act"] == 2 * (4 + 1)
+        v = weak_rigidity_verdict(OD, [OD.point("zero"), OD.point("one")],
+                                  horizon=8, depth=2)
+        assert v.certificate["shift"] == 4
+        # forward as above, then backward through -3 only
+        assert counts["FlowSystem.act"] == 2 * (4 + 1) + (4 + 1) + 3
+
     def test_type1_on_a_long_window_builds_nothing(self, counts):
         v = type1_verdict(TM, self.LONG, horizon=512, depth=4)
         assert v.holds and counts["FlowSystem.act"] == 0
@@ -332,7 +367,10 @@ class TestReturnTestWork:
     def test_odometer_scan_builds_nothing(self, counts, verdict, name):
         x = self.ODOMETER_POINTS[name]
         v = verdict(OD, x, horizon=512, depth=4)
-        assert v.holds and counts["FlowSystem.act"] == 0
+        # one act per nonzero shift scanned: all of [-768, 768] for the
+        # syndetic search, up to the first return (+-16) for two-sided
+        acts = 2 * 768 if verdict is ap_verdict else 2 * 16
+        assert v.holds and counts["FlowSystem.act"] == acts
         assert counts["make_point"] == 0
         assert counts["Scheme.size"] == 0
         assert counts["distance"] == 0

@@ -694,10 +694,11 @@ RANGES = (range(-20, 21), range(20, -21, -1), range(0), range(0, 1),
 
 def shift_ranges():
     """Ascending or descending unit-step ranges of length 0-40 that may
-    or may not hold 0."""
+    or may not hold 0, some of them far out in the tails."""
     return st.builds(
         lambda start, length, step: range(start, start + step * length, step),
-        st.integers(-24, 24), st.integers(0, 40), st.sampled_from((1, -1)))
+        st.integers(-24, 24) | st.integers(-400, 400), st.integers(0, 40),
+        st.sampled_from((1, -1)))
 
 
 def full_shift_points():
