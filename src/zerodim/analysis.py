@@ -15,17 +15,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .cantor import ClopenSet, Point, depth_cylinder, from_cylinder, make_point
-from .errors import (DomainError, PreconditionError, RangeError,
-                     ResourceCapError)
+from .errors import DomainError, PreconditionError, ResourceCapError
 from .flows import FlowSystem
 from .groups import (DEFAULT_BALL_CAP, _ball_layers, cone_layer, power_set,
                      word_length)
 from .verdict import Verdict, fails, holds, inconclusive
 
 CELL_CAP = 8192
+PUMP_PERIOD_MAX = 4   # longest word uniform-recurrence pumps for a refutation
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +45,12 @@ def _check_probe(horizon: int, depth: int) -> None:
         raise PreconditionError("depth must be >= 1")
 
 
-def _length_ordered(group, radius: int, cap: int = DEFAULT_BALL_CAP) -> list:
+def _length_ordered(group, radius: int) -> list:
     """Group elements of length <= radius, identity first, then by
     word length with deterministic tie-breaking (the search keeps its
     layers in ``sort_key`` order)."""
-    return list(itertools.chain.from_iterable(_ball_layers(group, radius, cap)))
+    return list(itertools.chain.from_iterable(
+        _ball_layers(group, radius, DEFAULT_BALL_CAP)))
 
 
 def depth_ball(x: Point, depth: int) -> ClopenSet:
@@ -77,7 +78,6 @@ def _params(system: FlowSystem, **kw) -> dict:
 def ap_verdict(system: FlowSystem, x, *, horizon: int, depth: int) -> Verdict:
     """Syndetic return times: every length-(horizon//2) window of
     shifts near the origin must contain a depth-cell return."""
-    system.require_integer_action()
     _check_probe(horizon, depth)
     if horizon < 2:
         raise PreconditionError("horizon must be >= 2")
@@ -128,7 +128,6 @@ def regular_ap_verdict(system: FlowSystem, x, *, horizon: int,
                        depth: int) -> Verdict:
     """Return times must contain every multiple of a single modulus
     within the horizon."""
-    system.require_integer_action()
     _check_probe(horizon, depth)
     name = "regular-return"
     params = _params(system, point=system.format_point(x), horizon=horizon,
@@ -171,23 +170,11 @@ def pointwise_period_verdict(system: FlowSystem, x, *,
 def type1_verdict(system: FlowSystem, x, *, horizon: int,
                   depth: int) -> Verdict:
     """A depth-cell return in each direction within the horizon."""
-    system.require_integer_action()
     _check_probe(horizon, depth)
-    name = "two-sided-recurrence"
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth)
-    forward = next(system.returns(x, depth, range(1, horizon + 1)), None)
-    backward = next(system.returns(x, depth, range(-1, -horizon - 1, -1)),
-                    None)
-    if forward is not None and backward is not None:
-        return holds(name, params, {"forward": forward, "backward": backward})
-    missing = [side for side, w in (("forward", forward),
-                                    ("backward", backward)) if w is None]
-    return fails(name, params, {
-        "missing_directions": missing,
-        "forward": forward,
-        "backward": backward,
-    })
+    return _two_sided("two-sided-recurrence", params, system, (x,), horizon,
+                      depth)
 
 
 def _first_common(system: FlowSystem, points: Sequence, depth: int,
@@ -195,7 +182,8 @@ def _first_common(system: FlowSystem, points: Sequence, depth: int,
     """The first shift of ``ns`` that returns every point into its own
     depth cell, or None.  The first point's returns are streamed; each
     other point is asked only at those shifts, in order, and the
-    question stops at the first one that does not return."""
+    question stops at the first one that does not return.  With one
+    point this is ``next(system.returns(x, depth, ns), None)``."""
     lead, rest = points[0], points[1:]
     for n in system.returns(lead, depth, ns):
         if all(list(system.returns(p, depth, range(n, n + 1))) == [n]
@@ -204,18 +192,13 @@ def _first_common(system: FlowSystem, points: Sequence, depth: int,
     return None
 
 
-def pair_type1_verdict(system: FlowSystem, x, y, *, horizon: int,
-                       depth: int) -> Verdict:
-    """Simultaneous depth-cell returns of two points under the same
-    shifts, in each direction."""
-    system.require_integer_action()
-    _check_probe(horizon, depth)
-    name = "pair-recurrence"
-    params = _params(system, point_x=system.format_point(x),
-                     point_y=system.format_point(y), horizon=horizon,
-                     depth=depth)
-    forward = _first_common(system, (x, y), depth, range(1, horizon + 1))
-    backward = _first_common(system, (x, y), depth,
+def _two_sided(name: str, params: dict, system: FlowSystem, points: Sequence,
+               horizon: int, depth: int) -> Verdict:
+    """HOLDS with the first common return of the points in each
+    direction within the horizon; FAILS naming the directions with
+    none."""
+    forward = _first_common(system, points, depth, range(1, horizon + 1))
+    backward = _first_common(system, points, depth,
                              range(-1, -horizon - 1, -1))
     if forward is not None and backward is not None:
         return holds(name, params, {"forward": forward, "backward": backward})
@@ -228,26 +211,32 @@ def pair_type1_verdict(system: FlowSystem, x, y, *, horizon: int,
     })
 
 
-def type2_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
-                  schedule: Optional[Sequence] = None,
-                  cap: int = DEFAULT_BALL_CAP) -> Verdict:
-    """Returns found inside reach cones: along the schedule, the least
-    return length within each cone must stay bounded on the tail."""
+def pair_type1_verdict(system: FlowSystem, x, y, *, horizon: int,
+                       depth: int) -> Verdict:
+    """Simultaneous depth-cell returns of two points under the same
+    shifts, in each direction."""
     _check_probe(horizon, depth)
+    params = _params(system, point_x=system.format_point(x),
+                     point_y=system.format_point(y), horizon=horizon,
+                     depth=depth)
+    return _two_sided("pair-recurrence", params, system, (x, y), horizon,
+                      depth)
+
+
+def type2_verdict(system: FlowSystem, x, *, horizon: int,
+                  depth: int) -> Verdict:
+    """Returns found inside reach cones: along the schedule 1..horizon,
+    the least return length within each cone must stay bounded on the
+    tail."""
+    _check_probe(horizon, depth)
+    system.require_integer_action()
     name = "cone-subnet-recurrence"
     group = system.group
-    if schedule is None:
-        system.require_integer_action()
-        schedule = list(range(1, horizon + 1))
-    else:
-        schedule = list(schedule)
-        if len(schedule) < 2:
-            raise PreconditionError("schedule needs at least two elements")
     params = _params(system, point=system.format_point(x), horizon=horizon,
-                     depth=depth, schedule_length=len(schedule))
+                     depth=depth, schedule_length=horizon)
     minima = []
-    for g in schedule:
-        layer = cone_layer(group, g, cap=cap)
+    for g in range(1, horizon + 1):
+        layer = cone_layer(group, g)
         best = None
         for c in sorted(layer, key=lambda h: (word_length(group, h),
                                               group.sort_key(h))):
@@ -277,7 +266,6 @@ def type2_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
 def weak_rigidity_verdict(system: FlowSystem, points: Sequence, *,
                           horizon: int, depth: int) -> Verdict:
     """One shift returning every listed point to its own depth cell."""
-    system.require_integer_action()
     _check_probe(horizon, depth)
     if not points:
         raise PreconditionError("need at least one point")
@@ -300,14 +288,13 @@ def weak_rigidity_verdict(system: FlowSystem, points: Sequence, *,
 
 
 def escape_length(system: FlowSystem, x, neighborhood: Callable | ClopenSet,
-                  *, horizon: int,
-                  cap: int = DEFAULT_BALL_CAP) -> Optional[tuple]:
+                  *, horizon: int) -> Optional[tuple]:
     """Least word length of a group element moving x out of the
     neighborhood, with the element; None if none exists within the
     horizon."""
     member = (neighborhood.member if isinstance(neighborhood, ClopenSet)
               else neighborhood)
-    for g in _length_ordered(system.group, horizon, cap):
+    for g in _length_ordered(system.group, horizon):
         if not member(system.act(g, x)):
             return (word_length(system.group, g), g)
     return None
@@ -567,9 +554,6 @@ def equicontinuity_verdict(system: FlowSystem, *, horizon: int, depth: int,
     that every element of that radius ball maps it inside the target
     depth.  A table still growing across the top half of the range, or
     blowing past the cap, refutes uniform control at this horizon."""
-    if system.kind not in ("cylinder-z", "tower", "quotient"):
-        raise DomainError("equicontinuity table needs an integer-action "
-                          "system, got kind %r" % system.kind)
     system.require_integer_action()
     _check_probe(horizon, depth)
     if horizon < 2:
@@ -604,8 +588,7 @@ def equicontinuity_verdict(system: FlowSystem, *, horizon: int, depth: int,
 
 
 def uniform_recurrence_verdict(system: FlowSystem, *, word_length: int,
-                               window_max: int,
-                               pump_period_max: int = 4) -> Verdict:
+                               window_max: int) -> Verdict:
     """Every admissible window of some bounded size must contain every
     admissible word of the stated length; a pumpable word avoiding one
     refutes it."""
@@ -632,7 +615,7 @@ def uniform_recurrence_verdict(system: FlowSystem, *, word_length: int,
                 "recurrence_window": R,
                 "windows_checked": len(words),
             })
-    for p in range(1, pump_period_max + 1):
+    for p in range(1, PUMP_PERIOD_MAX + 1):
         for w in sorted(system.language(p)):
             reps = (window_max // p) + 2
             pumped = (w * reps)[:window_max]
@@ -649,7 +632,7 @@ def uniform_recurrence_verdict(system: FlowSystem, *, word_length: int,
                     "avoided_word": list(avoided),
                 })
     return inconclusive(name, params, {"window_max": window_max,
-                                       "pump_period_max": pump_period_max})
+                                       "pump_period_max": PUMP_PERIOD_MAX})
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +759,6 @@ def translate_cover_verdict(system: FlowSystem, x, *, horizon: int,
                             depth: int, cover_cap: int) -> Verdict:
     """Greedy cover of the horizon interval by nonnegative translates
     of the return-time set, candidates taken in ascending order."""
-    system.require_integer_action()
     _check_probe(horizon, depth)
     if cover_cap < 1:
         raise PreconditionError("cover cap must be >= 1")

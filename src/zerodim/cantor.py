@@ -14,7 +14,6 @@ that structural equality is set equality.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction

@@ -342,8 +342,6 @@ def _build_parser() -> _Parser:
                        help="machine readable output")
         p.add_argument("--out", metavar="PATH",
                        help="write output to a file instead of stdout")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled choices (gallery)")
 
     p = sub.add_parser("list", help="show systems, analyzers, and checks")
     common(p)
@@ -372,6 +370,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gallery", help="guided tour across the systems")
     common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for sampled choices")
 
     return parser
 

@@ -1,7 +1,7 @@
 """Run configurations for the consistency harness and the CLI.
 
-A config is a plain JSON object: a schema tag, an optional seed, and a
-list of check entries.  ``default_config`` pins the standard battery;
+A config is a plain JSON object: a schema tag and a list of check
+entries.  ``default_config`` pins the standard battery;
 ``negative_control_config`` deliberately asserts false hypotheses so a
 run demonstrates how a VIOLATION surfaces.
 """

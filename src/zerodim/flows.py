@@ -47,10 +47,14 @@ LANGUAGE_CAP = 1 << 16   # most words one ``language`` call may enumerate
 class FlowSystem:
     """One phase space with one acting group.
 
-    ``kind`` selects which analyzers apply: "cylinder-z" (integer
-    action on a symbol space), "cylinder-word" (word-group action on a
-    symbol space with extra structure), "tower" (metric stack of
-    circles), "quotient" (collapsed components of a tower).
+    ``kind`` names the phase space: "cylinder-z" (integer action on a
+    symbol space), "cylinder-word" (word-group action on a symbol space
+    with extra structure), "tower" (metric stack of circles),
+    "quotient" (collapsed components of a tower).  The group variant,
+    not ``kind``, decides which integer analyzers apply: they reach
+    ``returns`` or ``require_integer_action``, which reject any other
+    group.  ``kind`` gates only the cell analyzers, which need
+    "cylinder-z", and the cellwise path of ``usc_verdict``.
     """
 
     def __init__(self, system_id: str, kind: str, group: Group,

@@ -15,7 +15,7 @@ and dict keys work without ceremony.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import DomainError, PreconditionError, RangeError, ResourceCapError
@@ -324,8 +324,6 @@ class FiniteGroup(Group):
         return len(self.names)
 
     def validate(self, g) -> None:
-        if g not in self._table and g not in self.names:
-            raise RangeError("unknown element %r" % (g,))
         if g not in self.names:
             raise RangeError("unknown element %r" % (g,))
 

@@ -30,13 +30,13 @@ from .analysis import (ap_verdict, confinement_verdict, depth_ball,
                        standard_rp_witness, translate_cover_verdict,
                        type1_verdict, type2_verdict, usc_verdict)
 from .cantor import Cylinder, from_cylinder
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .flows import get_system
 from .groups import IntegerGroup, is_syndetic_window, is_thick_window
 from .subgroups import (IntegerSubgroup, all_subgroups, dihedral_group,
                         intersect_subgroups, normal_core, subgroup_index,
                         symmetric_group)
-from .verdict import Verdict, fails, holds
+from .verdict import fails, holds
 
 CONSISTENT = "CONSISTENT"
 VIOLATION = "VIOLATION"

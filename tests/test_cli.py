@@ -1,6 +1,9 @@
 """Workbench entry point: subcommands, exit codes, output determinism."""
 
+import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -197,6 +200,14 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert "usage error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("list",), ("verify",), ("analyze", "odometer", "almost-periodic"),
+    ])
+    def test_seed_is_gallery_only(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--seed" in err
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -213,3 +224,31 @@ class TestGoldenOutput:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (EXIT_OK, "")
         assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def analyze_matrix() -> dict:
+    """Exit code and stdout SHA-256 of ``analyze SYSTEM ANALYZER
+    --horizon 4 --depth 2``, plain and with ``--json``, for every system
+    and analyzer.  Regenerate the golden copy with
+
+        PYTHONPATH=src:tests python -c "import json, test_cli; \\
+        print(json.dumps(test_cli.analyze_matrix(), indent=2, \\
+        sort_keys=True))" > tests/golden/analyze_matrix.json
+    """
+    matrix = {}
+    for system in available_systems():
+        for analyzer in available_analyzers():
+            for extra in ((), ("--json",)):
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    code = main(["analyze", system, analyzer, "--horizon",
+                                 "4", "--depth", "2", *extra])
+                digest = hashlib.sha256(out.getvalue().encode("utf-8"))
+                matrix[" ".join((system, analyzer) + extra)] = {
+                    "exit": code, "stdout_sha256": digest.hexdigest()}
+    return matrix
+
+
+def test_analyze_matrix_matches_golden():
+    golden = json.loads((GOLDEN / "analyze_matrix.json").read_text())
+    assert analyze_matrix() == golden

@@ -16,6 +16,7 @@ from zerodim.groups import (ConeApproximation, CyclicSumGroup, FiniteGroup,
                             is_syndetic_window, is_thick_window,
                             layer_embedding_bound, layer_embedding_check,
                             power_set, sphere, word_length)
+from zerodim.subgroups import symmetric_group
 
 Z = IntegerGroup()
 Z2 = LatticeGroup(2)
@@ -223,6 +224,12 @@ class TestVariants:
             data = group.to_json()
             back = group_from_json(data)
             assert back.to_json() == data
+
+    @pytest.mark.parametrize("bad", [["e"], {"e": 0}, "(0 1 2 3)"])
+    def test_finite_group_rejects_unknown_elements(self, bad):
+        # an unhashable value is an unknown element, not a TypeError
+        with pytest.raises(RangeError, match="unknown element"):
+            symmetric_group(3).validate(bad)
 
     def test_free_group_reduction(self):
         a = (1,)
