@@ -407,12 +407,16 @@ def agree_to_depth(x: Point, y: Point, depth: int) -> bool:
 
 
 def read_symbols(x: Point, lo: int, hi: int) -> list:
-    """The symbols of a two-sided point at coordinates lo..hi, as a new
-    list: the left tail repeated below the window, a slice of the
-    window, and the right tail repeated above it.  No coordinate is
-    looked up on its own."""
+    """The symbols of a point at coordinates lo..hi, as a new list: the
+    left tail repeated below the window, a slice of the window, and the
+    right tail repeated above it.  No coordinate is looked up on its
+    own.  A one-sided point is read too; a coordinate below its window
+    raises ``RangeError``, as ``Point.value`` does."""
     out: list = []
     if lo < x.lo:                       # coordinates read off the left tail
+        if x.left is None:
+            x.scheme.check_coord(lo)
+            raise RangeError("coordinate %d below a one-sided window" % lo)
         rev = x.left.symbols[::-1]
         count = min(hi, x.lo - 1) - lo + 1
         out += _cycled(rev, (lo - x.lo) % len(rev), count)

@@ -119,9 +119,17 @@ class FlowSystem:
         """The shifts n of ``ns`` that return x into its own depth cell,
         ``close(act(n, x), x, depth)``, yielded in the order of ``ns``.
 
-        By default each nonzero n is acted and compared, and 0, which
-        acts as the identity, returns.  A shift answers exactly without
-        building a point (``shift_returns``):
+        By default the orbit is walked in the order of ``ns``: 0 is x
+        itself and returns, the first nonzero n is ``act(n, x)``, and
+        every later n is ``act(ns.step, ·)`` of the point before it,
+        which is exact because the integer action is a group action.
+        So each nonzero n costs one act, and an act by a small step is
+        cheap (an odometer carry walks a digit or two).  A symbol-space
+        point is read once over the depth window and each acted point
+        compares its read of the same window, which is
+        ``agree_to_depth``; a system with its own metric asks ``close``.
+        A shift answers exactly without building a point
+        (``shift_returns``):
 
         - it moves m -> x(m + n), so ``T^n x`` agrees with x at the
           offsets < depth iff x's symbols on [n - depth + 1,
@@ -140,8 +148,28 @@ class FlowSystem:
             raise PreconditionError("shifts must be given as a range")
         if self._returns is not None:
             return self._returns(x, depth, ns)
-        return (n for n in ns
-                if n == 0 or self.close(self.act(n, x), x, depth))
+        if self._dist is not None:
+            def home(y) -> bool:
+                return self.close(y, x, depth)
+        else:
+            lo, hi = self.scheme.depth_window(depth)
+            word = read_symbols(x, lo, hi)
+
+            def home(y) -> bool:
+                return read_symbols(y, lo, hi) == word
+
+        def walk():
+            act, step = self.act, ns.step
+            for i, n in enumerate(ns):
+                if n == 0:
+                    y = x
+                    yield n
+                    continue
+                y = act(step, y) if i else act(n, x)
+                if home(y):
+                    yield n
+
+        return walk()
 
     def required_input_depth(self, g, depth: int) -> int:
         if depth < 1:

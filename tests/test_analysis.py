@@ -374,6 +374,25 @@ class TestReturnTestWork:
         assert counts["make_point"] == 0
         assert counts["Scheme.size"] == 0
         assert counts["distance"] == 0
+        # x and every acted point are read over the depth window
+        assert counts["Point.value"] == 0
+
+    @pytest.mark.parametrize("name", sorted(ODOMETER_POINTS))
+    def test_odometer_scan_steps_the_orbit(self, counts, monkeypatch, name):
+        # only the first nonzero shift of a ``returns`` call is acted
+        # from x; every later one steps the point before it by +-1
+        moves = []
+        act = FlowSystem.act
+
+        def recording(system, g, x):
+            moves.append(g)
+            return act(system, g, x)
+
+        monkeypatch.setattr(FlowSystem, "act", recording)
+        v = ap_verdict(OD, self.ODOMETER_POINTS[name], horizon=512, depth=4)
+        assert v.holds and len(moves) == 2 * 768
+        assert sum(abs(g) > 1 for g in moves) <= \
+            counts["FlowSystem.returns"]
 
 
 class TestConeSubnetRecurrence:

@@ -13,10 +13,11 @@ from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
                             constant_tail, depth_cylinder, distance,
                             from_cylinder, full_cylinder, intersection,
                             make_point, periodic_tail, points_equal,
-                            reanchor_tail, scheme_from_json, sym_diff, union)
+                            read_symbols, reanchor_tail, scheme_from_json,
+                            sym_diff, union)
 from zerodim.errors import (DomainError, PreconditionError, RangeError,
                             ResourceCapError)
-from zerodim.flows import _flip_region
+from zerodim.flows import _flip_region, build_odometer
 
 BIN = Scheme("two-sided")
 ONE = Scheme("one-sided")
@@ -263,6 +264,29 @@ class TestAgreeToDepth:
         with pytest.raises(DomainError):
             agree_to_depth(make_point(BIN, (), 0, 0),
                            make_point(ONE, (), 0), 1)
+
+
+class TestReadSymbols:
+    @given(st.sampled_from(SCHEMES).flatmap(scheme_points),
+           st.integers(-8, 8), st.integers(0, 16))
+    @settings(max_examples=300)
+    def test_matches_value(self, x, offset, count):
+        if x.scheme.kind == "one-sided":    # read from the start up
+            offset = abs(offset)
+        first = x.scheme.start + offset
+        assert read_symbols(x, first, first + count - 1) == \
+            [x.value(c) for c in range(first, first + count)]
+
+    @pytest.mark.parametrize("x", [
+        build_odometer().point("one"),
+        make_point(Scheme("one-sided", start=2, alphabet="index"), (1,), 0)])
+    def test_below_a_one_sided_start_raises_like_value(self, x):
+        lo = x.scheme.start - 2
+        with pytest.raises(RangeError) as by_value:
+            x.value(lo)
+        with pytest.raises(RangeError) as by_read:
+            read_symbols(x, lo, x.scheme.start + 3)
+        assert str(by_read.value) == str(by_value.value)
 
 
 class TestCylinders:

@@ -20,8 +20,9 @@ from zerodim.flows import (LANGUAGE_CAP, CirclePoint, McMahonGroup,
                            available_systems, build_full_shift,
                            build_mcmahon, build_odometer,
                            build_successor_map, build_thue_morse,
-                           build_two_copy, circle_distance,
-                           component_projection, get_system, odometer_add,
+                           build_two_copy, circle_component,
+                           circle_distance, component_projection,
+                           get_system, odometer_add,
                            ring_point, shift_point, step_point,
                            substitution_factors, successor_act)
 
@@ -687,18 +688,37 @@ def reference_returns(system, x, depth, ns):
 
 INTEGER_SYSTEMS = tuple(sid for sid in available_systems()
                         if get_system(sid).group.variant == "integers")
+CIRCLES = get_system("circle-stack")
+CIRCLE_COMPONENTS = get_system("circle-stack-components")
 RANGES = (range(-20, 21), range(20, -21, -1), range(0), range(0, 1),
           range(7, 8), range(-7, -8, -1), range(1, 33), range(-1, -33, -1),
           range(-30, -3), range(3, 30), range(12, -4, -1))
 
 
 def shift_ranges():
-    """Ascending or descending unit-step ranges of length 0-40 that may
-    or may not hold 0, some of them far out in the tails."""
+    """Ascending or descending ranges of length 0-40 that may or may not
+    hold 0, some of them far out in the tails.  Half of them step by
+    +-1, the others by +-2, +-3 or +-7, which the default ``returns``
+    walks one step at a time."""
     return st.builds(
         lambda start, length, step: range(start, start + step * length, step),
         st.integers(-24, 24) | st.integers(-400, 400), st.integers(0, 40),
-        st.sampled_from((1, -1)))
+        st.sampled_from((1, -1)) | st.sampled_from((2, -2, 3, -3, 7, -7)))
+
+
+def odometer_system(scheme):
+    """The odometer whose digit stream lives on ``scheme``."""
+    return build_odometer(scheme.alphabet if isinstance(
+        scheme.alphabet, tuple) else (scheme.alphabet,))
+
+
+def circle_points():
+    """Circle-stack points of the ``level`` and ``limit-at`` families,
+    at turns of small denominator."""
+    turns = st.builds(Fraction, st.integers(0, 40), st.integers(1, 16))
+    return st.one_of(
+        st.builds(CirclePoint, st.integers(1, 12), turns),
+        st.builds(CirclePoint, st.none(), turns))
 
 
 def full_shift_points():
@@ -743,8 +763,7 @@ class TestReturns:
     @settings(max_examples=300)
     def test_odometers(self, case, depth, ns):
         scheme, x = case
-        system = build_odometer(scheme.alphabet if isinstance(
-            scheme.alphabet, tuple) else (scheme.alphabet,))
+        system = odometer_system(scheme)
         for y in (x,) + tuple(system.point(n) for n in system.point_names()):
             assert list(system.returns(y, depth, ns)) == \
                 reference_returns(system, y, depth, ns)
@@ -755,6 +774,15 @@ class TestReturns:
         system = build_successor_map()
         assert list(system.returns(x, depth, ns)) == \
             reference_returns(system, x, depth, ns)
+
+    @given(circle_points(), st.integers(1, 8), shift_ranges())
+    @settings(max_examples=200)
+    def test_circle_stack_and_components(self, p, depth, ns):
+        # the systems with their own metric, which ask ``close``
+        for system, x in ((CIRCLES, p),
+                          (CIRCLE_COMPONENTS, circle_component(p))):
+            assert list(system.returns(x, depth, ns)) == \
+                reference_returns(system, x, depth, ns)
 
     def test_word_groups_rejected(self):
         for system in (build_two_copy(3), build_mcmahon(3)):
@@ -768,6 +796,40 @@ class TestReturns:
             FULL_SHIFT.returns(x, 0, range(1, 4))
         with pytest.raises(PreconditionError):
             FULL_SHIFT.returns(x, 2, [1, 2, 3])
+
+
+ELEMENTS = st.integers(-300, 300)
+
+
+def composes(system, x, a, b) -> bool:
+    return system.equal(system.act(a, system.act(b, x)),
+                        system.act(a + b, x))
+
+
+class TestGroupLaw:
+    """``act(a, act(b, x))`` is ``act(a + b, x)``: the default
+    ``returns`` steps the orbit by the range's step on this identity."""
+
+    SYSTEMS = {sid: get_system(sid) for sid in INTEGER_SYSTEMS}
+
+    @pytest.mark.parametrize("sid", INTEGER_SYSTEMS)
+    @given(ELEMENTS, ELEMENTS)
+    @settings(max_examples=60)
+    def test_named_points(self, sid, a, b):
+        system = self.SYSTEMS[sid]
+        for name in system.point_names():
+            assert composes(system, system.point(name), a, b)
+
+    @given(odometer_cases(), ELEMENTS, ELEMENTS)
+    @settings(max_examples=300)
+    def test_odometers(self, case, a, b):
+        scheme, x = case
+        assert composes(odometer_system(scheme), x, a, b)
+
+    @given(successor_points(), ELEMENTS, ELEMENTS)
+    @settings(max_examples=200)
+    def test_successor_map(self, x, a, b):
+        assert composes(build_successor_map(), x, a, b)
 
 
 class TestInputDepth:
