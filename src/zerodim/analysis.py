@@ -652,11 +652,12 @@ def proximal_verdict(system: FlowSystem, x, y, *, horizon: int,
                      point_y=system.format_point(y), horizon=horizon,
                      depth=depth)
     best = None
+    target = Fraction(1, 2 ** depth)
     for g in _length_ordered(system.group, horizon):
         d = system.distance(system.act(g, x), system.act(g, y))
         if best is None or d < best[0]:
             best = (d, g)
-        if d <= Fraction(1, 2 ** depth):
+        if d <= target:
             return holds(name, params, {
                 "witness": system.group.format_element(g),
                 "distance": d,

@@ -501,8 +501,9 @@ class ClopenSet:
     patterns: frozenset
 
     def member(self, x: Point) -> bool:
-        probe = tuple(x.value(n) for n in range(self.lo, self.hi + 1))
-        return probe in self.patterns
+        if self.lo > self.hi:
+            return () in self.patterns
+        return tuple(read_symbols(x, self.lo, self.hi)) in self.patterns
 
     @property
     def is_empty(self) -> bool:

@@ -10,11 +10,15 @@ verify), 2 when the result is inconclusive, 3 when verify found a
 violation, 64 for usage errors, 66 for a missing input file, 1 for
 any other workbench error.  Output is deterministic; wall-clock
 timings appear only with ``--timings``.
+
+The argument parser is built once per process, on the first call to
+``main``; later in-process calls reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -331,7 +335,12 @@ def _cmd_gallery(ns) -> int:
 # argument wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and kept for the life of
+    the process.  Reuse is exact: parsing leaves the parser unchanged,
+    ``append`` options start from a fresh list on every call, and every
+    subparser is a ``_Parser`` whose errors raise ``UsageError``."""
     parser = _Parser(prog="zerodim",
                      description="workbench for recurrence analysis on "
                                  "zero-dimensional and tower systems")

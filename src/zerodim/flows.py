@@ -606,11 +606,15 @@ def build_thue_morse() -> FlowSystem:
 
 
 def _first_active(x: Point) -> Optional[int]:
-    start = x.scheme.start
-    bound = max(x.hi, start - 1) + x.right.period() + 1
-    for c in range(start, bound + 1):
-        if x.value(c) != 0:
-            return c
+    """The first nonzero coordinate: the window is read from the scheme
+    start, where a one-sided window is anchored, then one period of the
+    right tail, past which the tail only repeats."""
+    for i, s in enumerate(x.window):
+        if s:
+            return x.lo + i
+    for k, s in enumerate(x.right.symbols):
+        if s:
+            return x.hi + 1 + k
     return None
 
 
@@ -626,7 +630,8 @@ def successor_act(n: int, x: Point) -> Point:
     q = p + 1
     idx = q - x.lo
     window = x.window
-    digit = (x.value(q) + n) % q
+    dial = window[idx] if idx < len(window) else x.right.at(idx - len(window))
+    digit = (dial + n) % q
     if idx < len(window) - 1:
         return Point(x.scheme, x.lo, x.hi,
                      window[:idx] + (digit,) + window[idx + 1:], x.right)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Mapping
 
 
@@ -78,13 +79,21 @@ def inconclusive(analyzer: str, params: Mapping, certificate: Mapping) -> Verdic
     return Verdict(analyzer, Status.INCONCLUSIVE, dict(params), dict(certificate))
 
 
+_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
 def _plain(value: Any) -> Any:
     """Recursively convert to JSON-serializable plain data.
 
     Fractions become strings "p/q" to stay exact; sets are sorted.
+    Exact leaf types and exact dicts, most of what a certificate holds,
+    are answered before the ``isinstance`` chain.
     """
-    from fractions import Fraction
-
+    kind = type(value)
+    if kind in _LEAVES:
+        return value
+    if kind is dict:
+        return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, Verdict):
         return value.to_json()
     if isinstance(value, Status):

@@ -497,3 +497,30 @@ class TestCanonicalFormsAgainstGrouping:
             else:
                 want = c
             assert _flip_region(c, flips) == want
+
+
+def value_probe(c, x):
+    """``ClopenSet.member`` as first written: one ``Point.value`` per
+    window coordinate.  Kept as the oracle for the one-read form."""
+    return tuple(x.value(n) for n in range(c.lo, c.hi + 1)) in c.patterns
+
+
+class TestMembershipAgainstValueProbe:
+    @given(clopen_pairs(SCHEMES), st.data())
+    @settings(max_examples=300)
+    def test_member_matches_value_probe(self, pair, data):
+        for c in pair:
+            x = data.draw(scheme_points(c.scheme))
+            assert c.member(x) == value_probe(c, x)
+
+    @pytest.mark.parametrize("scheme", [s for s in SCHEMES
+                                        if s.kind == "one-sided"])
+    def test_below_a_one_sided_window_raises_like_value(self, scheme):
+        c = ClopenSet(scheme, scheme.start - 1, scheme.start,
+                      frozenset({(0, 0)}))
+        x = make_point(scheme, (1,), 0)
+        with pytest.raises(RangeError) as by_probe:
+            value_probe(c, x)
+        with pytest.raises(RangeError) as by_member:
+            c.member(x)
+        assert str(by_member.value) == str(by_probe.value)

@@ -3,11 +3,13 @@
 import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from zerodim import cli
 from zerodim.cli import (EXIT_GENERIC, EXIT_INCONCLUSIVE, EXIT_NOINPUT,
                          EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
                          available_analyzers, main)
@@ -207,6 +209,64 @@ class TestUsage:
         code, out, err = run(capsys, *argv, "--seed", "1")
         assert (code, out) == (EXIT_USAGE, "")
         assert "--seed" in err
+
+
+class TestCachedParser:
+    """The parser is built once per process, and a call that reuses it
+    answers exactly as a call on a freshly built one: no option value,
+    output target or error carries over from the call before."""
+
+    def test_built_once(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        misses = cli._build_parser.cache_info().misses
+        run(capsys, "list")
+        run(capsys, "analyze", "odometer", "almost-periodic", "--json")
+        run(capsys, "gallery", "--frobnicate")
+        assert cli._build_parser.cache_info().misses == misses
+
+    @staticmethod
+    def outcome(capsys, argv, out_file):
+        if out_file.exists():
+            out_file.unlink()
+        code, out, err = run(capsys, *argv)
+        # the only wall-clock figure in any output
+        out = re.sub(r"Wall time: \d+\.\d{3}s", "Wall time: <t>s", out)
+        written = out_file.read_text() if out_file.exists() else None
+        return code, out, err, written
+
+    def test_reuse_matches_a_fresh_parser(self, capsys, tmp_path):
+        out_file = tmp_path / "out.txt"
+        probe = ("--horizon", "4", "--depth", "2")
+        sequence = [
+            ("analyze", "thue-morse", "orbit-symmetry", "--point",
+             "reflection", "--point", "reflection-flipped", *probe),
+            ("analyze", "thue-morse", "orbit-symmetry", *probe),
+            ("analyze", "odometer", "almost-periodic", "--point", "one",
+             "--json", *probe),
+            ("analyze", "odometer", "almost-periodic", "--point", "one",
+             *probe),
+            ("verify", "--timings"),
+            ("verify",),
+            ("list", "--out", str(out_file)),
+            ("list",),
+            ("analyze", "odometer", "almost-periodic", "--horizon", "x"),
+            ("gallery", "--seed", "3"),
+        ]
+        parser = cli._build_parser()
+        reused = [self.outcome(capsys, argv, out_file) for argv in sequence]
+        assert cli._build_parser() is parser
+        fresh = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv, out_file))
+        assert reused == fresh
+        codes = [code for code, *_ in reused]
+        assert codes == [EXIT_OK] * 8 + [EXIT_USAGE, EXIT_OK]
+        assert "Wall time: <t>s" in reused[4][1]
+        assert "Wall time" not in reused[5][1]
+        assert reused[6][1] == "" and reused[6][3] == reused[7][1]
+        assert reused[0][1] != reused[1][1]
+        assert reused[2][1] != reused[3][1]
 
 
 GOLDEN = Path(__file__).parent / "golden"

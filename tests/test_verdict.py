@@ -2,8 +2,14 @@
 
 import json
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
-from zerodim.verdict import Status, Verdict, fails, holds, inconclusive
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zerodim.verdict import (Status, Verdict, _plain, fails, holds,
+                             inconclusive)
 
 
 class TestStatus:
@@ -56,3 +62,59 @@ class TestSerialization:
         except AttributeError:
             raised = True
         assert raised
+
+
+def plain_oracle(value):
+    """``_plain`` as first written, one ``isinstance`` test after
+    another, with ``Verdict.to_json`` inlined so that a nested verdict
+    is converted by the oracle too.  Kept as the reference for the
+    fast paths."""
+    if isinstance(value, Verdict):
+        return {"analyzer": value.analyzer, "status": value.status.value,
+                "params": plain_oracle(value.params),
+                "certificate": plain_oracle(value.certificate)}
+    if isinstance(value, Status):
+        return value.value
+    if isinstance(value, Fraction):
+        return "%d/%d" % (value.numerator, value.denominator)
+    if isinstance(value, Mapping):
+        return {str(k): plain_oracle(v) for k, v in value.items()}
+    if isinstance(value, (frozenset, set)):
+        return sorted((plain_oracle(v) for v in value), key=repr)
+    if isinstance(value, (list, tuple)):
+        return [plain_oracle(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return repr(value)
+
+
+class Label(str):
+    """A ``str`` subclass: not an exact leaf, so it takes the chain."""
+
+
+HASHABLE = st.one_of(st.integers(), st.booleans(), st.text(max_size=4),
+                     st.none(), st.fractions(), st.sampled_from(Status),
+                     st.text(max_size=4).map(Label))
+VERDICTS = st.builds(
+    holds, st.just("inner"),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.fractions(), max_size=2))
+LEAVES = st.one_of(HASHABLE, st.floats(allow_nan=False), VERDICTS,
+                   st.builds(object))
+VALUES = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.dictionaries(HASHABLE, inner, max_size=4),
+    st.dictionaries(HASHABLE, inner, max_size=4).map(MappingProxyType),
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.sets(HASHABLE, max_size=4),
+    st.frozensets(HASHABLE, max_size=4)), max_leaves=20)
+
+
+class TestPlainAgainstOracle:
+    @given(VALUES)
+    @settings(max_examples=300)
+    def test_matches_oracle(self, value):
+        got, want = _plain(value), plain_oracle(value)
+        assert got == want
+        assert json.dumps(got, sort_keys=True) == \
+            json.dumps(want, sort_keys=True)
