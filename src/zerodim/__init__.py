@@ -37,7 +37,7 @@ from .groups import (ConeApproximation, CyclicSumGroup, ElementSet,
                      cone_layer, explicit_sequence, group_from_json,
                      is_syndetic_window, is_thick_window,
                      layer_embedding_bound, layer_embedding_check,
-                     power_sequence, power_set, sphere, word_length)
+                     power_set, sphere, word_length)
 from .harness import (CheckReport, HarnessRun, available_checks, run_check,
                       run_config)
 from .subgroups import (CyclicSumSubgroup, FiniteSubgroup, IntegerSubgroup,

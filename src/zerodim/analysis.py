@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cantor import ClopenSet, Point, depth_cylinder, from_cylinder, make_point
+from .cantor import (ClopenSet, Point, depth_cylinder, from_cylinder,
+                     make_point, read_symbols)
 from .errors import DomainError, PreconditionError, ResourceCapError
 from .flows import FlowSystem
 from .groups import (DEFAULT_BALL_CAP, _ball_layers, cone_layer, power_set,
@@ -368,10 +369,8 @@ def _cells(system: FlowSystem, depth: int) -> list:
 
 def _cell_point(system: FlowSystem, lo: int, pattern: tuple) -> Point:
     scheme = system.scheme
-    window = dict(zip(range(lo, lo + len(pattern)), pattern))
-    if scheme.kind == "two-sided":
-        return make_point(scheme, window, right=0, left=0)
-    return make_point(scheme, [window[c] for c in sorted(window)], right=0)
+    left = 0 if scheme.kind == "two-sided" else None
+    return make_point(scheme, pattern, right=0, left=left, lo=lo)
 
 
 def invariant_core(system: FlowSystem, target: ClopenSet, *, depth: int,
@@ -387,29 +386,25 @@ def invariant_core(system: FlowSystem, target: ClopenSet, *, depth: int,
                                    {}, {})
     need_depth = max(system.scheme.offset(target.lo),
                      system.scheme.offset(target.hi)) + 1
+    # an element the depth does not resolve can neither keep a cell in
+    # nor move it out: it leaves every cell without a witness unknown
     reach = _length_ordered(system.group, horizon)
+    resolved = [g for g in reach
+                if system.required_input_depth(g, need_depth) <= depth]
+    blind = len(reach) - len(resolved)
     inner, outer = [], []
     excluded, unknown = {}, {}
     for pattern in cells:
         base = _cell_point(system, lo, pattern)
-        all_in = True
-        out_witness = None
-        unknown_count = 0
-        for g in reach:
-            if system.required_input_depth(g, need_depth) > depth:
-                unknown_count += 1
-                all_in = False
-                continue
-            if not target.member(system.act(g, base)):
-                out_witness = g
-                break
+        out_witness = next((g for g in resolved
+                            if not target.member(system.act(g, base))), None)
         if out_witness is not None:
             excluded[pattern] = system.group.format_element(out_witness)
             continue
         outer.append(pattern)
-        if unknown_count:
-            unknown[pattern] = unknown_count
-        elif all_in:
+        if blind:
+            unknown[pattern] = blind
+        else:
             inner.append(pattern)
     return InvariantCoreApprox(depth, horizon, (lo, hi), frozenset(inner),
                                frozenset(outer), excluded, unknown)
@@ -448,7 +443,7 @@ def orbit_cylinders(system: FlowSystem, x, *, horizon: int,
     lo, hi = system.scheme.depth_window(depth)
     witnesses: dict = {}
     for g in _length_ordered(system.group, horizon):
-        pattern = depth_cylinder(system.act(g, x), depth).pattern
+        pattern = tuple(read_symbols(system.act(g, x), lo, hi))
         if pattern not in witnesses:
             witnesses[pattern] = system.group.format_element(g)
     return OrbitCells(depth, horizon, (lo, hi), frozenset(witnesses),
@@ -470,7 +465,8 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
     reach = _length_ordered(system.group, horizon)
     cellwise = system.kind == "cylinder-z"
     if cellwise:
-        own = frozenset(depth_cylinder(system.act(g, x), depth).pattern
+        lo, hi = system.scheme.depth_window(depth)
+        own = frozenset(tuple(read_symbols(system.act(g, x), lo, hi))
                         for g in reach)
     else:
         own_pts = [system.act(g, x) for g in reach]
@@ -481,7 +477,7 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
             for g in reach:
                 moved = system.act(g, rep)
                 if cellwise:
-                    bad = depth_cylinder(moved, depth).pattern not in own
+                    bad = tuple(read_symbols(moved, lo, hi)) not in own
                 else:
                     bad = all(not system.close(moved, p, depth)
                               for p in own_pts)

@@ -124,10 +124,6 @@ class Tail:
         if not self.symbols:
             raise DomainError("tail needs at least one symbol")
 
-    @property
-    def constant(self) -> bool:
-        return len(self.symbols) == 1
-
     def at(self, k: int) -> int:
         """Symbol k steps beyond the anchor (k >= 0, outward)."""
         return self.symbols[k % len(self.symbols)]

@@ -350,6 +350,31 @@ def _flip_coords(y: Point, coords) -> Point:
                            reanchor_tail(y.left, y.lo - lo))
 
 
+def _shift_act(n: int, x: Point) -> Point:
+    return shift_point(x, n)
+
+
+def _widening_depth(n: int, depth: int) -> int:
+    """Input depth of a shift by n: the window widens by |n|."""
+    return depth + abs(n)
+
+
+def _same_depth(g, depth: int) -> int:
+    """Input depth of an action whose image to a depth is fixed by the
+    point to the same depth (odometer carries, the successor dial, the
+    component quotient's trivial action)."""
+    return depth
+
+
+def _tagged_distance(a, b) -> Fraction:
+    """Distance of (symbol point, tag) pairs: 1 across tags, the
+    symbol-space distance within one tag."""
+    (ya, ta), (yb, tb) = a, b
+    if ta != tb:
+        return Fraction(1)
+    return cantor_distance(ya, yb)
+
+
 def _constant_fill_reps(scheme: Scheme):
     """Representative neighbors for symbol-space points: the point
     itself plus each constant completion of its depth window."""
@@ -392,12 +417,6 @@ def build_full_shift(alphabet: int = 2) -> FlowSystem:
     scheme = Scheme("two-sided", alphabet=alphabet)
     group = IntegerGroup()
 
-    def act(n: int, x: Point) -> Point:
-        return shift_point(x, n)
-
-    def input_depth(n: int, depth: int) -> int:
-        return depth + abs(n)
-
     def language(length: int) -> frozenset:
         if alphabet ** length > LANGUAGE_CAP:
             raise ResourceCapError("the %d-symbol full shift has %d words of "
@@ -419,7 +438,8 @@ def build_full_shift(alphabet: int = 2) -> FlowSystem:
         "single": lambda k: make_point(scheme, {k: 1}, right=0, left=0),
     }
     return FlowSystem(
-        "full-shift", "cylinder-z", group, scheme, act, input_depth, points,
+        "full-shift", "cylinder-z", group, scheme, _shift_act,
+        _widening_depth, points,
         language_fn=language, reps_fn=_constant_fill_reps(scheme),
         returns_fn=shift_returns,
         families=families, metadata={"alphabet": alphabet},
@@ -493,9 +513,6 @@ def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
     def act(n: int, x: Point) -> Point:
         return odometer_add(scheme, n, x)
 
-    def input_depth(n: int, depth: int) -> int:
-        return depth
-
     zero = make_point(scheme, [], right=0)
     maxes = tuple(scheme.size(k) - 1 for k in range(scheme.alphabet_period()))
     points = {
@@ -506,7 +523,7 @@ def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
     label = "odometer" if moduli == (2,) else \
         "odometer-" + "".join(str(m) for m in moduli)
     return FlowSystem(
-        label, "cylinder-z", group, scheme, act, input_depth, points,
+        label, "cylinder-z", group, scheme, act, _same_depth, points,
         reps_fn=_constant_fill_reps(scheme),
         metadata={"moduli": list(moduli)},
         summary="carry arithmetic on digit streams with moduli cycling "
@@ -571,12 +588,6 @@ def build_thue_morse() -> FlowSystem:
     scheme = Scheme("two-sided", alphabet=2)
     group = IntegerGroup()
 
-    def act(n: int, x: Point) -> Point:
-        return shift_point(x, n)
-
-    def input_depth(n: int, depth: int) -> int:
-        return depth + abs(n)
-
     def language(length: int) -> frozenset:
         return substitution_factors(TM_RULES, length)
 
@@ -592,7 +603,8 @@ def build_thue_morse() -> FlowSystem:
             TM_RULES, radius, scheme, flip_right=True),
     }
     return FlowSystem(
-        "thue-morse", "cylinder-z", group, scheme, act, input_depth, points,
+        "thue-morse", "cylinder-z", group, scheme, _shift_act,
+        _widening_depth, points,
         language_fn=language, reps_fn=_constant_fill_reps(scheme),
         returns_fn=shift_returns,
         families=families,
@@ -646,12 +658,6 @@ def build_successor_map() -> FlowSystem:
     scheme = Scheme("one-sided", start=2, alphabet="index")
     group = IntegerGroup()
 
-    def act(n: int, x: Point) -> Point:
-        return successor_act(n, x)
-
-    def input_depth(n: int, depth: int) -> int:
-        return depth
-
     zero = make_point(scheme, [], right=0)
     points = {
         "zero": zero,
@@ -662,9 +668,9 @@ def build_successor_map() -> FlowSystem:
             scheme, [0] * (c - scheme.start) + [1], right=0),
     }
     return FlowSystem(
-        "successor-map", "cylinder-z", group, scheme, act, input_depth,
-        points, reps_fn=_constant_fill_reps(scheme), families=families,
-        metadata={"start": 2},
+        "successor-map", "cylinder-z", group, scheme, successor_act,
+        _same_depth, points, reps_fn=_constant_fill_reps(scheme),
+        families=families, metadata={"start": 2},
         summary="turn the dial after the first engaged position; "
                 "coordinate n carries n symbols")
 
@@ -758,15 +764,6 @@ class TwoCopyGroup(Group):
             region = "[%d..%d:%d]" % (d.lo, d.hi, len(d.patterns))
         return "flips{%s}signs%s" % (flips, region)
 
-    def parse_element(self, text: str):
-        out = self.identity
-        for part in text.split("*"):
-            part = part.strip()
-            if part in ("", "1", "e"):
-                continue
-            out = self.multiply(out, self.named_generator(part))
-        return out
-
     def to_json(self) -> dict:
         return {"variant": self.variant, "m": self.m}
 
@@ -804,13 +801,6 @@ def build_two_copy(m: int = 3) -> FlowSystem:
             return depth
         return max(depth, max(abs(d.lo), abs(d.hi)) + 1)
 
-    def dist(a, b) -> Fraction:
-        ya, sa = a
-        yb, sb = b
-        if sa != sb:
-            return Fraction(1)
-        return cantor_distance(ya, yb)
-
     def fmt(x) -> str:
         y, sign = x
         return "(%s, %s)" % ("+" if sign > 0 else "-", y)
@@ -825,7 +815,7 @@ def build_two_copy(m: int = 3) -> FlowSystem:
     }
     return FlowSystem(
         "two-copy", "cylinder-word", group, scheme, act, input_depth, points,
-        dist_fn=dist, families=families, format_point_fn=fmt,
+        dist_fn=_tagged_distance, families=families, format_point_fn=fmt,
         metadata={"m": m},
         summary="two copies of the binary shift space glued by "
                 "region-conditioned sign swaps (truncation %d)" % m)
@@ -903,20 +893,6 @@ class McMahonGroup(Group):
             parts.append("s")
         return "*".join(parts)
 
-    def parse_element(self, text: str):
-        out = self.identity
-        for part in text.split("*"):
-            part = part.strip()
-            if part in ("", "e", "1"):
-                continue
-            if part == "s":
-                out = self.multiply(out, (frozenset(), 1))
-            elif part.startswith("t"):
-                out = self.multiply(out, (frozenset({int(part[1:])}), 0))
-            else:
-                raise DomainError("cannot parse element part %r" % part)
-        return out
-
     def to_json(self) -> dict:
         return {"variant": self.variant, "m": self.m}
 
@@ -937,13 +913,6 @@ def build_mcmahon(m: int = 3) -> FlowSystem:
             return depth
         return max(depth, max(abs(i) for i in s) + 1)
 
-    def dist(a, b) -> Fraction:
-        ya, pa = a
-        yb, pb = b
-        if pa != pb:
-            return Fraction(1)
-        return cantor_distance(ya, yb)
-
     def fmt(x) -> str:
         y, bit = x
         return "(%d, %s)" % (bit, y)
@@ -960,7 +929,7 @@ def build_mcmahon(m: int = 3) -> FlowSystem:
     }
     return FlowSystem(
         "mcmahon", "cylinder-word", group, scheme, act, input_depth, points,
-        dist_fn=dist, families=families, format_point_fn=fmt,
+        dist_fn=_tagged_distance, families=families, format_point_fn=fmt,
         metadata={"m": m},
         summary="binary shift space with a parity bit fed by the flipped "
                 "coordinate (truncation %d)" % m)
@@ -968,6 +937,14 @@ def build_mcmahon(m: int = 3) -> FlowSystem:
 
 # ---------------------------------------------------------------------------
 # circle stack
+
+
+def level_radius(level: Optional[int]) -> Fraction:
+    """Radius of a stack circle: level/(level+1), 1 for the limit
+    circle (level None)."""
+    if level is None:
+        return Fraction(1)
+    return Fraction(level, level + 1)
 
 
 @dataclass(frozen=True)
@@ -987,9 +964,7 @@ class CirclePoint:
 
     @property
     def radius(self) -> Fraction:
-        if self.level is None:
-            return Fraction(1)
-        return Fraction(self.level, self.level + 1)
+        return level_radius(self.level)
 
     @property
     def step(self) -> Fraction:
@@ -1062,12 +1037,6 @@ def circle_component(p: CirclePoint):
     return p.level
 
 
-def _component_radius(level: Optional[int]) -> Fraction:
-    if level is None:
-        return Fraction(1)
-    return Fraction(level, level + 1)
-
-
 def component_projection(base: FlowSystem) -> FlowSystem:
     """Collapse each connected component of a tower system to a point.
 
@@ -1080,25 +1049,13 @@ def component_projection(base: FlowSystem) -> FlowSystem:
     def act(n: int, level):
         return level
 
-    def input_depth(n: int, depth: int) -> int:
-        return depth
-
     def dist(a, b) -> Fraction:
-        return abs(_component_radius(a) - _component_radius(b))
+        return abs(level_radius(a) - level_radius(b))
 
     def reps(level, depth: int) -> tuple:
-        eps = Fraction(1, 2 ** depth)
-        out = [level]
-        if level is None:
-            out.append(max(1, 2 ** depth - 1))
-        else:
-            for m in (level - 1, level + 1):
-                if m >= 1 and abs(_component_radius(m)
-                                  - _component_radius(level)) <= eps:
-                    out.append(m)
-            if 1 - _component_radius(level) <= eps:
-                out.append(None)
-        return tuple(out)
+        """The components of the stack point's representatives."""
+        stack = _circle_reps(CirclePoint(level, Fraction(0)), depth)
+        return tuple(dict.fromkeys(circle_component(p) for p in stack))
 
     def fmt(level) -> str:
         return "limit" if level is None else "level %d" % level
@@ -1107,7 +1064,7 @@ def component_projection(base: FlowSystem) -> FlowSystem:
               for name, p in [(n, base.point(n)) for n in base.point_names()]}
     return FlowSystem(
         base.system_id + "-components", "quotient", base.group, None, act,
-        input_depth, points, dist_fn=dist, reps_fn=reps,
+        _same_depth, points, dist_fn=dist, reps_fn=reps,
         families={"level": lambda n: n},
         format_point_fn=fmt, metadata={"base": base.system_id},
         summary="components of %s collapsed to points; the action "

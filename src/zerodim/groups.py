@@ -63,9 +63,6 @@ class Group:
     def format_element(self, g) -> str:
         return repr(g)
 
-    def parse_element(self, text: str):
-        raise DomainError("no element parser for variant %r" % self.variant)
-
     def closed_form_length(self, g) -> Optional[int]:
         """Exact word length when the variant admits one, else None."""
         return None
@@ -107,9 +104,6 @@ class IntegerGroup(Group):
 
     def format_element(self, g: int) -> str:
         return str(g)
-
-    def parse_element(self, text: str) -> int:
-        return int(text)
 
     def closed_form_length(self, g: int) -> int:
         return abs(g)
@@ -157,13 +151,6 @@ class LatticeGroup(Group):
 
     def format_element(self, g: tuple) -> str:
         return "(" + ",".join(str(x) for x in g) + ")"
-
-    def parse_element(self, text: str) -> tuple:
-        body = text.strip().strip("()")
-        parts = [p for p in body.split(",") if p.strip()]
-        g = tuple(int(p) for p in parts)
-        self.validate(g)
-        return g
 
     def closed_form_length(self, g: tuple) -> int:
         return sum(abs(x) for x in g)
@@ -238,27 +225,6 @@ class FreeGroupVariant(Group):
             out.append(letter if x > 0 else letter + "^-1")
         return "".join(out)
 
-    def parse_element(self, text: str) -> tuple:
-        text = text.strip()
-        if text in ("", "e", "1"):
-            return ()
-        word = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch not in _LETTERS[: self.rank]:
-                raise RangeError("unknown letter %r" % ch)
-            k = _LETTERS.index(ch) + 1
-            i += 1
-            if text[i : i + 3] == "^-1":
-                word.append(-k)
-                i += 3
-            else:
-                word.append(k)
-        g = tuple(word)
-        self.validate(g)
-        return g
-
     def closed_form_length(self, g: tuple) -> int:
         return len(g)
 
@@ -332,12 +298,6 @@ class FiniteGroup(Group):
 
     def format_element(self, g: str) -> str:
         return g
-
-    def parse_element(self, text: str) -> str:
-        text = text.strip()
-        if text not in self.names:
-            raise RangeError("unknown element %r" % text)
-        return text
 
     def to_json(self) -> dict:
         return {"variant": self.variant, "label": self.label,
@@ -414,13 +374,6 @@ class CyclicSumGroup(Group):
 
     def format_element(self, g: tuple) -> str:
         return "[" + ",".join(str(x) for x in g) + "]"
-
-    def parse_element(self, text: str) -> tuple:
-        body = text.strip().strip("[]")
-        parts = [p for p in body.split(",") if p.strip()]
-        g = tuple(int(p) for p in parts)
-        self.validate(g)
-        return g
 
     def closed_form_length(self, g: tuple) -> int:
         return sum(min(x, m - x) for x, m in zip(g, self.moduli))
@@ -654,14 +607,12 @@ class SequenceDescriptor:
 
     kinds:
       ``affine``  g_n = n * step + offset   (componentwise for lattices)
-      ``power``   g_n = base^n
       ``list``    explicit finite list
     """
 
     kind: str
     step: object = None
     offset: object = None
-    base: object = None
     elements: tuple = ()
 
     def element(self, group: Group, n: int):
@@ -671,11 +622,6 @@ class SequenceDescriptor:
                 return step * n + (offset or 0)
             off = offset if offset is not None else group.identity
             return tuple(s * n + o for s, o in zip(step, off))
-        if self.kind == "power":
-            acc = group.identity
-            for _ in range(n):
-                acc = group.multiply(acc, self.base)
-            return acc
         if self.kind == "list":
             if n > len(self.elements):
                 raise RangeError("descriptor list has only %d entries"
@@ -688,26 +634,9 @@ class SequenceDescriptor:
             return len(self.elements)
         return default
 
-    def to_json(self, group: Group) -> dict:
-        data = {"kind": self.kind}
-        if self.kind == "affine":
-            data["step"] = list(self.step) if isinstance(self.step, tuple) else self.step
-            if self.offset is not None:
-                data["offset"] = (list(self.offset)
-                                  if isinstance(self.offset, tuple) else self.offset)
-        elif self.kind == "power":
-            data["base"] = group.format_element(self.base)
-        else:
-            data["elements"] = [group.format_element(g) for g in self.elements]
-        return data
-
 
 def affine_sequence(step, offset=None) -> SequenceDescriptor:
     return SequenceDescriptor(kind="affine", step=step, offset=offset)
-
-
-def power_sequence(base) -> SequenceDescriptor:
-    return SequenceDescriptor(kind="power", base=base)
 
 
 def explicit_sequence(elements: Iterable) -> SequenceDescriptor:

@@ -2,6 +2,7 @@
 independent oracles (2-adic valuations, popcount words) before the
 verdicts are checked, and certificates are frozen exactly."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zerodim import cantor
-from zerodim.analysis import (_syndetic_search, ap_verdict,
+from zerodim.analysis import (InvariantCoreApprox, _cells, _length_ordered,
+                              _syndetic_search, ap_verdict,
                               confinement_verdict, depth_ball,
                               equicontinuity_verdict, escape_length,
                               invariant_core, orbit_cylinders,
@@ -22,7 +24,8 @@ from zerodim.analysis import (_syndetic_search, ap_verdict,
                               translate_cover_verdict, type1_verdict,
                               type2_verdict, uniform_recurrence_verdict,
                               usc_verdict, weak_rigidity_verdict)
-from zerodim.cantor import Cylinder, Point, Scheme, from_cylinder, make_point
+from zerodim.cantor import (Cylinder, Point, Scheme, clopen, depth_cylinder,
+                            from_cylinder, make_point)
 from zerodim.errors import DomainError, PreconditionError
 from zerodim.flows import (FlowSystem, build_mcmahon, build_two_copy,
                            get_system)
@@ -480,12 +483,119 @@ class TestInvariantCore:
                              "outer", "excluded", "unknown"}
 
 
+def reference_invariant_core(system, target, depth, horizon):
+    """``invariant_core`` as a loop over (cell, element) pairs that asks
+    each element's input depth inside every cell, with each cell point
+    built from a coordinate mapping."""
+    lo, hi, cells = _cells(system, depth)
+    if target.is_full or target.is_empty:
+        chosen = frozenset(cells) if target.is_full else frozenset()
+        return InvariantCoreApprox(depth, horizon, (lo, hi), chosen, chosen,
+                                   {}, {})
+    need_depth = max(system.scheme.offset(target.lo),
+                     system.scheme.offset(target.hi)) + 1
+    reach = _length_ordered(system.group, horizon)
+    inner, outer = [], []
+    excluded, unknown = {}, {}
+    for pattern in cells:
+        window = dict(zip(range(lo, lo + len(pattern)), pattern))
+        if system.scheme.kind == "two-sided":
+            base = make_point(system.scheme, window, right=0, left=0)
+        else:
+            base = make_point(system.scheme,
+                              [window[c] for c in sorted(window)], right=0)
+        all_in = True
+        out_witness = None
+        unknown_count = 0
+        for g in reach:
+            if system.required_input_depth(g, need_depth) > depth:
+                unknown_count += 1
+                all_in = False
+                continue
+            if not target.member(system.act(g, base)):
+                out_witness = g
+                break
+        if out_witness is not None:
+            excluded[pattern] = system.group.format_element(out_witness)
+            continue
+        outer.append(pattern)
+        if unknown_count:
+            unknown[pattern] = unknown_count
+        elif all_in:
+            inner.append(pattern)
+    return InvariantCoreApprox(depth, horizon, (lo, hi), frozenset(inner),
+                               frozenset(outer), excluded, unknown)
+
+
+@st.composite
+def clopen_targets(draw, system):
+    """A clopen set on the system's scheme, neither empty nor full, over
+    a window of one to three coordinates, sometimes reaching past the
+    depth window."""
+    scheme = system.scheme
+    if scheme.kind == "two-sided":
+        lo = draw(st.integers(-3, 2))
+    else:
+        lo = scheme.start + draw(st.integers(0, 2))
+    width = draw(st.integers(1, 3))
+    sizes = [scheme.size(c) for c in range(lo, lo + width)]
+    words = list(itertools.product(*(range(k) for k in sizes)))
+    chosen = draw(st.sets(st.sampled_from(words), min_size=1,
+                          max_size=len(words) - 1))
+    return clopen(scheme, lo, sorted(chosen))
+
+
+CORE_SYSTEMS = (OD, FS, SM)
+
+
+@st.composite
+def core_cases(draw):
+    system = draw(st.sampled_from(CORE_SYSTEMS))
+    return (system, draw(clopen_targets(system)), draw(st.integers(2, 4)),
+            draw(st.integers(1, 8)))
+
+
+class TestInvariantCoreAgainstOracle:
+    @given(core_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_per_cell_loop(self, case):
+        system, target, depth, horizon = case
+        got = invariant_core(system, target, depth=depth, horizon=horizon)
+        want = reference_invariant_core(system, target, depth, horizon)
+        assert got.to_json() == want.to_json()
+
+
+def reference_orbit_witnesses(system, x, horizon, depth):
+    """Orbit cells keyed by the validated depth cylinder of each point."""
+    witnesses = {}
+    for g in _length_ordered(system.group, horizon):
+        pattern = depth_cylinder(system.act(g, x), depth).pattern
+        witnesses.setdefault(pattern, system.group.format_element(g))
+    return witnesses
+
+
+@st.composite
+def orbit_cases(draw):
+    system = draw(st.sampled_from(CORE_SYSTEMS + (TM,)))
+    x = system.point(draw(st.sampled_from(system.point_names())))
+    return system, x, draw(st.integers(1, 16)), draw(st.integers(1, 4))
+
+
 class TestOrbitCells:
     def test_single_spike_cells(self):
         oc = orbit_cylinders(FS, FS.family("single", 0), horizon=4, depth=2)
         assert sorted(oc.cells) == [(0, 0, 0), (0, 0, 1), (0, 1, 0),
                                     (1, 0, 0)]
         assert oc.witnesses[(0, 1, 0)] == "0"
+
+    @given(orbit_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_depth_cylinder_read(self, case):
+        system, x, horizon, depth = case
+        oc = orbit_cylinders(system, x, horizon=horizon, depth=depth)
+        want = reference_orbit_witnesses(system, x, horizon, depth)
+        assert list(oc.witnesses.items()) == list(want.items())
+        assert oc.cells == frozenset(want)
 
 
 class TestUpperSemicontinuity:

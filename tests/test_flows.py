@@ -16,13 +16,13 @@ from zerodim.cantor import (Scheme, distance, make_point, periodic_tail,
 from zerodim.errors import (DomainError, PreconditionError, RangeError,
                             ResourceCapError)
 from zerodim.flows import (LANGUAGE_CAP, CirclePoint, McMahonGroup,
-                           TwoCopyGroup, _flip_coords,
+                           TwoCopyGroup, _flip_coords, _tagged_distance,
                            available_systems, build_full_shift,
                            build_mcmahon, build_odometer,
                            build_successor_map, build_thue_morse,
                            build_two_copy, circle_component,
                            circle_distance, component_projection,
-                           get_system, odometer_add,
+                           get_system, level_radius, odometer_add,
                            ring_point, shift_point, step_point,
                            substitution_factors, successor_act)
 
@@ -631,6 +631,104 @@ class TestCircleStack:
         assert comp.distance(1, None) == Fraction(1, 2)
         with pytest.raises(DomainError):
             component_projection(comp)
+
+
+def reference_component_radius(level):
+    """The quotient's radius helper as it stood on its own."""
+    if level is None:
+        return Fraction(1)
+    return Fraction(level, level + 1)
+
+
+def reference_component_reps(level, depth):
+    """The quotient's representatives written out level by level, with
+    no stack point built."""
+    eps = Fraction(1, 2 ** depth)
+    out = [level]
+    if level is None:
+        out.append(max(1, 2 ** depth - 1))
+    else:
+        for m in (level - 1, level + 1):
+            if m >= 1 and abs(reference_component_radius(m)
+                              - reference_component_radius(level)) <= eps:
+                out.append(m)
+        if 1 - reference_component_radius(level) <= eps:
+            out.append(None)
+    return tuple(out)
+
+
+def reference_tagged_distance(a, b):
+    """The ``dist`` closure that ``two-copy`` and ``mcmahon`` each
+    carried, the same code in both."""
+    ya, sa = a
+    yb, sb = b
+    if sa != sb:
+        return Fraction(1)
+    return distance(ya, yb)
+
+
+LEVELS = st.one_of(st.none(), st.integers(1, 40))
+
+
+class TestComponentQuotient:
+    @given(LEVELS, st.integers(1, 10))
+    @settings(max_examples=300)
+    @example(None, 1)
+    @example(1, 1)
+    @example(1, 2)
+    def test_reps_match_the_level_by_level_oracle(self, level, depth):
+        got = CIRCLE_COMPONENTS.neighbor_reps(level, depth)
+        assert got == reference_component_reps(level, depth)
+
+    @given(LEVELS, LEVELS, st.fractions(0, 1))
+    @settings(max_examples=200)
+    def test_one_radius_for_the_stack_and_the_quotient(self, a, b, turn):
+        assert level_radius(a) == reference_component_radius(a)
+        assert CirclePoint(a, turn).radius == reference_component_radius(a)
+        assert CIRCLE_COMPONENTS.distance(a, b) == abs(
+            reference_component_radius(a) - reference_component_radius(b))
+
+    def test_level_zero_is_not_a_component(self):
+        # the family passes any label through; the metric reads level 0
+        # as radius 0, but the representatives come from a stack point,
+        # and the stack has no level 0
+        assert CIRCLE_COMPONENTS.family("level", 0) == 0
+        assert CIRCLE_COMPONENTS.distance(0, 1) == Fraction(1, 2)
+        with pytest.raises(RangeError, match="positive int"):
+            CIRCLE_COMPONENTS.neighbor_reps(0, 1)
+
+
+TWO_COPY = get_system("two-copy")
+MCMAHON = get_system("mcmahon")
+
+
+def two_copy_points():
+    return st.builds(lambda i, sign: TWO_COPY.family("step", i, sign),
+                     st.integers(-6, 6), st.sampled_from((1, -1)))
+
+
+def mcmahon_points():
+    return st.builds(lambda name, j, bit: MCMAHON.family(name, j, bit),
+                     st.sampled_from(("ring", "ring-flipped")),
+                     st.integers(0, 6), st.integers(0, 1))
+
+
+class TestTaggedDistance:
+    @staticmethod
+    def check(system, a, b):
+        want = reference_tagged_distance(a, b)
+        assert _tagged_distance(a, b) == want
+        assert system.distance(a, b) == want
+
+    @given(two_copy_points(), two_copy_points())
+    @settings(max_examples=200)
+    def test_two_copy_matches_the_closure_oracle(self, a, b):
+        self.check(TWO_COPY, a, b)
+
+    @given(mcmahon_points(), mcmahon_points())
+    @settings(max_examples=200)
+    def test_mcmahon_matches_the_closure_oracle(self, a, b):
+        self.check(MCMAHON, a, b)
 
 
 class TestPointBuilders:
