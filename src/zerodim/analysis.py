@@ -12,6 +12,7 @@ reserved for probes that could not even evaluate the bounded claim
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,8 +22,8 @@ from .cantor import (ClopenSet, Point, depth_cylinder, from_cylinder,
                      make_point, read_symbols)
 from .errors import DomainError, PreconditionError, ResourceCapError
 from .flows import FlowSystem
-from .groups import (DEFAULT_BALL_CAP, _ball_layers, cone_layer, power_set,
-                     word_length)
+from .groups import (DEFAULT_BALL_CAP, _ball_layers, _cone_member, _layer,
+                     power_set, word_length)
 from .verdict import Verdict, fails, holds, inconclusive
 
 CELL_CAP = 8192
@@ -228,22 +229,30 @@ def type2_verdict(system: FlowSystem, x, *, horizon: int,
                   depth: int) -> Verdict:
     """Returns found inside reach cones: along the schedule 1..horizon,
     the least return length within each cone must stay bounded on the
-    tail."""
+    tail.
+
+    For each g the shared search's layers 1, 2, ... are walked in
+    (length, ``sort_key``) order until the first member of g's cone
+    layer (``_cone_member``) that returns x to its depth cell; a cone
+    member is at most 2|g|-1 long.  Each candidate's return is tested
+    at most once per call, so the acts are the distinct candidates
+    walked, and no cone shell is built.  Raises ResourceCapError iff
+    the closed ball through the longest layer walked has more than
+    DEFAULT_BALL_CAP elements; nothing is truncated."""
     _check_probe(horizon, depth)
     system.require_integer_action()
     name = "cone-subnet-recurrence"
     group = system.group
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth, schedule_length=horizon)
+    returns = functools.cache(
+        lambda c: system.close(system.act(c, x), x, depth))
     minima = []
     for g in range(1, horizon + 1):
-        layer = cone_layer(group, g)
-        best = None
-        for c in sorted(layer, key=lambda h: (word_length(group, h),
-                                              group.sort_key(h))):
-            if system.close(system.act(c, x), x, depth):
-                best = word_length(group, c)
-                break
+        member = _cone_member(group, g, DEFAULT_BALL_CAP)
+        best = next((k for k in range(1, 2 * word_length(group, g))
+                     for c in _layer(group, k, DEFAULT_BALL_CAP)
+                     if member(c) and returns(c)), None)
         minima.append((g, best))
     tail = minima[len(minima) // 2:]
     undetermined = [g for g, b in tail if b is None]

@@ -957,7 +957,7 @@ class CirclePoint:
     turn: Fraction
 
     def __post_init__(self):
-        if self.level is not None and (not isinstance(self.level, int)
+        if self.level is not None and (type(self.level) is not int
                                        or self.level < 1):
             raise RangeError("level must be a positive int or None")
         object.__setattr__(self, "turn", Fraction(self.turn) % 1)
@@ -1065,7 +1065,8 @@ def component_projection(base: FlowSystem) -> FlowSystem:
     return FlowSystem(
         base.system_id + "-components", "quotient", base.group, None, act,
         _same_depth, points, dist_fn=dist, reps_fn=reps,
-        families={"level": lambda n: n},
+        families={"level": lambda n: circle_component(
+            CirclePoint(n, Fraction(0)))},
         format_point_fn=fmt, metadata={"base": base.system_id},
         summary="components of %s collapsed to points; the action "
                 "becomes trivial" % base.system_id)

@@ -454,15 +454,15 @@ class _CayleySearch:
         # the identity alone never exceeds a cap
         return self.sizes[radius] <= max(cap, 1)
 
-    def layers_through(self, group: Group, radius: int,
-                       cap: int) -> Optional[list]:
-        """Layers 0..radius, fewer once the group is exhausted; None
-        when the closed ball of that radius exceeds ``cap``."""
+    def reach(self, group: Group, radius: int, cap: int) -> Optional[int]:
+        """Grow through layer ``radius`` and return the top layer held,
+        less than ``radius`` once the group is exhausted; None when the
+        closed ball of that radius exceeds ``cap``."""
         while len(self.layers) <= radius and not self.exhausted:
             if not self._grow(group, cap):
                 return None
         top = min(radius, len(self.layers) - 1)
-        return self.layers[:top + 1] if self._fits(top, cap) else None
+        return top if self._fits(top, cap) else None
 
     def word_length(self, group: Group, g, cap: int) -> Optional[int]:
         """|g|; None when the closed ball of radius |g| exceeds ``cap``."""
@@ -495,7 +495,7 @@ def word_length(group: Group, g, method: str = "auto",
     closed forms are tested against.
 
     The search is the one the instance shares with ``ball``, ``sphere``
-    and ``cone_layer``: it grows whole layers and keeps them for as
+    and the cone helpers: it grows whole layers and keeps them for as
     long as the instance lives (drop the instance to free it).  It
     raises ResourceCapError iff the closed ball of radius |g| has more
     than ``cap`` elements, whatever was asked of the instance before.
@@ -555,27 +555,39 @@ def sphere(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet
     shared Cayley search; same cap rule as ``ball``."""
     if radius < 0:
         raise PreconditionError("sphere radius must be >= 0")
-    layers = _ball_layers(group, radius, cap)
-    if radius >= len(layers):
-        return ElementSet(frozenset(), radius)
-    return ElementSet(frozenset(layers[radius]), radius)
+    return ElementSet(frozenset(_layer(group, radius, cap)), radius)
 
 
 def _ball_layers(group: Group, radius: int, cap: int) -> list:
     """Layers 0..radius of the instance's Cayley search, each a tuple in
     ``sort_key`` order; shorter once the group is exhausted."""
-    layers = _search(group).layers_through(group, radius, cap)
-    if layers is None:
+    search = _search(group)
+    top = search.reach(group, radius, cap)
+    if top is None:
         raise ResourceCapError("ball enumeration exceeded cap %d" % cap)
-    return layers
+    return search.layers[:top + 1]
+
+
+def _layer(group: Group, radius: int, cap: int) -> tuple:
+    """Layer ``radius`` of the instance's Cayley search in ``sort_key``
+    order, empty past exhaustion; same cap rule as ``ball``."""
+    search = _search(group)
+    top = search.reach(group, radius, cap)
+    if top is None:
+        raise ResourceCapError("ball enumeration exceeded cap %d" % cap)
+    return search.layers[radius] if top == radius else ()
 
 
 def power_set(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
     """All products of at most ``radius`` generators: the ball plus the
     identity.  (The generating set contains the identity, so this equals
-    the set of products of exactly ``radius`` generators.)"""
-    b = ball(group, radius, cap)
-    return ElementSet(b.elements | {group.identity}, radius)
+    the set of products of exactly ``radius`` generators.)  Same cap
+    rule as ``ball``."""
+    if radius < 0:
+        raise PreconditionError("ball radius must be >= 0")
+    layers = _ball_layers(group, radius, cap)
+    return ElementSet(frozenset(itertools.chain.from_iterable(layers)),
+                      radius)
 
 
 # ---------------------------------------------------------------------------
@@ -589,16 +601,41 @@ def cone_layer(group: Group, g, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
     metric); it contains g, never contains the identity, and every
     member has word length at most 2|g|-1.  Undefined at the identity.
 
-    |g| and the shell come from the instance's shared Cayley search (see
-    ``word_length``); raises ResourceCapError iff the closed ball of
-    radius |g| has more than ``cap`` elements when |g| needs the search,
-    else iff the shell of radius |g|-1 does.
+    The reference materialisation of the cone layer: the analyzers and
+    cone helpers ask only for membership, through ``_cone_member``, and
+    nothing on their paths builds the shell.  |g| and the shell come
+    from the instance's shared Cayley search (see ``word_length``);
+    raises ResourceCapError iff the closed ball of radius |g| has more
+    than ``cap`` elements when |g| needs the search, else iff the shell
+    of radius |g|-1 does.
     """
     n = word_length(group, g, cap=cap)
     if n == 0:
         raise PreconditionError("cone layer undefined at the identity")
     shell = power_set(group, n - 1, cap)
     return ElementSet(frozenset(group.multiply(k, g) for k in shell), None)
+
+
+def _cone_member(group: Group, g, cap: int) -> Callable:
+    """Membership test of ``cone_layer(group, g, cap)`` that builds no
+    shell: c = k*g with |k| <= |g|-1 iff |c*g^-1| <= |g|-1.
+
+    That length comes from the variant's closed form, or else from the
+    instance's shared Cayley search, which finding |g| grew through
+    radius |g|; an element the search has not met is longer.  Costs
+    one product and one length per test.  Raises PreconditionError at
+    the identity, and ResourceCapError iff |g| needs the search and the
+    closed ball of radius |g| has more than ``cap`` elements.
+    """
+    n = word_length(group, g, cap=cap)
+    if n == 0:
+        raise PreconditionError("cone layer undefined at the identity")
+    multiply, g_inv = group.multiply, group.inverse(g)
+    closed = group.closed_form_length
+    if closed(g) is not None:
+        return lambda c: closed(multiply(c, g_inv)) < n
+    lengths = _search(group).length
+    return lambda c: lengths.get(multiply(c, g_inv), n) < n
 
 
 @dataclass(frozen=True)
@@ -676,6 +713,14 @@ def cone_approx(group: Group, seq: SequenceDescriptor, radius: int,
     Stability means the ball intersection stopped changing and stayed
     constant for at least STABLE_RUN consecutive indices at the end of
     the examined range.
+
+    Entry n is the set of x in the radius ball that ``_cone_member``
+    places in the cone layer of g_n: |B(radius)| membership tests per
+    index, and no shell is built.  Raises ResourceCapError iff the
+    radius ball, or the closed ball of radius |g_n| of some g_n that
+    needs the search, has more than ``cap`` elements; a closed-form
+    variant never enumerates the radius |g_n|-1 shell, so its size is
+    no limit.  Nothing is truncated.
     """
     max_index = seq.max_index(max_index)
     if max_index < 1:
@@ -694,8 +739,7 @@ def cone_approx(group: Group, seq: SequenceDescriptor, radius: int,
         prev_len = glen
         if glen == 0:
             raise PreconditionError("sequence passes through the identity")
-        layer = cone_layer(group, g, cap)
-        history.append(frozenset(x for x in B if x in layer))
+        history.append(frozenset(filter(_cone_member(group, g, cap), B)))
     # longest constant run at the end of the history
     tail = 1
     while tail < len(history) and history[-tail - 1] == history[-1]:
@@ -788,11 +832,18 @@ def is_syndetic_window(group: Group, subset: SetLike, k_radius: int,
 def layer_embedding_check(group: Group, finite_set: Iterable, length: int,
                           g, cap: int = DEFAULT_BALL_CAP) -> Optional[object]:
     """A translate t of word length exactly ``length`` with
-    finite_set * t inside the reach set of g, or None."""
-    layer = cone_layer(group, g, cap)
+    finite_set * t inside the reach set of g, or None.
+
+    Costs at most |finite_set| cone membership tests (``_cone_member``)
+    per element of the length sphere, and builds no shell.  Raises
+    ResourceCapError iff the sphere's closed ball, or the closed ball
+    of radius |g| when |g| needs the search, has more than ``cap``
+    elements; a closed-form variant's radius |g|-1 shell is never
+    enumerated, so its size is no limit.  Nothing is truncated."""
+    member = _cone_member(group, g, cap)
     fs = list(finite_set)
     for t in sphere(group, length, cap).sorted(group):
-        if all(group.multiply(f, t) in layer for f in fs):
+        if all(member(group.multiply(f, t)) for f in fs):
             return t
     return None
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from zerodim import cantor
 from zerodim.analysis import (InvariantCoreApprox, _cells, _length_ordered,
-                              _syndetic_search, ap_verdict,
+                              _params, _syndetic_search, ap_verdict,
                               confinement_verdict, depth_ball,
                               equicontinuity_verdict, escape_length,
                               invariant_core, orbit_cylinders,
@@ -29,6 +29,8 @@ from zerodim.cantor import (Cylinder, Point, Scheme, clopen, depth_cylinder,
 from zerodim.errors import DomainError, PreconditionError
 from zerodim.flows import (FlowSystem, build_mcmahon, build_two_copy,
                            get_system)
+from zerodim.groups import cone_layer, word_length
+from zerodim.verdict import fails, holds
 
 OD = get_system("odometer")
 TM = get_system("thue-morse")
@@ -398,7 +400,63 @@ class TestReturnTestWork:
             counts["FlowSystem.returns"]
 
 
+def reference_type2(system, x, *, horizon, depth):
+    """The analyzer's earlier body: it built each g's cone layer and
+    acted on every member, in (length, sort_key) order."""
+    group = system.group
+    params = _params(system, point=system.format_point(x), horizon=horizon,
+                     depth=depth, schedule_length=horizon)
+    minima = []
+    for g in range(1, horizon + 1):
+        layer = cone_layer(group, g)
+        best = None
+        for c in sorted(layer, key=lambda h: (word_length(group, h),
+                                              group.sort_key(h))):
+            if system.close(system.act(c, x), x, depth):
+                best = word_length(group, c)
+                break
+        minima.append((g, best))
+    tail = minima[len(minima) // 2:]
+    undetermined = [g for g, b in tail if b is None]
+    name = "cone-subnet-recurrence"
+    if undetermined:
+        return fails(name, params, {
+            "no_return_in_cone_of": group.format_element(undetermined[0]),
+            "tail_length": len(tail),
+        })
+    n_star = max(b for _, b in tail)
+    cert = {
+        "subnet_bound": n_star,
+        "allowed": horizon // 2,
+        "tail_minima": [[group.format_element(g), b] for g, b in tail[:8]],
+    }
+    return (holds if n_star <= horizon // 2 else fails)(name, params, cert)
+
+
 class TestConeSubnetRecurrence:
+    @pytest.mark.parametrize("system", [OD, TM, FS, SM, CS, CC],
+                             ids=lambda s: s.system_id)
+    def test_matches_the_cone_building_oracle(self, system):
+        for name in system.point_names():
+            x = system.point(name)
+            for horizon, depth in ((1, 1), (8, 2), (21, 1), (21, 3)):
+                got = type2_verdict(system, x, horizon=horizon, depth=depth)
+                want = reference_type2(system, x, horizon=horizon,
+                                       depth=depth)
+                assert got.to_json() == want.to_json()
+
+    def test_acts_on_each_candidate_once(self, monkeypatch):
+        acts = []
+        act = FlowSystem.act
+        monkeypatch.setattr(FlowSystem, "act",
+                            lambda self, g, x: acts.append(g) or
+                            act(self, g, x))
+        v = type2_verdict(OD, OD.point("one"), horizon=64, depth=3)
+        assert v.holds and v.certificate["subnet_bound"] == 8
+        # 8 is the first return, and every cone of g >= 5 holds it;
+        # reference_type2 acts 496 times here
+        assert acts == list(range(1, 9))
+
     def test_odometer_bound(self):
         v = type2_verdict(OD, OD.point("zero"), horizon=16, depth=2)
         assert v.holds

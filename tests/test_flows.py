@@ -689,13 +689,17 @@ class TestComponentQuotient:
             reference_component_radius(a) - reference_component_radius(b))
 
     def test_level_zero_is_not_a_component(self):
-        # the family passes any label through; the metric reads level 0
-        # as radius 0, but the representatives come from a stack point,
-        # and the stack has no level 0
-        assert CIRCLE_COMPONENTS.family("level", 0) == 0
-        assert CIRCLE_COMPONENTS.distance(0, 1) == Fraction(1, 2)
+        # the family builds its label through a stack point, and the
+        # stack has no level 0, no negative level and no bool level
+        for bad in (0, -1, True, "x"):
+            with pytest.raises(RangeError, match="positive int"):
+                CIRCLE_COMPONENTS.family("level", bad)
+            with pytest.raises(RangeError, match="positive int"):
+                CirclePoint(bad, Fraction(0))
         with pytest.raises(RangeError, match="positive int"):
             CIRCLE_COMPONENTS.neighbor_reps(0, 1)
+        assert CIRCLE_COMPONENTS.family("level", 3) == 3
+        assert CIRCLE_COMPONENTS.family("level", None) is None
 
 
 TWO_COPY = get_system("two-copy")

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from zerodim.errors import (DomainError, PreconditionError, RangeError,
                             ResourceCapError)
-from zerodim.groups import (ConeApproximation, CyclicSumGroup, FiniteGroup,
-                            FreeGroupVariant, IntegerGroup, LatticeGroup,
+from zerodim.flows import McMahonGroup, TwoCopyGroup
+from zerodim.groups import (DEFAULT_BALL_CAP, STABLE_RUN, ConeApproximation,
+                            CyclicSumGroup, FiniteGroup, FreeGroupVariant,
+                            IntegerGroup, LatticeGroup, _cone_member,
                             affine_sequence, ball, cone_approx, cone_layer,
                             explicit_sequence, group_from_json,
                             is_syndetic_window, is_thick_window,
@@ -362,6 +364,9 @@ class TestSharedSearch:
             sphere(warm, r)
         assert ball(warm, radius) == ball(make(), radius)
         assert sphere(warm, radius) == sphere(make(), radius)
+        assert power_set(warm, radius) == power_set(make(), radius)
+        assert power_set(warm, radius).elements == \
+            ball(warm, radius).elements | {warm.identity}
 
     @PROPERTY
     @given(st.integers(1, 6), st.integers(0, 8))
@@ -400,7 +405,6 @@ class TestSharedSearch:
     @PROPERTY
     @given(st.lists(st.integers(0, 9), max_size=4))
     def test_two_copy_and_mcmahon_lengths(self, picks):
-        from zerodim.flows import McMahonGroup, TwoCopyGroup
         two, mc = TwoCopyGroup(2), McMahonGroup(2)
         oracle = bfs_lengths(two, 4)
         for group in (two, mc):
@@ -415,3 +419,198 @@ class TestSharedSearch:
             else:
                 # no closed form: "auto" goes through the same search
                 assert n == word_length(two, g) == oracle[g]
+
+
+# the earlier bodies of the cone helpers, which built each cone layer in
+# full; they are the oracles of the membership-test versions
+
+
+def reference_cone_approx(group, seq, radius, max_index=40):
+    max_index = seq.max_index(max_index)
+    B = ball(group, radius)
+    history = []
+    prev_len = -1
+    for n in range(1, max_index + 1):
+        g = seq.element(group, n)
+        group.validate(g)
+        glen = word_length(group, g)
+        if glen <= prev_len:
+            raise PreconditionError("lengths must increase")
+        prev_len = glen
+        if glen == 0:
+            raise PreconditionError("identity")
+        layer = cone_layer(group, g)
+        history.append(frozenset(x for x in B if x in layer))
+    tail = 1
+    while tail < len(history) and history[-tail - 1] == history[-1]:
+        tail += 1
+    stabilized = tail >= STABLE_RUN
+    return ConeApproximation(
+        radius=radius, elements=history[-1], stabilized=stabilized,
+        stabilization_index=len(history) - tail + 1 if stabilized else None,
+        examined=max_index, tail_run=tail)
+
+
+def reference_layer_embedding_check(group, finite_set, length, g):
+    layer = cone_layer(group, g)
+    fs = list(finite_set)
+    for t in sphere(group, length).sorted(group):
+        if all(group.multiply(f, t) in layer for f in fs):
+            return t
+    return None
+
+
+def reference_layer_embedding_bound(group, finite_set, g_bound, n_max=8,
+                                    probe=None):
+    fs = sorted(set(finite_set), key=group.sort_key)
+    pool = list(probe) if probe is not None else \
+        ball(group, g_bound).sorted(group)
+    params = {"g_bound": g_bound, "n_max": n_max, "set_size": len(fs)}
+    for n in range(1, n_max + 1):
+        witnesses = {}
+        ok = True
+        for g in pool:
+            if not n <= word_length(group, g) <= g_bound:
+                continue
+            t = reference_layer_embedding_check(group, fs, n, g)
+            if t is None:
+                ok = False
+                break
+            witnesses[group.format_element(g)] = group.format_element(t)
+        if ok and witnesses:
+            return {"status": "holds", "bound": n,
+                    "examined": len(witnesses), "params": params}
+    return {"status": "fails", "no_bound_up_to": n_max, "params": params}
+
+
+# fresh instances, with the largest |g| whose B(2|g|-1) stays small; the
+# last two have no closed form, so their cones go through the search
+CONE_GROUPS = {
+    "Z": (IntegerGroup, 4),
+    "Z2": (lambda: LatticeGroup(2), 3),
+    "Z3": (lambda: LatticeGroup(3), 3),
+    "F2": (lambda: FreeGroupVariant(2), 3),
+    "cyclic-sum": (lambda: CyclicSumGroup.symmetric(2, 5), 3),
+    "mcmahon": (lambda: McMahonGroup(2), 3),
+    "S3": (lambda: symmetric_group(3), 1),
+    "two-copy": (lambda: TwoCopyGroup(1), 3),
+}
+
+
+def draw_element(data, group, length):
+    return data.draw(st.sampled_from(sphere(group, length).sorted(group)))
+
+
+class TestConeMembership:
+    """``_cone_member`` decides ``x in cone_layer(group, g)`` by one
+    word-length test, without building the layer."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_agrees_with_the_built_layer(self, data):
+        name = data.draw(st.sampled_from(sorted(CONE_GROUPS)))
+        make, longest = CONE_GROUPS[name]
+        ref = make()
+        n = data.draw(st.integers(1, longest))
+        g = draw_element(data, ref, n)
+        # a fresh instance whose search holds no more than |g| needs
+        member = _cone_member(make(), g, DEFAULT_BALL_CAP)
+        window = power_set(ref, 2 * n - 1)
+        got = {x for x in window if member(x)}
+        assert got == set(cone_layer(ref, g).elements)
+
+    def test_identity_and_cap(self):
+        with pytest.raises(PreconditionError):
+            _cone_member(Z, 0, DEFAULT_BALL_CAP)
+        # the search path keeps word_length's cap rule for |g|
+        two = TwoCopyGroup(1)
+        g = sphere(TwoCopyGroup(1), 3).sorted(two)[0]
+        with pytest.raises(ResourceCapError):
+            _cone_member(two, g, cap=len(power_set(two, 3)) - 1)
+        assert _cone_member(two, g, cap=len(power_set(two, 3)))(g)
+
+    @PROPERTY
+    @given(st.data())
+    def test_cone_approx_matches_the_oracle(self, data):
+        name = data.draw(st.sampled_from(sorted(CONE_GROUPS)))
+        make, longest = CONE_GROUPS[name]
+        group = make()
+        lengths = data.draw(st.lists(st.integers(1, 2 * longest),
+                                     min_size=1, max_size=5, unique=True))
+        lengths = [k for k in sorted(lengths) if sphere(group, k)]
+        if not lengths:
+            lengths = [1]
+        seq = explicit_sequence(draw_element(data, group, k)
+                                for k in lengths)
+        radius = data.draw(st.integers(0, 3))
+        assert cone_approx(make(), seq, radius) == \
+            reference_cone_approx(group, seq, radius)
+
+    @pytest.mark.parametrize("group, seq, radius, max_index", [
+        (Z, affine_sequence(1), 50, 40),
+        (Z, affine_sequence(-5), 12, 40),
+        (Z, affine_sequence(2, offset=1), 20, 60),
+        (Z, explicit_sequence([2, -5, 11, -23, 47]), 10, 40),
+        (Z2, affine_sequence((1, -2)), 4, 7),
+        (Z2, affine_sequence((0, 1)), 3, 6),
+        (F2, explicit_sequence([(1, 2) * k for k in range(1, 5)]), 3, 40),
+    ], ids=str)
+    def test_cone_approx_matches_the_oracle_on_sequences(self, group, seq,
+                                                         radius, max_index):
+        assert cone_approx(group, seq, radius, max_index) == \
+            reference_cone_approx(group, seq, radius, max_index)
+
+    def test_cone_approx_tests_the_ball_once_per_index(self):
+        Zc = counting(IntegerGroup)()
+        a = cone_approx(Zc, affine_sequence(5), 50)
+        assert a.stabilized and a.elements == frozenset(range(1, 51))
+        # 198 products grow the search through radius 50, then one per
+        # ball element and index; reference_cone_approx makes 8,954
+        assert Zc.multiplies == 198 + 40 * 100 == 4198
+
+    def test_long_free_cone_builds_no_shell(self):
+        # the last cone layer here is the radius-10 shell, 118,097
+        # words; the test reads only the radius-3 ball
+        F = counting(FreeGroupVariant)(2)
+        seq = explicit_sequence([(1,) * n for n in range(1, 12)])
+        a = cone_approx(F, seq, 3)
+        assert a.elements == frozenset({(1,), (1, 1), (1, 1, 1), (2, 1, 1),
+                                        (-2, 1, 1)})
+        assert (a.stabilized, a.stabilization_index, a.tail_run) == \
+            (True, 2, 10)
+        assert F.multiplies == 4 * (1 + 4 + 12) + 11 * 52
+
+    @PROPERTY
+    @given(st.data())
+    def test_layer_embedding_check_matches_the_oracle(self, data):
+        name = data.draw(st.sampled_from(sorted(CONE_GROUPS)))
+        make, longest = CONE_GROUPS[name]
+        group = make()
+        g = draw_element(data, group, data.draw(st.integers(1, longest)))
+        fs = data.draw(st.lists(st.sampled_from(power_set(group, 1)
+                                                .sorted(group)),
+                                min_size=1, max_size=3))
+        length = data.draw(st.integers(0, 3))
+        assert layer_embedding_check(make(), fs, length, g) == \
+            reference_layer_embedding_check(group, fs, length, g)
+
+    @pytest.mark.parametrize("group, fs, g_bound, n_max, probe", [
+        (Z, [0, 1, 2], 12, 8, None),
+        (Z, [0, 3, 4], 12, 8, None),
+        (Z, [-1, 0, 1], 10, 8, None),
+        (Z, [0, 5], 6, 3, None),
+        (Z2, [(0, 0), (1, 0)], 4, 4, None),
+        (F2, [(), (1,)], 3, 3, [(1,), (1, 2), (2, 2, 1), (-1, -1)]),
+    ], ids=str)
+    def test_layer_embedding_bound_matches_the_oracle(self, group, fs,
+                                                      g_bound, n_max, probe):
+        v = layer_embedding_bound(group, fs, g_bound, n_max, probe)
+        want = reference_layer_embedding_bound(group, fs, g_bound, n_max,
+                                               probe)
+        assert v.params == want["params"]
+        if want["status"] == "holds":
+            assert v.holds and v.certificate == {
+                "bound": want["bound"], "examined": want["examined"]}
+        else:
+            assert v.fails and v.certificate == {
+                "no_bound_up_to": want["no_bound_up_to"]}
