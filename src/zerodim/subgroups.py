@@ -4,26 +4,36 @@ Subgroups are represented per group variant: a modulus for the
 integers, an integer basis matrix for lattices, an explicit closed
 element set for finite groups, and per-coordinate divisors for
 truncated cyclic sums.  Free groups carry no subgroup representation
-here.  All operations are exact; lattice intersections go through
-Hermite normal forms.
+here.  Each variant intersects its subgroups and takes their normal
+cores itself.  All operations are exact.
+
+A lattice answers membership, index and intersection from the Hermite
+normal form of its basis.  A cap B is the top-left d x d block of the
+form of the stacked rows (a, a) and (0, b): they span {(x, x + y)}, and
+as the form is lower triangular its first d rows span exactly the
+vectors whose second half is zero, that is x = -y in A cap B.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, RangeError
 from .groups import (CyclicSumGroup, ElementSet, FiniteGroup, Group,
-                     IntegerGroup, LatticeGroup, ball, power_set, word_length)
+                     ball, power_set, word_length)
 from .verdict import Verdict, fails, holds
 
 
 class Subgroup:
-    """Common interface: membership, index, normality, JSON."""
+    """Common interface: membership, index, normality, meet, core, JSON.
+
+    The defaults fit the abelian variants, whose subgroups are normal
+    and so are their own cores."""
+
+    variant = None  # the group variant the subgroup lives in
 
     def contains(self, g) -> bool:
         raise NotImplementedError
@@ -32,7 +42,15 @@ class Subgroup:
         raise NotImplementedError
 
     def is_normal(self) -> bool:
+        return True
+
+    def meet(self, other: Subgroup) -> Subgroup:
+        """Intersection with a subgroup of the same group."""
         raise NotImplementedError
+
+    def core(self) -> Subgroup:
+        """Largest normal subgroup contained in this one."""
+        return self
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -43,9 +61,10 @@ class IntegerSubgroup(Subgroup):
     """modulus * Z inside the integers."""
 
     modulus: int
+    variant = "integers"
 
     def __post_init__(self):
-        if self.modulus < 1:
+        if type(self.modulus) is not int or self.modulus < 1:
             raise DomainError("modulus must be >= 1")
 
     def contains(self, g: int) -> bool:
@@ -54,11 +73,11 @@ class IntegerSubgroup(Subgroup):
     def index(self) -> int:
         return self.modulus
 
-    def is_normal(self) -> bool:
-        return True
+    def meet(self, other: IntegerSubgroup) -> IntegerSubgroup:
+        return IntegerSubgroup(math.lcm(self.modulus, other.modulus))
 
     def to_json(self) -> dict:
-        return {"variant": "integers", "modulus": self.modulus}
+        return {"variant": self.variant, "modulus": self.modulus}
 
 
 @dataclass(frozen=True)
@@ -66,28 +85,50 @@ class LatticeSubgroup(Subgroup):
     """Finite-index sublattice of Z^d spanned by the rows of ``basis``."""
 
     basis: tuple  # tuple of row tuples, square, det != 0
+    _hnf: tuple = field(init=False, repr=False, compare=False)
+    variant = "lattice"
 
     def __post_init__(self):
         d = len(self.basis)
-        if d == 0 or any(len(row) != d for row in self.basis):
+        if d == 0 or any(len(row) != d or any(type(x) is not int for x in row)
+                         for row in self.basis):
             raise DomainError("basis must be a square integer matrix")
-        if _det(self.basis) == 0:
+        try:
+            hnf = _hnf_rows(self.basis, d)
+        except DomainError:
             raise DomainError("basis must have nonzero determinant "
-                              "(finite index)")
+                              "(finite index)") from None
+        object.__setattr__(self, "_hnf", hnf)
 
     def contains(self, g: tuple) -> bool:
-        # solve x * basis = g over the rationals, membership iff integral
-        sol = _solve_left(self.basis, g)
-        return sol is not None and all(c.denominator == 1 for c in sol)
-
-    def index(self) -> int:
-        return abs(_det(self.basis))
-
-    def is_normal(self) -> bool:
+        # once the rows after i are divided out, row i is the only one
+        # left with a nonzero entry in column i
+        if len(g) != len(self._hnf):
+            raise RangeError("lattice element must be an int %d-tuple"
+                             % len(self._hnf))
+        rest = list(g)
+        for i in range(len(rest) - 1, -1, -1):
+            row = self._hnf[i]
+            q, r = divmod(rest[i], row[i])
+            if r:
+                return False
+            for j in range(i):
+                rest[j] -= q * row[j]
         return True
 
+    def index(self) -> int:
+        return math.prod(row[i] for i, row in enumerate(self._hnf))
+
+    def meet(self, other: LatticeSubgroup) -> LatticeSubgroup:
+        d = len(self._hnf)
+        stacked = ([row + row for row in self._hnf]
+                   + [(0,) * d + row for row in other._hnf])
+        h = _hnf_rows(stacked, 2 * d)
+        return LatticeSubgroup(tuple(row[:d] for row in h[:d]))
+
     def to_json(self) -> dict:
-        return {"variant": "lattice", "basis": [list(r) for r in self.basis]}
+        return {"variant": self.variant,
+                "basis": [list(r) for r in self.basis]}
 
 
 @dataclass(frozen=True)
@@ -96,6 +137,7 @@ class FiniteSubgroup(Subgroup):
 
     group: FiniteGroup
     members: frozenset
+    variant = "finite"
 
     def __post_init__(self):
         g = self.group
@@ -119,8 +161,23 @@ class FiniteSubgroup(Subgroup):
         return all(g.multiply(g.multiply(t, a), g.inverse(t)) in self.members
                    for t in g.elements() for a in self.members)
 
+    def meet(self, other: FiniteSubgroup) -> FiniteSubgroup:
+        return FiniteSubgroup(self.group, self.members & other.members)
+
+    def core(self) -> FiniteSubgroup:
+        g = self.group
+        core = set(self.members)
+        for t in g.elements():
+            core &= {g.multiply(g.multiply(g.inverse(t), a), t)
+                     for a in self.members}
+        result = FiniteSubgroup(g, frozenset(core))
+        if not result.is_normal():
+            raise DomainError("core of %r is not normal (table inconsistent?)"
+                              % (self,))
+        return result
+
     def to_json(self) -> dict:
-        return {"variant": "finite", "members": sorted(self.members)}
+        return {"variant": self.variant, "members": sorted(self.members)}
 
 
 @dataclass(frozen=True)
@@ -130,62 +187,34 @@ class CyclicSumSubgroup(Subgroup):
 
     group: CyclicSumGroup
     divisors: tuple
+    variant = "cyclic-sum"
 
     def __post_init__(self):
         mods = self.group.moduli
         if len(self.divisors) != len(mods):
             raise DomainError("need one divisor per coordinate")
         for d, m in zip(self.divisors, mods):
-            if d < 1 or m % d != 0:
-                raise DomainError("divisor %d does not divide modulus %d" % (d, m))
+            if type(d) is not int or d < 1 or m % d != 0:
+                raise DomainError("divisor %r does not divide modulus %d" % (d, m))
 
     def contains(self, g: tuple) -> bool:
         return all(x % d == 0 for x, d in zip(g, self.divisors))
 
     def index(self) -> int:
-        out = 1
-        for d in self.divisors:
-            out *= d
-        return out
+        return math.prod(self.divisors)
 
-    def is_normal(self) -> bool:
-        return True
+    def meet(self, other: CyclicSumSubgroup) -> CyclicSumSubgroup:
+        # d*Z_m has index d; both divisors divide m, so their lcm does
+        # too and generates the intersection
+        return CyclicSumSubgroup(self.group, tuple(
+            math.lcm(a, b) for a, b in zip(self.divisors, other.divisors)))
 
     def to_json(self) -> dict:
-        return {"variant": "cyclic-sum", "divisors": list(self.divisors)}
+        return {"variant": self.variant, "divisors": list(self.divisors)}
 
 
 # ---------------------------------------------------------------------------
-# exact integer linear algebra helpers (small dimensions)
-
-
-def _det(m: tuple) -> int:
-    d = len(m)
-    if d == 1:
-        return m[0][0]
-    if d == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j in range(d):
-        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
-
-
-def _solve_left(basis: tuple, g: tuple) -> Optional[tuple]:
-    """Rational x with x * basis = g, or None if singular."""
-    d = len(basis)
-    det = _det(basis)
-    if det == 0:
-        return None
-    # Cramer on the transposed system basis^T * x^T = g^T
-    bt = tuple(tuple(basis[r][c] for r in range(d)) for c in range(d))
-    out = []
-    for j in range(d):
-        col = tuple(tuple(g[r] if c == j else bt[r][c] for c in range(d))
-                    for r in range(d))
-        out.append(Fraction(_det(col), det))
-    return tuple(out)
+# exact integer linear algebra (small dimensions)
 
 
 def _hnf_rows(rows: Sequence[Sequence[int]], dim: int) -> tuple:
@@ -246,75 +275,11 @@ def intersect_subgroups(group: Group, subs: Sequence[Subgroup]) -> Subgroup:
     for s in subs:
         bound *= s.index()
     for s in subs[1:]:
-        out = _intersect_pair(group, out, s)
+        out = out.meet(s)
     if out.index() > bound:
         raise DomainError("intersection index %d exceeds product bound %d"
                           % (out.index(), bound))
     return out
-
-
-def _intersect_pair(group: Group, a: Subgroup, b: Subgroup) -> Subgroup:
-    if isinstance(group, IntegerGroup):
-        return IntegerSubgroup(math.lcm(a.modulus, b.modulus))
-    if isinstance(group, LatticeGroup):
-        return _intersect_lattices(group.dim, a, b)
-    if isinstance(group, FiniteGroup):
-        return FiniteSubgroup(group, a.members & b.members)
-    if isinstance(group, CyclicSumGroup):
-        # d*Z_m has index d; da and db both divide m, so lcm(da, db) does
-        # too and generates the intersection
-        return CyclicSumSubgroup(group, tuple(
-            math.lcm(da, db) for da, db in zip(a.divisors, b.divisors)))
-    raise DomainError("no intersection for variant %r" % group.variant)
-
-
-def _intersect_lattices(dim: int, a: LatticeSubgroup,
-                        b: LatticeSubgroup) -> LatticeSubgroup:
-    """Dual trick: the dual of the intersection is the sum of the duals,
-    and lattice sums reduce to a Hermite normal form."""
-    dual_a = _inv_transpose(a.basis)
-    dual_b = _inv_transpose(b.basis)
-    scale = 1
-    for row in dual_a + dual_b:
-        for entry in row:
-            scale = math.lcm(scale, entry.denominator)
-    int_rows = [tuple(int(entry * scale) for entry in row)
-                for row in dual_a + dual_b]
-    summed = _hnf_rows(int_rows, dim)  # basis of scale * (dual_a + dual_b)
-    back = _inv_transpose(summed)      # dual of the scaled sum
-    rows = []
-    for row in back:
-        out_row = []
-        for entry in row:
-            value = entry * scale
-            if value.denominator != 1:
-                raise DomainError("lattice duality produced a non-integer "
-                                  "entry; inputs were not finite index")
-            out_row.append(int(value))
-        rows.append(tuple(out_row))
-    return LatticeSubgroup(_hnf_rows(rows, dim))
-
-
-def _inv_transpose(m: Sequence[Sequence[int]]) -> tuple:
-    """(m^T)^{-1} as Fraction rows, by Gauss elimination."""
-    d = len(m)
-    work = [[Fraction(m[c][r]) for c in range(d)] for r in range(d)]
-    aug = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if work[r][col] != 0), None)
-        if pivot is None:
-            raise DomainError("singular basis matrix")
-        work[col], work[pivot] = work[pivot], work[col]
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / work[col][col]
-        work[col] = [x * inv_p for x in work[col]]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(d):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row) for row in aug)
 
 
 def normal_core(group: Group, sub: Subgroup) -> Subgroup:
@@ -324,20 +289,7 @@ def normal_core(group: Group, sub: Subgroup) -> Subgroup:
     intersect all conjugates (a finite transversal suffices, and the
     full element list is one)."""
     _check_pair(group, sub)
-    if isinstance(group, (IntegerGroup, LatticeGroup, CyclicSumGroup)):
-        return sub
-    if isinstance(group, FiniteGroup):
-        core = set(sub.members)
-        for t in group.elements():
-            conj = {group.multiply(group.multiply(group.inverse(t), a), t)
-                    for a in sub.members}
-            core &= conj
-        result = FiniteSubgroup(group, frozenset(core))
-        if not result.is_normal():
-            raise DomainError("core of %r is not normal (table inconsistent?)"
-                              % (sub,))
-        return result
-    raise DomainError("no normal core for variant %r" % group.variant)
+    return sub.core()
 
 
 def induced_generating_set(group: Group, sub: Subgroup,
@@ -411,14 +363,12 @@ def generates_within(group: Group, sub: Subgroup, gens: ElementSet,
 
 
 def _check_pair(group: Group, sub: Subgroup) -> None:
-    ok = ((isinstance(group, IntegerGroup) and isinstance(sub, IntegerSubgroup))
-          or (isinstance(group, LatticeGroup) and isinstance(sub, LatticeSubgroup))
-          or (isinstance(group, FiniteGroup) and isinstance(sub, FiniteSubgroup))
-          or (isinstance(group, CyclicSumGroup)
-              and isinstance(sub, CyclicSumSubgroup)))
-    if not ok:
+    if sub.variant != group.variant:
         raise DomainError("subgroup type %s does not match group variant %r"
                           % (type(sub).__name__, group.variant))
+    if sub.variant == "lattice" and len(sub.basis) != group.dim:
+        raise DomainError("sublattice of Z^%d does not lie in Z^%d"
+                          % (len(sub.basis), group.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerodim.errors import DomainError, PreconditionError
+from zerodim.errors import DomainError, PreconditionError, RangeError
 from zerodim.groups import (CyclicSumGroup, FiniteGroup, IntegerGroup,
                             LatticeGroup)
 from zerodim.subgroups import (CyclicSumSubgroup, FiniteSubgroup,
@@ -22,7 +23,7 @@ from zerodim.subgroups import (CyclicSumSubgroup, FiniteSubgroup,
                                generates_within, generation_check,
                                induced_generating_set, intersect_subgroups,
                                normal_core, subgroup_index, symmetric_group)
-from zerodim.subgroups import _close, _hnf_rows, _solve_left
+from zerodim.subgroups import _close, _hnf_rows
 
 Z = IntegerGroup()
 Z2 = LatticeGroup(2)
@@ -260,6 +261,34 @@ class TestValidation:
         with pytest.raises(DomainError):
             subgroup_index(Z, LatticeSubgroup(((2,),)))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: IntegerSubgroup(True), "modulus must be >= 1"),
+        (lambda: IntegerSubgroup(2.0), "modulus must be >= 1"),
+        (lambda: LatticeSubgroup(((2.0, 0), (0, 1))),
+         "basis must be a square integer matrix"),
+        (lambda: LatticeSubgroup(((True, 0), (0, 1))),
+         "basis must be a square integer matrix"),
+        (lambda: CyclicSumSubgroup(CyclicSumGroup((0, 1), (4, 6)), (2.0, 3)),
+         "does not divide modulus 4"),
+    ], ids=["bool-modulus", "float-modulus", "float-basis", "bool-basis",
+            "float-divisor"])
+    def test_parameters_must_be_exact_ints(self, build, message):
+        with pytest.raises(DomainError, match=message):
+            build()
+
+    def test_lattice_element_length_must_match(self):
+        with pytest.raises(RangeError):
+            LatticeSubgroup(((2,),)).contains((2, 5))
+        with pytest.raises(RangeError):
+            LatticeSubgroup(((2, 0), (0, 1))).contains((2,))
+
+    def test_sublattice_dimension_must_match_group(self):
+        plane = LatticeSubgroup(((2, 0), (0, 1)))
+        with pytest.raises(DomainError, match="does not lie in Z\\^3"):
+            subgroup_index(LatticeGroup(3), plane)
+        with pytest.raises(DomainError, match="does not lie in Z\\^2"):
+            intersect_subgroups(Z2, [plane, LatticeSubgroup(((2,),))])
+
     def test_cyclic_sum_divisor_must_divide(self):
         G = CyclicSumGroup((0, 1), (4, 6))
         with pytest.raises(DomainError):
@@ -280,6 +309,84 @@ def leibniz_det(m) -> int:
     return total
 
 
+def _det(m: tuple) -> int:
+    d = len(m)
+    if d == 1:
+        return m[0][0]
+    if d == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = 0
+    for j in range(d):
+        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
+        total += (-1) ** j * m[0][j] * _det(minor)
+    return total
+
+
+def _solve_left(basis: tuple, g: tuple):
+    """Rational x with x * basis = g, or None if singular."""
+    d = len(basis)
+    det = _det(basis)
+    if det == 0:
+        return None
+    # Cramer on the transposed system basis^T * x^T = g^T
+    bt = tuple(tuple(basis[r][c] for r in range(d)) for c in range(d))
+    out = []
+    for j in range(d):
+        col = tuple(tuple(g[r] if c == j else bt[r][c] for c in range(d))
+                    for r in range(d))
+        out.append(Fraction(_det(col), det))
+    return tuple(out)
+
+
+def _intersect_lattices(dim: int, a: LatticeSubgroup,
+                        b: LatticeSubgroup) -> LatticeSubgroup:
+    """Dual trick: the dual of the intersection is the sum of the duals,
+    and lattice sums reduce to a Hermite normal form."""
+    dual_a = _inv_transpose(a.basis)
+    dual_b = _inv_transpose(b.basis)
+    scale = 1
+    for row in dual_a + dual_b:
+        for entry in row:
+            scale = math.lcm(scale, entry.denominator)
+    int_rows = [tuple(int(entry * scale) for entry in row)
+                for row in dual_a + dual_b]
+    summed = _hnf_rows(int_rows, dim)  # basis of scale * (dual_a + dual_b)
+    back = _inv_transpose(summed)      # dual of the scaled sum
+    rows = []
+    for row in back:
+        out_row = []
+        for entry in row:
+            value = entry * scale
+            if value.denominator != 1:
+                raise DomainError("lattice duality produced a non-integer "
+                                  "entry; inputs were not finite index")
+            out_row.append(int(value))
+        rows.append(tuple(out_row))
+    return LatticeSubgroup(_hnf_rows(rows, dim))
+
+
+def _inv_transpose(m) -> tuple:
+    """(m^T)^{-1} as Fraction rows, by Gauss elimination."""
+    d = len(m)
+    work = [[Fraction(m[c][r]) for c in range(d)] for r in range(d)]
+    aug = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if work[r][col] != 0), None)
+        if pivot is None:
+            raise DomainError("singular basis matrix")
+        work[col], work[pivot] = work[pivot], work[col]
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = 1 / work[col][col]
+        work[col] = [x * inv_p for x in work[col]]
+        aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(d):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row) for row in aug)
+
+
 def lattice_index(rows, dim) -> int:
     """Index of the row span in Z^dim: the gcd of the maximal minors,
     0 when the span has lower rank."""
@@ -293,6 +400,42 @@ def integer_rows(draw):
     rows = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * dim),
                          min_size=1, max_size=8))
     return rows, dim
+
+
+@st.composite
+def full_rank_pairs(draw):
+    """Two full-rank bases of one dimension, and probe vectors."""
+    dim = draw(st.integers(1, 5))
+    square = st.tuples(*[st.tuples(*[st.integers(-9, 9)] * dim)] * dim)
+    a, b = (draw(square.filter(lambda m: leibniz_det(m) != 0))
+            for _ in range(2))
+    probes = draw(st.lists(st.tuples(*[st.integers(-30, 30)] * dim),
+                           min_size=1, max_size=6))
+    return dim, a, b, probes
+
+
+class TestLatticeAlgebra:
+    """Membership, index and intersection, all read from one Hermite
+    normal form, against Cramer's rule, the Leibniz determinant and the
+    dual-trick intersection."""
+
+    @given(full_rank_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rational_oracles(self, case):
+        dim, a, b, probes = case
+        sa, sb = LatticeSubgroup(a), LatticeSubgroup(b)
+        meet = intersect_subgroups(LatticeGroup(dim), [sa, sb])
+        expect = _intersect_lattices(dim, sa, sb)
+        assert meet == expect
+        assert meet.to_json() == expect.to_json()
+        for sub in (sa, sb, meet):
+            det = leibniz_det(sub.basis)
+            assert sub.index() == abs(det)
+            # det * Z^d lies in the lattice, so half the probes are members
+            for g in probes + [tuple(det * x for x in p) for p in probes]:
+                integral = all(x.denominator == 1
+                               for x in _solve_left(sub.basis, g))
+                assert sub.contains(g) == integral
 
 
 class TestHermiteNormalForm:
