@@ -21,6 +21,7 @@ from .cantor import (
     Point,
     Scheme,
     Tail,
+    _trusted_point,
     agree_to_depth,
     canonical_point,
     clopen,
@@ -267,7 +268,8 @@ def shift_point(x: Point, n: int) -> Point:
     if n == 0:
         return x
     if x.window:
-        return Point(x.scheme, x.lo - n, x.hi - n, x.window, x.right, x.left)
+        return _trusted_point(x.scheme, x.lo - n, x.hi - n, x.window,
+                              x.right, x.left)
     return canonical_point(x.scheme, x.lo - n, (), x.right, x.left)
 
 
@@ -465,9 +467,11 @@ def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
     is uniformly extremal, so it wraps to 0 (or to the maximal digits).
 
     The result is the same ``Point`` that ``make_point`` would return.
-    Every new digit is ``total % size``, so in range.  A carry that
-    dies inside the window leaves the last window symbol and the tail
-    as they were, so no edge absorbs and the point is built as it is.
+    Every new digit is ``total % size``, so in range.  The carry walks
+    the window first, and the digits of |n| and the walk's bound are
+    worked out only when it leaves the window.  A carry that dies
+    inside the window leaves the last window symbol and the tail as
+    they were, so no edge absorbs and the point is built as it is.
     Otherwise ``canonical_point`` drops the trailing digits that repeat
     the re-anchored (or the wrap) tail.
     """
@@ -476,22 +480,30 @@ def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
     sizes = scheme.alphabet if isinstance(scheme.alphabet, tuple) \
         else (scheme.alphabet,)
     m = len(sizes)
-    window, tail = x.window, x.right.symbols
-    width, period = len(window), len(tail)
-    count, place, amount = 0, 1, abs(n)     # count: the digits of |n|
-    while place <= amount:
-        place *= sizes[count % m]
-        count += 1
-    limit = max(width, count + 1) + math.lcm(period, m) + 2
+    window = x.window
+    width = len(window)
     digits = []
     carry, i = n, 0
-    while carry and i < limit:
-        digit = window[i] if i < width else tail[(i - width) % period]
-        carry, digit = divmod(digit + carry, sizes[i % m])
+    while carry and i < width:
+        carry, digit = divmod(window[i] + carry, sizes[i % m])
         digits.append(digit)
         i += 1
     if not carry and i < width:
-        return Point(scheme, x.lo, x.hi, tuple(digits) + window[i:], x.right)
+        return _trusted_point(scheme, x.lo, x.hi, tuple(digits) + window[i:],
+                              x.right)
+    if carry:
+        tail = x.right.symbols
+        period = len(tail)
+        count, place, amount = 0, 1, abs(n)     # count: the digits of |n|
+        while place <= amount:
+            place *= sizes[count % m]
+            count += 1
+        limit = max(width, count + 1) + math.lcm(period, m) + 2
+        while carry and i < limit:
+            carry, digit = divmod(tail[(i - width) % period] + carry,
+                                  sizes[i % m])
+            digits.append(digit)
+            i += 1
     if not carry:
         right = reanchor_tail(x.right, i - width)
     elif carry > 0:
@@ -634,8 +646,10 @@ def successor_act(n: int, x: Point) -> Point:
     """Turn the dial at q, one past the first engaged position, by n.
     Only the symbol at q changes, so the result is built directly: a
     change before the last window symbol leaves the point canonical,
-    and otherwise ``canonical_point`` trims the symbols through q
-    against the tail."""
+    and so does a new last symbol that differs from the last symbol of
+    the re-anchored tail, since then no edge absorbs.  Otherwise
+    ``canonical_point`` trims the symbols through q against the
+    tail."""
     p = _first_active(x)
     if p is None:
         return x
@@ -645,13 +659,16 @@ def successor_act(n: int, x: Point) -> Point:
     dial = window[idx] if idx < len(window) else x.right.at(idx - len(window))
     digit = (dial + n) % q
     if idx < len(window) - 1:
-        return Point(x.scheme, x.lo, x.hi,
-                     window[:idx] + (digit,) + window[idx + 1:], x.right)
+        return _trusted_point(x.scheme, x.lo, x.hi,
+                              window[:idx] + (digit,) + window[idx + 1:],
+                              x.right)
     extra = idx + 1 - len(window)
     symbols = window[:idx] + tuple(x.right.at(k) for k in range(extra - 1)) \
         + (digit,)
-    return canonical_point(x.scheme, x.lo, symbols,
-                           reanchor_tail(x.right, extra))
+    right = reanchor_tail(x.right, extra)
+    if digit != right.symbols[-1]:
+        return _trusted_point(x.scheme, x.lo, q, symbols, right)
+    return canonical_point(x.scheme, x.lo, symbols, right)
 
 
 def build_successor_map() -> FlowSystem:

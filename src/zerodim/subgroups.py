@@ -198,6 +198,9 @@ class CyclicSumSubgroup(Subgroup):
                 raise DomainError("divisor %r does not divide modulus %d" % (d, m))
 
     def contains(self, g: tuple) -> bool:
+        if len(g) != len(self.divisors):
+            raise RangeError("cyclic-sum element must be a %d-tuple"
+                             % len(self.divisors))
         return all(x % d == 0 for x, d in zip(g, self.divisors))
 
     def index(self) -> int:
@@ -369,6 +372,10 @@ def _check_pair(group: Group, sub: Subgroup) -> None:
     if sub.variant == "lattice" and len(sub.basis) != group.dim:
         raise DomainError("sublattice of Z^%d does not lie in Z^%d"
                           % (len(sub.basis), group.dim))
+    if sub.variant == "cyclic-sum" and sub.group.moduli != group.moduli:
+        raise DomainError("subgroup of a cyclic sum with moduli %s does not "
+                          "lie in one with moduli %s"
+                          % (list(sub.group.moduli), list(group.moduli)))
 
 
 # ---------------------------------------------------------------------------

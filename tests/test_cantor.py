@@ -277,6 +277,32 @@ class TestReadSymbols:
         assert read_symbols(x, first, first + count - 1) == \
             [x.value(c) for c in range(first, first + count)]
 
+    @given(st.sampled_from(SCHEMES).flatmap(scheme_points),
+           st.sampled_from(["inside", "left-edge", "right-edge", "left-tail",
+                            "right-tail"]),
+           st.integers(0, 8), st.integers(0, 8))
+    @settings(max_examples=400)
+    def test_matches_value_by_region(self, x, region, a, b):
+        # ranges inside the window, straddling one of its edges, or
+        # wholly in one tail
+        if region == "inside":
+            if x.lo > x.hi:
+                return
+            lo = x.lo + min(a, x.hi - x.lo)
+            hi = lo + min(b, x.hi - lo)
+        elif region == "left-edge":
+            lo, hi = x.lo - 1 - a, x.lo + b
+        elif region == "right-edge":
+            lo, hi = x.hi - a, x.hi + 1 + b
+        elif region == "left-tail":
+            lo, hi = x.lo - 1 - a - b, x.lo - 1 - a
+        else:
+            lo, hi = x.hi + 1 + a, x.hi + 1 + a + b
+        if x.scheme.kind == "one-sided" and lo < x.scheme.start:
+            return
+        assert read_symbols(x, lo, hi) == [x.value(c)
+                                           for c in range(lo, hi + 1)]
+
     @pytest.mark.parametrize("x", [
         build_odometer().point("one"),
         make_point(Scheme("one-sided", start=2, alphabet="index"), (1,), 0)])

@@ -2,6 +2,7 @@
 checked against a from-scratch oracle (digit counters, popcount words,
 rational rotation) rather than its own implementation."""
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -769,6 +770,86 @@ class TestPointBuilders:
         x = make_point(Scheme("one-sided"), (1,), 0)
         with pytest.raises(DomainError):
             shift_point(x, 1)
+
+
+def same_built_point(got, want):
+    """Equal under ``==``, ``hash``, ``repr`` and ``to_json``."""
+    return same_point(got, want) and got.to_json() == want.to_json()
+
+
+ODOMETER_STEPS = (1, -1, 2, -2, 7, -7, 300, -300)
+
+
+class TestTrustedPoints:
+    """The actions build points with ``cantor._trusted_point``, which
+    checks nothing; each result must be the point ``make_point``
+    builds from the same coordinates."""
+
+    @given(st.one_of(
+        binary_points(),
+        st.integers(-9, 9).map(lambda i: step_point(BIN, i)),
+        st.integers(-9, 9).map(lambda k: FULL_SHIFT.family("single", k))),
+        st.integers(-40, 40).filter(bool))
+    @settings(max_examples=200)
+    def test_shift_point(self, x, n):
+        moved = shift_point(x, n)
+        rebuilt = make_point(BIN, {c: moved.value(c)
+                                   for c in range(x.lo - n, x.hi - n + 1)},
+                             right=x.right, left=x.left, lo=x.lo - n)
+        assert same_built_point(moved, rebuilt)
+
+    @given(odometer_cases(), st.sampled_from(ODOMETER_STEPS))
+    @settings(max_examples=400)
+    def test_odometer_add(self, case, n):
+        scheme, x = case
+        y = odometer_add(scheme, n, x)
+        assert same_built_point(y, reference_odometer_add(scheme, n, x))
+        assert same_built_point(y, make_point(scheme, y.window,
+                                              right=y.right))
+
+    @given(st.integers(2, 14), st.integers(-40, 40), st.integers(0, 6))
+    @settings(max_examples=200)
+    def test_successor_act_on_unit_at(self, c, n, steps):
+        y = build_successor_map().family("unit-at", c)
+        for _ in range(steps + 1):      # along the orbit, by n each time
+            want = reference_successor_act(n, y)
+            y = successor_act(n, y)
+            assert same_built_point(y, want)
+            assert same_built_point(y, make_point(y.scheme, y.window,
+                                                  right=y.right))
+
+    def test_successor_act_on_unit_trims_only_an_absorbed_dial(
+            self, monkeypatch):
+        # the dial of unit is coordinate 3, past its window: only a turn
+        # back to 0, the tail's symbol, can be absorbed into the tail
+        calls = []
+        canonical = flows.canonical_point
+
+        def counted(*args):
+            calls.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(flows, "canonical_point", counted)
+        sm = build_successor_map()
+        y = sm.point("unit")
+        for _ in range(30):
+            y = sm.act(1, y)
+        assert y == sm.point("unit") and len(calls) == 10
+
+    def test_trusted_point_is_frozen_and_replaceable(self):
+        od = build_odometer()
+        for x in (shift_point(make_point(BIN, (1, 0, 1), 0, 1), 3),
+                  odometer_add(od.scheme, 5, od.point("zero")),
+                  successor_act(1, build_successor_map().point("unit"))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                x.lo = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del x.window
+            same = dataclasses.replace(x)
+            assert same_built_point(same, x) and same is not x
+            other = dataclasses.replace(x, right=cantor.Tail((1,)))
+            assert other != x and other.window == x.window
+            assert [f.name for f in dataclasses.fields(x)] == list(vars(x))
 
 
 class TestClose:

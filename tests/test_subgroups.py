@@ -297,6 +297,26 @@ class TestValidation:
         assert sub.index() == 6
         assert sub.contains((2, 3)) and not sub.contains((1, 3))
 
+    def test_cyclic_sum_element_length_must_match(self):
+        sub = CyclicSumSubgroup(CyclicSumGroup((0, 1), (4, 6)), (2, 3))
+        with pytest.raises(RangeError, match="must be a 2-tuple"):
+            sub.contains((2,))
+        with pytest.raises(RangeError, match="must be a 2-tuple"):
+            sub.contains((2, 3, 1))
+
+    def test_cyclic_sum_moduli_must_match_group(self):
+        G = CyclicSumGroup((0, 1), (4, 6))
+        line = CyclicSumSubgroup(CyclicSumGroup((0,), (4,)), (2,))
+        with pytest.raises(DomainError, match="does not lie in one with"):
+            subgroup_index(G, line)
+        with pytest.raises(DomainError, match="does not lie in one with"):
+            intersect_subgroups(G, [CyclicSumSubgroup(G, (2, 3)), line])
+        swapped = CyclicSumSubgroup(CyclicSumGroup((0, 1), (6, 4)), (3, 2))
+        with pytest.raises(DomainError, match="does not lie in one with"):
+            normal_core(G, swapped)
+        assert subgroup_index(G, CyclicSumSubgroup(
+            CyclicSumGroup((5, 6), (4, 6)), (2, 3))) == 6
+
 
 def leibniz_det(m) -> int:
     d = len(m)
