@@ -412,11 +412,13 @@ class _CayleySearch:
     radius k, and ``length`` maps every element found to its word
     length.  A layer is kept only once it is complete and fits under
     the caller's cap, so what the search holds, and what a call returns
-    or raises, never depends on which calls came before.  The search
-    keeps no reference to its group: callers pass it in, and
-    ``group.multiply`` is looked up afresh for every layer.  Growth is
-    not locked, so one instance must not be searched from two threads
-    at once.
+    or raises, never depends on which calls came before.  ``views``
+    holds the ``ElementSet`` that ``ball``, ``sphere`` and ``power_set``
+    hand out, keyed by ``(kind, radius)`` and built from the layers on
+    first request.  The search keeps no reference to its group: callers
+    pass it in, and ``group.multiply`` is looked up afresh for every
+    layer.  Growth is not locked, so one instance must not be searched
+    from two threads at once.
     """
 
     def __init__(self, group: Group):
@@ -426,6 +428,7 @@ class _CayleySearch:
         self.sizes = [1]
         self.length = {e: 0}
         self.exhausted = False
+        self.views = {}
 
     def _grow(self, group: Group, cap: int) -> bool:
         """Add the next layer, or mark the group exhausted when it is
@@ -538,24 +541,45 @@ class ElementSet:
         return sorted(self.elements, key=group.sort_key)
 
 
+def _check_radius(radius, what: str) -> None:
+    # an exact int: views are keyed by radius, and True would alias 1
+    if type(radius) is not int:
+        raise PreconditionError("%s radius must be an int, got %r"
+                                % (what, radius))
+    if radius < 0:
+        raise PreconditionError("%s radius must be >= 0" % what)
+
+
+def _view(group: Group, kind: str, radius: int,
+          members: Iterable) -> ElementSet:
+    """The instance's ``(kind, radius)`` view, built from ``members``
+    the first time and shared by every later call."""
+    views = _search(group).views
+    view = views.get((kind, radius))
+    if view is None:
+        view = views[kind, radius] = ElementSet(frozenset(members), radius)
+    return view
+
+
 def ball(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
     """Non-identity elements of word length <= radius, read from the
     instance's shared Cayley search (see ``word_length``).  Raises
     ResourceCapError iff the closed ball has more than ``cap``
-    elements."""
-    if radius < 0:
-        raise PreconditionError("ball radius must be >= 0")
+    elements, whatever was asked before: the cap is checked on every
+    call.  The set is built once per instance and radius and held as
+    long as the instance, so repeated calls return the same object."""
+    _check_radius(radius, "ball")
     layers = _ball_layers(group, radius, cap)
-    return ElementSet(frozenset(itertools.chain.from_iterable(layers[1:])),
-                      radius)
+    return _view(group, "ball", radius,
+                 itertools.chain.from_iterable(layers[1:]))
 
 
 def sphere(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
     """Elements of word length exactly radius, read from the instance's
-    shared Cayley search; same cap rule as ``ball``."""
-    if radius < 0:
-        raise PreconditionError("sphere radius must be >= 0")
-    return ElementSet(frozenset(_layer(group, radius, cap)), radius)
+    shared Cayley search; same cap rule, and built and held once per
+    instance and radius, as ``ball``."""
+    _check_radius(radius, "sphere")
+    return _view(group, "sphere", radius, _layer(group, radius, cap))
 
 
 def _ball_layers(group: Group, radius: int, cap: int) -> list:
@@ -582,12 +606,12 @@ def power_set(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> Element
     """All products of at most ``radius`` generators: the ball plus the
     identity.  (The generating set contains the identity, so this equals
     the set of products of exactly ``radius`` generators.)  Same cap
-    rule as ``ball``."""
-    if radius < 0:
-        raise PreconditionError("ball radius must be >= 0")
+    rule, and built and held once per instance and radius, as
+    ``ball``."""
+    _check_radius(radius, "ball")
     layers = _ball_layers(group, radius, cap)
-    return ElementSet(frozenset(itertools.chain.from_iterable(layers)),
-                      radius)
+    return _view(group, "power", radius,
+                 itertools.chain.from_iterable(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -841,8 +865,9 @@ def layer_embedding_check(group: Group, finite_set: Iterable, length: int,
     elements; a closed-form variant's radius |g|-1 shell is never
     enumerated, so its size is no limit.  Nothing is truncated."""
     member = _cone_member(group, g, cap)
+    _check_radius(length, "sphere")
     fs = list(finite_set)
-    for t in sphere(group, length, cap).sorted(group):
+    for t in _layer(group, length, cap):
         if all(member(group.multiply(f, t)) for f in fs):
             return t
     return None

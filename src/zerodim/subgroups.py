@@ -447,27 +447,34 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def all_subgroups(group: FiniteGroup) -> list[FiniteSubgroup]:
-    """Every subgroup, by closing subsets one generator at a time."""
+    """Every subgroup, by closing subsets one generator at a time.
+
+    Each subgroup found keeps the generators that built it, and <h, g>
+    is closed from those and g.  Since <h, k*g> = <h, g> for every k in
+    h, once g is tried the rest of its right coset h*g is skipped.
+    """
     e = group.identity
     trivial = frozenset([e])
-    found = {trivial}
+    found = {trivial: ()}
     frontier = [trivial]
     while frontier:
         nxt = []
         for h in frontier:
+            gens, tried = found[h], set(h)
             for g in group.elements():
-                if g in h:
+                if g in tried:
                     continue
-                closure = _close(group, h | {g})
+                tried.update(group.multiply(k, g) for k in h)
+                closure = _close(group, gens + (g,))
                 if closure not in found:
-                    found.add(closure)
+                    found[closure] = gens + (g,)
                     nxt.append(closure)
         frontier = nxt
     return [FiniteSubgroup(group, h)
             for h in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
-def _close(group: FiniteGroup, seed: frozenset) -> frozenset:
+def _close(group: FiniteGroup, seed: Iterable) -> frozenset:
     """The subgroup generated by ``seed``: a breadth-first search from
     the identity that right-multiplies by the seed elements.
 

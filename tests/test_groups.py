@@ -11,8 +11,9 @@ from zerodim.errors import (DomainError, PreconditionError, RangeError,
                             ResourceCapError)
 from zerodim.flows import McMahonGroup, TwoCopyGroup
 from zerodim.groups import (DEFAULT_BALL_CAP, STABLE_RUN, ConeApproximation,
-                            CyclicSumGroup, FiniteGroup, FreeGroupVariant,
-                            IntegerGroup, LatticeGroup, _cone_member,
+                            CyclicSumGroup, ElementSet, FiniteGroup,
+                            FreeGroupVariant, IntegerGroup, LatticeGroup,
+                            _ball_layers, _cone_member, _layer,
                             affine_sequence, ball, cone_approx, cone_layer,
                             explicit_sequence, group_from_json,
                             is_syndetic_window, is_thick_window,
@@ -110,9 +111,43 @@ class TestBalls:
         assert Z.identity not in ball(Z, 3)
 
     def test_negative_radius_rejected(self):
-        for fn in (ball, sphere):
-            with pytest.raises(PreconditionError):
+        for fn, what in ((ball, "ball"), (sphere, "sphere"),
+                         (power_set, "ball")):
+            with pytest.raises(PreconditionError,
+                               match="^%s radius must be >= 0$" % what):
                 fn(Z, -1)
+
+    # a radius is an exact non-negative int; views are keyed by it
+
+    def test_fractional_ball_radius_rejected(self):
+        # it was the radius-2 ball tagged radius=2.5
+        with pytest.raises(PreconditionError, match="must be an int"):
+            ball(IntegerGroup(), 2.5)
+
+    def test_fractional_sphere_radius_rejected(self):
+        # it was an empty set
+        with pytest.raises(PreconditionError, match="must be an int"):
+            sphere(IntegerGroup(), 2.5)
+
+    def test_integral_float_radius_rejected(self):
+        # it was a bare TypeError from indexing the layers
+        for fn in (ball, sphere, power_set):
+            with pytest.raises(PreconditionError, match="must be an int"):
+                fn(IntegerGroup(), 2.0)
+
+    def test_bool_radius_rejected(self):
+        # True was the radius-1 ball, and as a key it would alias 1
+        for fn in (ball, sphere, power_set):
+            with pytest.raises(PreconditionError, match="must be an int"):
+                fn(IntegerGroup(), True)
+
+    def test_cone_approx_bool_radius_rejected(self):
+        with pytest.raises(PreconditionError, match="must be an int"):
+            cone_approx(IntegerGroup(), affine_sequence(1), True)
+
+    def test_cone_approx_float_radius_rejected(self):
+        with pytest.raises(PreconditionError, match="must be an int"):
+            cone_approx(IntegerGroup(), affine_sequence(1), 2.0)
 
 
 class TestConeLayer:
@@ -335,6 +370,14 @@ class TestSharedSearch:
         assert ball(F, 8) == first
         assert F.multiplies == 0
 
+    def test_each_view_is_built_once(self):
+        F = FreeGroupVariant(2)
+        for fn in (ball, sphere, power_set):
+            assert fn(F, 8) is fn(F, 8)
+            assert fn(F, 3) is fn(F, 3) is not fn(F, 8)
+        assert ball(F, 8) is not power_set(F, 8)
+        assert ball(F, 0) is not sphere(F, 0) is not power_set(F, 0)
+
     def test_instances_share_no_state(self):
         Counting = counting(LatticeGroup)
         a, b = Counting(2), Counting(2)
@@ -374,16 +417,41 @@ class TestSharedSearch:
         size = len(bfs_lengths(Z2, radius))  # |B(radius)|, identity included
         cold, warm = LatticeGroup(2), LatticeGroup(2)
         ball(warm, warm_radius)
+        # views at this radius and beyond, built under the default cap
+        for r in (radius, max(radius, warm_radius)):
+            ball(warm, r), sphere(warm, r), power_set(warm, r)
         for group in (cold, warm):
-            with pytest.raises(ResourceCapError):
-                ball(group, radius, cap=size - 1)
+            for fn in (ball, sphere, power_set):
+                with pytest.raises(ResourceCapError):
+                    fn(group, radius, cap=size - 1)
             with pytest.raises(ResourceCapError):
                 word_length(group, (radius, 0), method="bfs", cap=size - 1)
         for group in (cold, warm):
             # after a cap error a large enough cap answers
             assert len(ball(group, radius, cap=size)) == size - 1
+            assert len(power_set(group, radius, cap=size)) == size
+            assert len(sphere(group, radius, cap=size)) == 4 * radius
             assert word_length(group, (radius, 0), method="bfs",
                                cap=size) == radius
+
+    @PROPERTY
+    @given(st.sampled_from(sorted(CLOSED_FORM_CASES)),
+           st.lists(st.tuples(st.sampled_from(("ball", "sphere", "power")),
+                              st.integers(0, 5)), min_size=1, max_size=10))
+    def test_views_equal_the_layers_in_any_call_order(self, name, calls):
+        group = CLOSED_FORM_CASES[name][0]()
+        fns = {"ball": ball, "sphere": sphere, "power": power_set}
+        for kind, radius in calls:
+            view = fns[kind](group, radius)
+            if kind == "sphere":
+                want = frozenset(_layer(group, radius, DEFAULT_BALL_CAP))
+            else:
+                layers = _ball_layers(group, radius, DEFAULT_BALL_CAP)
+                want = frozenset(itertools.chain.from_iterable(
+                    layers if kind == "power" else layers[1:]))
+            assert view.elements == want
+            assert view.radius == radius
+            assert view == ElementSet(want, radius)
 
     def test_identity_alone_never_exceeds_cap(self):
         assert len(ball(IntegerGroup(), 0, cap=0)) == 0
@@ -579,6 +647,25 @@ class TestConeMembership:
         assert (a.stabilized, a.stabilization_index, a.tail_run) == \
             (True, 2, 10)
         assert F.multiplies == 4 * (1 + 4 + 12) + 11 * 52
+
+    @pytest.mark.parametrize("name", sorted(CONE_GROUPS))
+    def test_layer_embedding_check_reads_the_layer_in_sort_order(self, name):
+        # every length and finite set that fits the window, including
+        # those whose witness is not the first element of the sphere
+        make, longest = CONE_GROUPS[name]
+        group = make()
+        g = sphere(group, longest).sorted(group)[-1]
+        for length in range(0, 4):
+            for fs in itertools.combinations(power_set(group, 1)
+                                             .sorted(group), 2):
+                assert layer_embedding_check(group, fs, length, g) == \
+                    reference_layer_embedding_check(group, fs, length, g)
+
+    def test_layer_embedding_check_length_is_an_exact_int(self):
+        with pytest.raises(PreconditionError, match="must be >= 0"):
+            layer_embedding_check(Z, [0], -1, 3)
+        with pytest.raises(PreconditionError, match="must be an int"):
+            layer_embedding_check(Z, [0], 1.0, 3)
 
     @PROPERTY
     @given(st.data())

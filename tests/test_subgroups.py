@@ -104,8 +104,10 @@ class TestClosure:
         assert _close(group, seed) == pairwise_closure(group, seed)
 
     def test_s4_census_multiplies(self, monkeypatch):
-        # the search makes |closure| * |seed| products per closure; the
-        # pairwise rounds made 333,053 for the same 30 subgroups
+        # |h| products to skip a right coset, then |closure| * |seed|
+        # per closure of gens(h) + (g,); closing h | {g} for every g
+        # outside h made 53,189, and the pairwise rounds 333,053, for
+        # the same 30 subgroups
         calls = []
         multiply = FiniteGroup.multiply
 
@@ -116,7 +118,37 @@ class TestClosure:
         group = symmetric_group(4)
         monkeypatch.setattr(FiniteGroup, "multiply", counted)
         assert len(all_subgroups(group)) == 30
-        assert len(calls) == 53_189
+        assert len(calls) == 8_100
+
+
+def every_element_subgroups(group):
+    """Oracle: the earlier body of ``all_subgroups``, which closed
+    h | {g} for every g outside every subgroup h found."""
+    trivial = frozenset([group.identity])
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in group.elements():
+                if g in h:
+                    continue
+                closure = _close(group, h | {g})
+                if closure not in found:
+                    found.add(closure)
+                    nxt.append(closure)
+        frontier = nxt
+    return [FiniteSubgroup(group, h)
+            for h in sorted(found, key=lambda s: (len(s), sorted(s)))]
+
+
+@pytest.mark.parametrize("group", [
+    symmetric_group(3), symmetric_group(4), dihedral_group(4),
+    dihedral_group(5), dihedral_group(6), cyclic_group(6), cyclic_group(8),
+    cyclic_group(12)], ids=lambda g: g.label)
+def test_coset_skipping_census_matches_every_element_census(group):
+    got = [s.members for s in all_subgroups(group)]
+    assert got == [s.members for s in every_element_subgroups(group)]
 
 
 class TestNormalCore:
