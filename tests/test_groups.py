@@ -419,7 +419,8 @@ class TestSharedSearch:
         ball(warm, warm_radius)
         # views at this radius and beyond, built under the default cap
         for r in (radius, max(radius, warm_radius)):
-            ball(warm, r), sphere(warm, r), power_set(warm, r)
+            for fn in (ball, sphere, power_set):
+                fn(warm, r)
         for group in (cold, warm):
             for fn in (ball, sphere, power_set):
                 with pytest.raises(ResourceCapError):
