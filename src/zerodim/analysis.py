@@ -12,7 +12,6 @@ reserved for probes that could not even evaluate the bounded claim
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,8 +21,7 @@ from .cantor import (ClopenSet, Point, depth_cylinder, from_cylinder,
                      make_point, read_symbols)
 from .errors import DomainError, PreconditionError, ResourceCapError
 from .flows import FlowSystem
-from .groups import (DEFAULT_BALL_CAP, _ball_layers, _cone_member, _layer,
-                     power_set, word_length)
+from .groups import DEFAULT_BALL_CAP, _ball_layers, power_set, word_length
 from .verdict import Verdict, fails, holds, inconclusive
 
 CELL_CAP = 8192
@@ -231,44 +229,32 @@ def type2_verdict(system: FlowSystem, x, *, horizon: int,
     the least return length within each cone must stay bounded on the
     tail.
 
-    For each g the shared search's layers 1, 2, ... are walked in
-    (length, ``sort_key``) order until the first member of g's cone
-    layer (``_cone_member``) that returns x to its depth cell; a cone
-    member is at most 2|g|-1 long.  Each candidate's return is tested
-    at most once per call, so the acts are the distinct candidates
-    walked, and no cone shell is built.  Raises ResourceCapError iff
-    the closed ball through the longest layer walked has more than
-    DEFAULT_BALL_CAP elements; nothing is truncated."""
+    On Z the cone layer of g >= 1 is the interval [1, 2g-1], and a
+    member's word length is itself, so the least return in g's cone is
+    the least positive return r1 when r1 <= 2g-1 and there is none
+    otherwise.  One ``returns`` query over 1..2*horizon-1 gives r1, and
+    the tail g = horizon//2 + 1 .. horizon is read off it; no cone is
+    built or searched, and no cap is met."""
     _check_probe(horizon, depth)
     system.require_integer_action()
     name = "cone-subnet-recurrence"
     group = system.group
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth, schedule_length=horizon)
-    returns = functools.cache(
-        lambda c: system.close(system.act(c, x), x, depth))
-    minima = []
-    for g in range(1, horizon + 1):
-        member = _cone_member(group, g, DEFAULT_BALL_CAP)
-        best = next((k for k in range(1, 2 * word_length(group, g))
-                     for c in _layer(group, k, DEFAULT_BALL_CAP)
-                     if member(c) and returns(c)), None)
-        minima.append((g, best))
-    tail = minima[len(minima) // 2:]
-    undetermined = [g for g, b in tail if b is None]
-    if undetermined:
+    r1 = next(system.returns(x, depth, range(1, 2 * horizon)), None)
+    tail = range(horizon // 2 + 1, horizon + 1)
+    # the cones grow with g, so the first tail cone misses r1 if any does
+    if r1 is None or r1 > 2 * tail[0] - 1:
         return fails(name, params, {
-            "no_return_in_cone_of": group.format_element(undetermined[0]),
+            "no_return_in_cone_of": group.format_element(tail[0]),
             "tail_length": len(tail),
         })
-    n_star = max(b for _, b in tail)
-    bound = horizon // 2
     cert = {
-        "subnet_bound": n_star,
-        "allowed": bound,
-        "tail_minima": [[group.format_element(g), b] for g, b in tail[:8]],
+        "subnet_bound": r1,
+        "allowed": horizon // 2,
+        "tail_minima": [[group.format_element(g), r1] for g in tail[:8]],
     }
-    if n_star <= bound:
+    if r1 <= horizon // 2:
         return holds(name, params, cert)
     return fails(name, params, cert)
 

@@ -67,6 +67,18 @@ class Group:
         """Exact word length when the variant admits one, else None."""
         return None
 
+    def cone_members(self, g, radius: int, cap: int) -> frozenset:
+        """The elements of ``ball(self, radius)`` in the cone layer of g,
+        the set ``cone_approx`` keeps per index; g and the radius are
+        checked by the caller.
+
+        By default the radius ball is filtered by ``_cone_member``: one
+        product and one length per ball element, and the cap rules of
+        ``ball`` and ``_cone_member``.  The integers and the lattices
+        give the set in closed form."""
+        return frozenset(filter(_cone_member(self, g, cap),
+                                ball(self, radius, cap)))
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -107,6 +119,15 @@ class IntegerGroup(Group):
 
     def closed_form_length(self, g: int) -> int:
         return abs(g)
+
+    def cone_members(self, g: int, radius: int, cap: int) -> frozenset:
+        """The cone layer of g > 0 is the interval [1, 2g-1], so its
+        part in the radius ball is [1, min(radius, 2g-1)], negated for
+        g < 0: no product, no search, and no cap to meet."""
+        if g == 0:
+            raise PreconditionError("cone layer undefined at the identity")
+        top = min(radius, 2 * abs(g) - 1)
+        return frozenset(range(1, top + 1) if g > 0 else range(-top, 0))
 
     def to_json(self) -> dict:
         return {"variant": self.variant}
@@ -154,6 +175,23 @@ class LatticeGroup(Group):
 
     def closed_form_length(self, g: tuple) -> int:
         return sum(abs(x) for x in g)
+
+    def cone_members(self, g: tuple, radius: int, cap: int) -> frozenset:
+        """The lens {c : |c|_1 <= radius, |c - g|_1 <= |g|_1 - 1}, which
+        never holds the identity, walked one coordinate at a time.  With
+        budgets a and b left of the two norms by the coordinates before
+        it, coordinate i ranges over [-a, a] and [g_i - b, g_i + b].
+        Costs one entry per partial lens point: no product, no search,
+        and no cap to meet."""
+        reach = self.closed_form_length(g) - 1
+        if reach < 0:
+            raise PreconditionError("cone layer undefined at the identity")
+        lens = [((), radius, reach)]
+        for gi in g:
+            lens = [(c + (x,), a - abs(x), b - abs(x - gi))
+                    for c, a, b in lens
+                    for x in range(max(-a, gi - b), min(a, gi + b) + 1)]
+        return frozenset(c for c, _, _ in lens)
 
     def to_json(self) -> dict:
         return {"variant": self.variant, "dim": self.dim}
@@ -625,9 +663,11 @@ def cone_layer(group: Group, g, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
     metric); it contains g, never contains the identity, and every
     member has word length at most 2|g|-1.  Undefined at the identity.
 
-    The reference materialisation of the cone layer: the analyzers and
-    cone helpers ask only for membership, through ``_cone_member``, and
-    nothing on their paths builds the shell.  |g| and the shell come
+    The reference materialisation of the cone layer: nothing on the
+    analyzers' or cone helpers' paths builds the shell.  They ask for
+    membership through ``_cone_member``, or for the part in a ball
+    through ``Group.cone_members``, and the cone-subnet analyzer reads
+    the integer cones as intervals.  |g| and the shell come
     from the instance's shared Cayley search (see ``word_length``);
     raises ResourceCapError iff the closed ball of radius |g| has more
     than ``cap`` elements when |g| needs the search, else iff the shell
@@ -647,9 +687,12 @@ def _cone_member(group: Group, g, cap: int) -> Callable:
     That length comes from the variant's closed form, or else from the
     instance's shared Cayley search, which finding |g| grew through
     radius |g|; an element the search has not met is longer.  Costs
-    one product and one length per test.  Raises PreconditionError at
-    the identity, and ResourceCapError iff |g| needs the search and the
-    closed ball of radius |g| has more than ``cap`` elements.
+    one product and one length per test.  ``layer_embedding_check`` and
+    the default ``Group.cone_members`` ask it; the integers and the
+    lattices list their ``cone_members`` in closed form instead.
+    Raises PreconditionError at the identity, and ResourceCapError iff
+    |g| needs the search and the closed ball of radius |g| has more
+    than ``cap`` elements.
     """
     n = word_length(group, g, cap=cap)
     if n == 0:
@@ -696,7 +739,25 @@ class SequenceDescriptor:
         return default
 
 
+def _affine_shape(v) -> Optional[int]:
+    """None for an int, the length for a tuple of ints; anything else,
+    bools and integral floats included, raises PreconditionError."""
+    if type(v) is int:
+        return None
+    if type(v) is tuple and all(type(x) is int for x in v):
+        return len(v)
+    raise PreconditionError("affine step and offset must be an int or a "
+                            "tuple of ints, got %r" % (v,))
+
+
 def affine_sequence(step, offset=None) -> SequenceDescriptor:
+    """g_n = n * step + offset: an int step on the integers, a tuple of
+    ints on a lattice, and an offset of the same shape (default: the
+    identity)."""
+    shape = _affine_shape(step)
+    if offset is not None and _affine_shape(offset) != shape:
+        raise PreconditionError("affine offset %r does not match step %r"
+                                % (offset, step))
     return SequenceDescriptor(kind="affine", step=step, offset=offset)
 
 
@@ -738,18 +799,25 @@ def cone_approx(group: Group, seq: SequenceDescriptor, radius: int,
     constant for at least STABLE_RUN consecutive indices at the end of
     the examined range.
 
-    Entry n is the set of x in the radius ball that ``_cone_member``
-    places in the cone layer of g_n: |B(radius)| membership tests per
-    index, and no shell is built.  Raises ResourceCapError iff the
-    radius ball, or the closed ball of radius |g_n| of some g_n that
-    needs the search, has more than ``cap`` elements; a closed-form
-    variant never enumerates the radius |g_n|-1 shell, so its size is
-    no limit.  Nothing is truncated.
+    Entry n is the part of the radius ball in the cone layer of g_n,
+    ``group.cone_members(g_n, radius, cap)``, and no shell is built.
+    On the integers it is an interval and on a lattice an L1 lens, each
+    listed directly; any other variant filters the radius ball with one
+    ``_cone_member`` test per element and index.  Raises
+    ResourceCapError iff the radius ball, or the closed ball of radius
+    |g_n| of some g_n that needs the search, has more than ``cap``
+    elements; a closed-form variant never enumerates the radius
+    |g_n|-1 shell, so its size is no limit.  Nothing is truncated.
+    ``max_index`` must be an exact int.
     """
+    if type(max_index) is not int:
+        raise PreconditionError("max_index must be an int, got %r"
+                                % (max_index,))
     max_index = seq.max_index(max_index)
     if max_index < 1:
         raise PreconditionError("sequence yields no elements")
-    B = ball(group, radius, cap)
+    ball(group, radius, cap)  # the radius and cap checks
+    members = group.cone_members
     history = []
     prev_len = -1
     for n in range(1, max_index + 1):
@@ -763,7 +831,7 @@ def cone_approx(group: Group, seq: SequenceDescriptor, radius: int,
         prev_len = glen
         if glen == 0:
             raise PreconditionError("sequence passes through the identity")
-        history.append(frozenset(filter(_cone_member(group, g, cap), B)))
+        history.append(members(g, radius, cap))
     # longest constant run at the end of the history
     tail = 1
     while tail < len(history) and history[-tail - 1] == history[-1]:

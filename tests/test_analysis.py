@@ -25,7 +25,7 @@ from zerodim.analysis import (InvariantCoreApprox, _cells, _length_ordered,
                               type2_verdict, uniform_recurrence_verdict,
                               usc_verdict, weak_rigidity_verdict)
 from zerodim.cantor import (Cylinder, Point, Scheme, clopen, depth_cylinder,
-                            from_cylinder, make_point)
+                            from_cylinder, make_point, periodic_tail)
 from zerodim.errors import DomainError, PreconditionError
 from zerodim.flows import (FlowSystem, build_mcmahon, build_two_copy,
                            get_system)
@@ -433,6 +433,23 @@ def reference_type2(system, x, *, horizon, depth):
     return (holds if n_star <= horizon // 2 else fails)(name, params, cert)
 
 
+@st.composite
+def type2_cases(draw):
+    """An eventually periodic full-shift point or a seeded odometer
+    digit point, with a horizon and a depth."""
+    horizon = draw(st.sampled_from((1, 2, 3, 8, 33)))
+    depth = draw(st.sampled_from((1, 2, 3, 5)))
+    if draw(st.booleans()):
+        return OD, odometer_digits(draw(st.integers(0, 2 ** 16))), \
+            horizon, depth
+    bits = st.integers(0, 1)
+    tails = [periodic_tail(draw(st.lists(bits, min_size=1, max_size=3)))
+             for _ in range(2)]
+    x = make_point(FS.scheme, draw(st.lists(bits, max_size=8)),
+                   right=tails[0], left=tails[1], lo=draw(st.integers(-6, 2)))
+    return FS, x, horizon, depth
+
+
 class TestConeSubnetRecurrence:
     @pytest.mark.parametrize("system", [OD, TM, FS, SM, CS, CC],
                              ids=lambda s: s.system_id)
@@ -453,9 +470,36 @@ class TestConeSubnetRecurrence:
                             act(self, g, x))
         v = type2_verdict(OD, OD.point("one"), horizon=64, depth=3)
         assert v.holds and v.certificate["subnet_bound"] == 8
-        # 8 is the first return, and every cone of g >= 5 holds it;
-        # reference_type2 acts 496 times here
-        assert acts == list(range(1, 9))
+        # 8 is the first return, and every cone of g >= 5 holds it: one
+        # forward returns walk, act(1, x) and then act(1, .) of the point
+        # before, up to 8; reference_type2 acts 496 times here
+        assert acts == [1] * 8
+
+    def test_one_returns_query_and_no_act(self, monkeypatch):
+        calls = {"returns": 0, "act": 0}
+        returns, act = FlowSystem.returns, FlowSystem.act
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(FlowSystem, "returns", counted("returns", returns))
+        monkeypatch.setattr(FlowSystem, "act", counted("act", act))
+        v = type2_verdict(FS, FS.point("step"), horizon=1024, depth=3)
+        assert v.fails and v.certificate == {
+            "no_return_in_cone_of": "513", "tail_length": 512}
+        # the shift answers the query over 1..2047 without acting
+        assert calls == {"returns": 1, "act": 0}
+
+    @given(type2_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_oracle_on_drawn_points(self, case):
+        system, x, horizon, depth = case
+        got = type2_verdict(system, x, horizon=horizon, depth=depth)
+        want = reference_type2(system, x, horizon=horizon, depth=depth)
+        assert got.to_json() == want.to_json()
 
     def test_odometer_bound(self):
         v = type2_verdict(OD, OD.point("zero"), horizon=16, depth=2)

@@ -23,6 +23,7 @@ from zerodim.subgroups import symmetric_group
 
 Z = IntegerGroup()
 Z2 = LatticeGroup(2)
+Z3 = LatticeGroup(3)
 F2 = FreeGroupVariant(2)
 
 
@@ -148,6 +149,43 @@ class TestBalls:
     def test_cone_approx_float_radius_rejected(self):
         with pytest.raises(PreconditionError, match="must be an int"):
             cone_approx(IntegerGroup(), affine_sequence(1), 2.0)
+
+    # so are sequence steps, offsets and the index cap
+
+    def test_fractional_affine_step_rejected(self):
+        # it reached cone_approx and raised a bare TypeError
+        with pytest.raises(PreconditionError, match="int or a tuple of ints"):
+            affine_sequence(1.5)
+        with pytest.raises(PreconditionError, match="int or a tuple of ints"):
+            affine_sequence((1, 0.5))
+
+    def test_bool_affine_step_rejected(self):
+        # it was the step 1
+        with pytest.raises(PreconditionError, match="int or a tuple of ints"):
+            affine_sequence(True)
+        with pytest.raises(PreconditionError, match="int or a tuple of ints"):
+            affine_sequence((True, 0))
+
+    def test_bool_affine_offset_rejected(self):
+        # it was the offset 1
+        with pytest.raises(PreconditionError, match="int or a tuple of ints"):
+            affine_sequence(2, offset=True)
+        with pytest.raises(PreconditionError, match="int or a tuple of ints"):
+            affine_sequence((1, 0), offset=(0, False))
+
+    def test_affine_offset_shape_must_match_the_step(self):
+        for step, offset in ((1, (0, 1)), ((1, 0), 1), ((1, 0), (0, 0, 1))):
+            with pytest.raises(PreconditionError, match="does not match"):
+                affine_sequence(step, offset)
+        assert affine_sequence((1, 0), (0, 2)).element(Z2, 3) == (3, 2)
+        assert affine_sequence(-2, 1).element(Z, 3) == -5
+
+    def test_cone_approx_bool_max_index_rejected(self):
+        # it was max_index 1
+        for max_index in (True, 2.0):
+            with pytest.raises(PreconditionError, match="max_index must be"):
+                cone_approx(IntegerGroup(), affine_sequence(1), 4,
+                            max_index=max_index)
 
 
 class TestConeLayer:
@@ -566,6 +604,10 @@ CONE_GROUPS = {
 }
 
 
+# the variants whose cones cone_approx lists in closed form
+CLOSED_CONES = ("Z", "Z2", "Z3")
+
+
 def draw_element(data, group, length):
     return data.draw(st.sampled_from(sphere(group, length).sorted(group)))
 
@@ -611,7 +653,9 @@ class TestConeMembership:
             lengths = [1]
         seq = explicit_sequence(draw_element(data, group, k)
                                 for k in lengths)
-        radius = data.draw(st.integers(0, 3))
+        # the closed-form cones also take radii past every 2|g|-1
+        top = 2 * lengths[-1] if name in CLOSED_CONES else 3
+        radius = data.draw(st.integers(0, top))
         assert cone_approx(make(), seq, radius) == \
             reference_cone_approx(group, seq, radius)
 
@@ -620,8 +664,15 @@ class TestConeMembership:
         (Z, affine_sequence(-5), 12, 40),
         (Z, affine_sequence(2, offset=1), 20, 60),
         (Z, explicit_sequence([2, -5, 11, -23, 47]), 10, 40),
+        (Z, affine_sequence(-3, -1), 30, 8),
         (Z2, affine_sequence((1, -2)), 4, 7),
         (Z2, affine_sequence((0, 1)), 3, 6),
+        (Z2, affine_sequence((0, -3)), 9, 5),
+        (Z2, affine_sequence((-2, 1), (1, 0)), 11, 5),
+        (Z3, affine_sequence((1, -1, 2)), 13, 5),
+        (Z3, affine_sequence((0, 0, -1)), 6, 8),
+        (Z3, explicit_sequence([(0, 1, 0), (-2, 0, 0), (0, 0, 3),
+                                (1, -3, 1)]), 11, 40),
         (F2, explicit_sequence([(1, 2) * k for k in range(1, 5)]), 3, 40),
     ], ids=str)
     def test_cone_approx_matches_the_oracle_on_sequences(self, group, seq,
@@ -629,13 +680,35 @@ class TestConeMembership:
         assert cone_approx(group, seq, radius, max_index) == \
             reference_cone_approx(group, seq, radius, max_index)
 
+    @pytest.mark.parametrize("name", sorted(CLOSED_CONES))
+    def test_cone_members_is_the_ball_part_of_the_layer(self, name):
+        # every g with |g| <= 3, on an axis or off it and with every
+        # sign pattern, and radii 0 .. 2|g|+1, past the cone's reach
+        make, _ = CONE_GROUPS[name]
+        group = make()
+        for n in range(1, 4):
+            for g in sphere(group, n):
+                layer = cone_layer(group, g).elements
+                for radius in range(2 * n + 2):
+                    want = frozenset(x for x in ball(group, radius)
+                                     if x in layer)
+                    assert group.cone_members(g, radius,
+                                              DEFAULT_BALL_CAP) == want
+
+    @pytest.mark.parametrize("group, g", [
+        (IntegerGroup(), 0), (LatticeGroup(2), (0, 0))])
+    def test_cone_members_undefined_at_the_identity(self, group, g):
+        with pytest.raises(PreconditionError, match="identity"):
+            group.cone_members(g, 3, DEFAULT_BALL_CAP)
+
     def test_cone_approx_tests_the_ball_once_per_index(self):
         Zc = counting(IntegerGroup)()
         a = cone_approx(Zc, affine_sequence(5), 50)
         assert a.stabilized and a.elements == frozenset(range(1, 51))
-        # 198 products grow the search through radius 50, then one per
-        # ball element and index; reference_cone_approx makes 8,954
-        assert Zc.multiplies == 198 + 40 * 100 == 4198
+        # 198 products grow the search through radius 50 for the ball's
+        # cap check, and each index's cone is an interval read in closed
+        # form; the ball filter made 4,198, reference_cone_approx 8,954
+        assert Zc.multiplies == 198
 
     def test_long_free_cone_builds_no_shell(self):
         # the last cone layer here is the radius-10 shell, 118,097
