@@ -12,6 +12,7 @@ reserved for probes that could not even evaluate the bounded claim
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,8 @@ from .cantor import (ClopenSet, Point, depth_cylinder, from_cylinder,
                      make_point, read_symbols)
 from .errors import DomainError, PreconditionError, ResourceCapError
 from .flows import FlowSystem
-from .groups import DEFAULT_BALL_CAP, _ball_layers, power_set, word_length
+from .groups import (DEFAULT_BALL_CAP, _ball_layers, _check_int, _layer,
+                     power_set, word_length)
 from .verdict import Verdict, fails, holds, inconclusive
 
 CELL_CAP = 8192
@@ -39,10 +41,8 @@ def _require_cells(system: FlowSystem) -> None:
 
 
 def _check_probe(horizon: int, depth: int) -> None:
-    if horizon < 1:
-        raise PreconditionError("horizon must be >= 1")
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
+    _check_int(horizon, "horizon", 1)
+    _check_int(depth, "depth", 1)
 
 
 def _length_ordered(group, radius: int) -> list:
@@ -51,6 +51,46 @@ def _length_ordered(group, radius: int) -> list:
     layers in ``sort_key`` order)."""
     return list(itertools.chain.from_iterable(
         _ball_layers(group, radius, DEFAULT_BALL_CAP)))
+
+
+def _layer_witness(system: FlowSystem, points: tuple, radius: int,
+                   known: Mapping, test: Callable) -> tuple:
+    """``(g, images)`` for the first g of Cayley layer ``radius``, in
+    ``sort_key`` order, whose images of the points pass ``test``.
+    ``known`` maps the elements ``orbit_layers`` met at length
+    ``radius`` to their images and whether those pass.  They lie in
+    the Cayley layer, so only the others are acted on, and the scan
+    stops at the first passing one at the latest.  The Cayley layer
+    comes from the group's shared search, which grows every layer
+    through ``radius`` at |gens| products an element: the scan pays
+    the products of the whole ball of that radius."""
+    for g in _layer(system.group, radius, DEFAULT_BALL_CAP):
+        entry = known.get(g)
+        if entry is None:
+            images = tuple([system.act(g, p) for p in points])
+            entry = images, test(images)
+        if entry[1]:
+            return g, entry[0]
+    raise AssertionError("orbit layer %d left Cayley layer %d"
+                         % (radius, radius))
+
+
+def _first_reach(system: FlowSystem, x, y, horizon: int, depth: int):
+    """The first g in (word length, ``sort_key``) order with |g| <=
+    horizon that moves x into y's depth cell, or None.  The orbit
+    search stops at the first image in that cell, whose length r is
+    the least, or shows there is none; then Cayley layer r is scanned
+    for the first such element."""
+    def test(images) -> bool:
+        return system.close(images[0], y, depth)
+
+    known = collections.defaultdict(dict)   # r -> {g: (images, passes)}
+    for r, images, g in system.orbit_layers((x,), horizon):
+        passes = test(images)
+        known[r][g] = images, passes
+        if passes:
+            return _layer_witness(system, (x,), r, known[r], test)[0]
+    return None
 
 
 def depth_ball(x: Point, depth: int) -> ClopenSet:
@@ -301,8 +341,7 @@ def confinement_verdict(system: FlowSystem, x,
                         horizon: int) -> Verdict:
     """Whether the orbit through the horizon ball stays inside the
     neighborhood."""
-    if horizon < 1:
-        raise PreconditionError("horizon must be >= 1")
+    _check_int(horizon, "horizon", 1)
     name = "orbit-confinement"
     params = _params(system, point=system.format_point(x), horizon=horizon)
     hit = escape_length(system, x, neighborhood, horizon=horizon)
@@ -498,24 +537,31 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
 def orbit_symmetry_verdict(system: FlowSystem, pairs: Sequence, *,
                            horizon: int, depth: int) -> Verdict:
     """For each sampled pair, reaching y from x at the stated depth
-    must be matched by reaching x back from y."""
+    must be matched by reaching x back from y.
+
+    Each witness is the first element, in (word length, ``sort_key``)
+    order within the horizon, that moves the one point into the
+    other's depth cell.  An orbit-layer search from the point
+    (``FlowSystem.orbit_layers``) stops at the first image in the cell,
+    whose word length r is the least; an orbit that closes short of
+    the horizon settles a missing reach at every horizon.  Then Cayley
+    layer r is scanned for the first such element.  The scan grows the
+    group's shared Cayley search through layer r, so a reach first met
+    at length r costs the products of the ball of radius r."""
     _check_probe(horizon, depth)
     if not pairs:
         raise PreconditionError("need at least one pair")
     name = "orbit-symmetry"
     params = _params(system, horizon=horizon, depth=depth, pairs=len(pairs))
-    reach = _length_ordered(system.group, horizon)
     established = []
     unestablished = []
     for x, y in pairs:
-        fwd = next((g for g in reach
-                    if system.close(system.act(g, x), y, depth)), None)
+        fwd = _first_reach(system, x, y, horizon, depth)
         if fwd is None:
             unestablished.append([system.format_point(x),
                                   system.format_point(y)])
             continue
-        back = next((h for h in reach
-                     if system.close(system.act(h, y), x, depth)), None)
+        back = _first_reach(system, y, x, horizon, depth)
         if back is None:
             return fails(name, params, {
                 "from": system.format_point(x),
@@ -633,7 +679,16 @@ def uniform_recurrence_verdict(system: FlowSystem, *, word_length: int,
 def proximal_verdict(system: FlowSystem, x, y, *, horizon: int,
                      depth: int) -> Verdict:
     """Some horizon element must push the two points into one depth
-    cell."""
+    cell.
+
+    The witness is the first such element in (word length,
+    ``sort_key``) order; on FAILS, the first element attaining the
+    least distance within the horizon.  An orbit-layer search of the
+    pair (``FlowSystem.orbit_layers``) finds the word length r where
+    either first appears, stopping at the first image in one cell.
+    Then Cayley layer r is scanned for the element.  The scan grows
+    the group's shared Cayley search through layer r, so it costs the
+    products of the ball of radius r, not of the horizon."""
     _check_probe(horizon, depth)
     if system.equal(x, y):
         raise PreconditionError("points coincide; proximality needs a "
@@ -642,20 +697,35 @@ def proximal_verdict(system: FlowSystem, x, y, *, horizon: int,
     params = _params(system, point_x=system.format_point(x),
                      point_y=system.format_point(y), horizon=horizon,
                      depth=depth)
-    best = None
     target = Fraction(1, 2 ** depth)
-    for g in _length_ordered(system.group, horizon):
-        d = system.distance(system.act(g, x), system.act(g, y))
+
+    def gap(images) -> Fraction:
+        return system.distance(*images)
+
+    known = collections.defaultdict(dict)   # r -> {g: (images, gap)}
+    best = None
+    for r, images, g in system.orbit_layers((x, y), horizon):
+        d = gap(images)
+        known[r][g] = images, d
         if best is None or d < best[0]:
-            best = (d, g)
-        if d <= target:
-            return holds(name, params, {
-                "witness": system.group.format_element(g),
-                "distance": d,
-            })
+            best = d, r
+            if d <= target:
+                break
+    least, r = best
+    # on FAILS the least distance is the first one this close
+    bound = max(least, target)
+    g, images = _layer_witness(
+        system, (x, y), r,
+        {a: (im, d <= bound) for a, (im, d) in known[r].items()},
+        lambda im: gap(im) <= bound)
+    if least <= target:
+        return holds(name, params, {
+            "witness": system.group.format_element(g),
+            "distance": gap(images),
+        })
     return fails(name, params, {
-        "min_distance": best[0],
-        "at_element": system.group.format_element(best[1]),
+        "min_distance": least,
+        "at_element": system.group.format_element(g),
     })
 
 

@@ -10,6 +10,7 @@ groups, a stack of rotated circles, and its component quotient.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .cantor import (
 )
 from .errors import (DomainError, PreconditionError, RangeError,
                      ResourceCapError)
-from .groups import Group, IntegerGroup
+from .groups import DEFAULT_BALL_CAP, Group, IntegerGroup, _check_int
 
 KINDS = ("cylinder-z", "cylinder-word", "tower", "quotient")
 LANGUAGE_CAP = 1 << 16   # most words one ``language`` call may enumerate
@@ -90,8 +91,70 @@ class FlowSystem:
     # -- core operations
 
     def act(self, g, x):
+        """The image gx.  Every system's action is a left action in the
+        group's own product: ``act(multiply(s, a), x) == act(s, act(a,
+        x))``, so ``orbit_layers`` may reach gx one generator at a
+        time."""
         self.group.validate(g)
         return self._act(g, x)
+
+    @functools.cached_property
+    def _moves(self) -> tuple:
+        """The group's generators other than the identity, in
+        ``sort_key`` order: the moves of ``orbit_layers``."""
+        group = self.group
+        return tuple(sorted((s for s in group.generators()
+                             if s != group.identity), key=group.sort_key))
+
+    def orbit_layers(self, points: tuple, radius: int):
+        """Yield ``(r, images, g)`` for each tuple ``images = (gp for p
+        in points)`` met within word length ``radius``, layer by layer:
+        r is the least word length that reaches the tuple and g the
+        element of length r that first did.  The search stops once a
+        layer comes up empty: the orbit of the tuple has closed, and no
+        longer word meets a new image.  A caller may stop it early.
+
+        Exact, because {gx : |g| <= r+1} = U_s s{gx : |g| <= r} and
+        gx = act(s, ax) for g = s*a.  Layer r+1 tries every generator
+        move s*a from layer r, skips a product already met (its image
+        is known), acts once otherwise, and drops an image already
+        seen.  So the search makes at most |gens|*|orbit| products and
+        min(|ball|, |gens|*|orbit|) moves of ``len(points)`` acts, and
+        builds no ball of the group.  The generators come from
+        ``group.generators()``, so their acts skip ``validate``; they
+        are tried in ``sort_key`` order, so each layer of a free action
+        of Z comes out in ``sort_key`` order.  The elements met lie in
+        the radius ball and outnumber the images held: ResourceCapError
+        when they exceed ``DEFAULT_BALL_CAP``, never a truncated
+        layer."""
+        _check_int(radius, "orbit radius")
+        group, act, gens = self.group, self._act, self._moves
+        multiply, e = group.multiply, group.identity
+        points = tuple(points)
+        yield 0, points, e
+        met, seen = {e}, {points}
+        layer = [(points, e)]
+        for r in range(1, radius + 1):
+            grown = []
+            for image, a in layer:
+                for s in gens:
+                    # set sizes tell what was new: one hash per insert
+                    b, held = multiply(s, a), len(met)
+                    met.add(b)
+                    if len(met) == held:
+                        continue   # met before: its image is known
+                    moved = tuple([act(s, p) for p in image])
+                    held = len(seen)
+                    seen.add(moved)
+                    if len(seen) > held:
+                        grown.append((moved, b))
+                        yield r, moved, b
+                if len(met) > DEFAULT_BALL_CAP:
+                    raise ResourceCapError("orbit search exceeded cap %d"
+                                           % DEFAULT_BALL_CAP)
+            if not grown:
+                return
+            layer = grown
 
     def distance(self, x, y) -> Fraction:
         if self._dist is not None:

@@ -579,13 +579,14 @@ class ElementSet:
         return sorted(self.elements, key=group.sort_key)
 
 
-def _check_radius(radius, what: str) -> None:
-    # an exact int: views are keyed by radius, and True would alias 1
-    if type(radius) is not int:
-        raise PreconditionError("%s radius must be an int, got %r"
-                                % (what, radius))
-    if radius < 0:
-        raise PreconditionError("%s radius must be >= 0" % what)
+def _check_int(value, what: str, least: int = 0) -> None:
+    """Radii, horizons and depths are exact ints of at least ``least``:
+    views are keyed by radius, True would run as 1 and alias it, and a
+    float would reach a range or a certificate."""
+    if type(value) is not int:
+        raise PreconditionError("%s must be an int, got %r" % (what, value))
+    if value < least:
+        raise PreconditionError("%s must be >= %d" % (what, least))
 
 
 def _view(group: Group, kind: str, radius: int,
@@ -606,7 +607,7 @@ def ball(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
     elements, whatever was asked before: the cap is checked on every
     call.  The set is built once per instance and radius and held as
     long as the instance, so repeated calls return the same object."""
-    _check_radius(radius, "ball")
+    _check_int(radius, "ball radius")
     layers = _ball_layers(group, radius, cap)
     return _view(group, "ball", radius,
                  itertools.chain.from_iterable(layers[1:]))
@@ -616,7 +617,7 @@ def sphere(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet
     """Elements of word length exactly radius, read from the instance's
     shared Cayley search; same cap rule, and built and held once per
     instance and radius, as ``ball``."""
-    _check_radius(radius, "sphere")
+    _check_int(radius, "sphere radius")
     return _view(group, "sphere", radius, _layer(group, radius, cap))
 
 
@@ -646,7 +647,7 @@ def power_set(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> Element
     the set of products of exactly ``radius`` generators.)  Same cap
     rule, and built and held once per instance and radius, as
     ``ball``."""
-    _check_radius(radius, "ball")
+    _check_int(radius, "ball radius")
     layers = _ball_layers(group, radius, cap)
     return _view(group, "power", radius,
                  itertools.chain.from_iterable(layers))
@@ -933,7 +934,7 @@ def layer_embedding_check(group: Group, finite_set: Iterable, length: int,
     elements; a closed-form variant's radius |g|-1 shell is never
     enumerated, so its size is no limit.  Nothing is truncated."""
     member = _cone_member(group, g, cap)
-    _check_radius(length, "sphere")
+    _check_int(length, "sphere radius")
     fs = list(finite_set)
     for t in _layer(group, length, cap):
         if all(member(group.multiply(f, t)) for f in fs):

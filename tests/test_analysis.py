@@ -3,6 +3,7 @@ independent oracles (2-adic valuations, popcount words) before the
 verdicts are checked, and certificates are frozen exactly."""
 
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zerodim import cantor
+from zerodim import cantor, cli, flows
 from zerodim.analysis import (InvariantCoreApprox, _cells, _length_ordered,
                               _params, _syndetic_search, ap_verdict,
                               confinement_verdict, depth_ball,
@@ -27,10 +28,10 @@ from zerodim.analysis import (InvariantCoreApprox, _cells, _length_ordered,
 from zerodim.cantor import (Cylinder, Point, Scheme, clopen, depth_cylinder,
                             from_cylinder, make_point, periodic_tail)
 from zerodim.errors import DomainError, PreconditionError
-from zerodim.flows import (FlowSystem, build_mcmahon, build_two_copy,
-                           get_system)
+from zerodim.flows import (FlowSystem, McMahonGroup, TwoCopyGroup,
+                           build_mcmahon, build_two_copy, get_system)
 from zerodim.groups import cone_layer, word_length
-from zerodim.verdict import fails, holds
+from zerodim.verdict import fails, holds, inconclusive
 
 OD = get_system("odometer")
 TM = get_system("thue-morse")
@@ -880,3 +881,272 @@ class TestTranslateCover:
         assert v.fails
         assert v.certificate["partial_cover"] == [0, 1, 2, 3, 4]
         assert v.certificate["uncovered_sample"][0] == -8
+
+
+# ---------------------------------------------------------------------------
+# proximality and orbit symmetry from the orbit-layer search
+
+
+class TestProbeParameters:
+    """Horizon and depth are exact ints, as radii are: a float would
+    reach the certificate or a range, and True would run as 1."""
+
+    @pytest.mark.parametrize("horizon,depth", [
+        (2.5, 2), (True, 2), (2, True), (2.0, 2), (2, 2.5)],
+        ids=["horizon-2.5", "horizon-True", "depth-True", "horizon-2.0",
+             "depth-2.5"])
+    def test_proximal_rejects_non_int(self, horizon, depth):
+        t2 = build_two_copy(3)
+        with pytest.raises(PreconditionError, match="must be an int"):
+            proximal_verdict(t2, t2.point("o-plus"), t2.point("o-minus"),
+                             horizon=horizon, depth=depth)
+
+    def test_other_probes_reject_non_int(self):
+        with pytest.raises(PreconditionError, match="must be an int"):
+            type1_verdict(OD, OD.point("zero"), horizon=8.0, depth=2)
+        with pytest.raises(PreconditionError, match="must be an int"):
+            confinement_verdict(OD, OD.point("zero"),
+                                depth_ball(OD.point("zero"), 2),
+                                horizon=True)
+        with pytest.raises(PreconditionError, match=">= 1"):
+            proximal_verdict(OD, OD.point("zero"), OD.point("one"),
+                             horizon=0, depth=2)
+
+
+def reference_proximal(system, x, y, horizon, depth):
+    """``proximal_verdict`` as a walk over the whole horizon ball."""
+    params = _params(system, point_x=system.format_point(x),
+                     point_y=system.format_point(y), horizon=horizon,
+                     depth=depth)
+    best = None
+    target = Fraction(1, 2 ** depth)
+    for g in _length_ordered(system.group, horizon):
+        d = system.distance(system.act(g, x), system.act(g, y))
+        if best is None or d < best[0]:
+            best = (d, g)
+        if d <= target:
+            return holds("proximal-pair", params, {
+                "witness": system.group.format_element(g),
+                "distance": d,
+            })
+    return fails("proximal-pair", params, {
+        "min_distance": best[0],
+        "at_element": system.group.format_element(best[1]),
+    })
+
+
+def reference_orbit_symmetry(system, pairs, horizon, depth):
+    """``orbit_symmetry_verdict`` as a walk over the whole horizon ball
+    for each reach."""
+    name = "orbit-symmetry"
+    params = _params(system, horizon=horizon, depth=depth, pairs=len(pairs))
+    reach = _length_ordered(system.group, horizon)
+    established, unestablished = [], []
+    for x, y in pairs:
+        fwd = next((g for g in reach
+                    if system.close(system.act(g, x), y, depth)), None)
+        if fwd is None:
+            unestablished.append([system.format_point(x),
+                                  system.format_point(y)])
+            continue
+        back = next((h for h in reach
+                     if system.close(system.act(h, y), x, depth)), None)
+        if back is None:
+            return fails(name, params, {
+                "from": system.format_point(x),
+                "to": system.format_point(y),
+                "forward_element": system.group.format_element(fwd),
+                "no_return_within": horizon,
+            })
+        established.append([system.group.format_element(fwd),
+                            system.group.format_element(back)])
+    if unestablished:
+        return inconclusive(name, params, {
+            "unestablished_pairs": unestablished,
+            "established": len(established),
+        })
+    return holds(name, params, {"witnesses": established})
+
+
+# each system's named points plus a few members of each point family
+FAMILY_SAMPLES = {
+    "circle-stack": [("level", 1), ("level", 3, Fraction(1, 4)),
+                     ("limit-at", Fraction(1, 3))],
+    "circle-stack-components": [("level", 3)],
+    "full-shift": [("step", -1), ("step", 2), ("single", 0), ("single", 3)],
+    "mcmahon": [("ring", 1), ("ring", 2, 1), ("ring-flipped", 1),
+                ("ring-flipped", 2, 1)],
+    "odometer": [],
+    "successor-map": [("unit-at", 3), ("unit-at", 5)],
+    "thue-morse": [("reflection", 8), ("reflection-flipped", 8)],
+    "two-copy": [("step", 0), ("step", 1, -1)],
+}
+SAMPLED = {sid: get_system(sid) for sid in sorted(FAMILY_SAMPLES)}
+
+
+def sample_points(sid):
+    system = SAMPLED[sid]
+    return ([system.point(n) for n in system.point_names()]
+            + [system.family(*args) for args in FAMILY_SAMPLES[sid]])
+
+
+class TestOrbitSearchAgainstBallWalk:
+    """Certificates match the ball walks byte for byte: the search picks
+    the layer, and the layer scan picks the same first element."""
+
+    @pytest.mark.parametrize("sid", sorted(FAMILY_SAMPLES))
+    def test_proximal(self, sid):
+        system = SAMPLED[sid]
+        for x, y in itertools.combinations(sample_points(sid), 2):
+            if system.equal(x, y):
+                continue
+            for horizon in (1, 2, 3, 4):
+                for depth in (1, 2, 3):
+                    got = proximal_verdict(system, x, y, horizon=horizon,
+                                           depth=depth)
+                    want = reference_proximal(system, x, y, horizon, depth)
+                    assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("sid", sorted(FAMILY_SAMPLES))
+    def test_orbit_symmetry(self, sid):
+        system = SAMPLED[sid]
+        points = sample_points(sid)
+        pairs = list(itertools.permutations(points, 2))
+        for horizon in (1, 2, 3, 4):
+            for depth in (1, 2, 3):
+                for chosen in [pairs] + [[p] for p in pairs]:
+                    got = orbit_symmetry_verdict(system, chosen,
+                                                 horizon=horizon, depth=depth)
+                    want = reference_orbit_symmetry(system, chosen, horizon,
+                                                    depth)
+                    assert got.to_json() == want.to_json()
+
+
+TWO_COPY = build_two_copy(3)
+MCMAHON = build_mcmahon(3)
+
+
+@st.composite
+def word_group_pairs(draw):
+    if draw(st.booleans()):
+        system = TWO_COPY
+        point = st.builds(lambda i, sign: system.family("step", i, sign),
+                          st.integers(-4, 4), st.sampled_from((1, -1)))
+    else:
+        system = MCMAHON
+        point = st.builds(lambda kind, j, bit: system.family(kind, j, bit),
+                          st.sampled_from(("ring", "ring-flipped")),
+                          st.integers(0, 3), st.integers(0, 1))
+    return (system, draw(point), draw(point), draw(st.integers(1, 3)),
+            draw(st.integers(1, 3)))
+
+
+class TestWordGroupProperty:
+    @given(word_group_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_ball_walks(self, case):
+        system, x, y, horizon, depth = case
+        sym = orbit_symmetry_verdict(system, [(x, y)], horizon=horizon,
+                                     depth=depth)
+        assert sym.to_json() == reference_orbit_symmetry(
+            system, [(x, y)], horizon, depth).to_json()
+        if not system.equal(x, y):
+            got = proximal_verdict(system, x, y, horizon=horizon,
+                                   depth=depth)
+            assert got.to_json() == reference_proximal(
+                system, x, y, horizon, depth).to_json()
+
+
+class TestOrbitSearchWork:
+    """Exact act and product counts, so a slide back to walking the
+    group ball fails even where wall-clock timing is noisy.  Acts are
+    counted on the system's own action, which both ``act`` and the
+    orbit search call; products on the word group's ``multiply``."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"acts": 0, "products": 0}
+        for cls in (TwoCopyGroup, McMahonGroup):
+            multiply = cls.multiply
+
+            def counted(self, a, b, multiply=multiply):
+                counts["products"] += 1
+                return multiply(self, a, b)
+            monkeypatch.setattr(cls, "multiply", counted)
+        for sid in ("two-copy", "mcmahon"):
+            build = flows.SYSTEM_BUILDERS[sid]
+
+            def built(build=build):
+                system = build()
+                act = system._act
+
+                def counted(g, x):
+                    counts["acts"] += 1
+                    return act(g, x)
+                system._act = counted
+                return system
+            monkeypatch.setitem(flows.SYSTEM_BUILDERS, sid, built)
+        return counts
+
+    @pytest.mark.parametrize("sid,identity,acts,products", [
+        # the orbit of the pair is far smaller than the radius-3 ball:
+        # the ball walk made 838 acts and 730 products
+        ("two-copy", "1", 328, 310),
+        # a free action: the orbit is the ball, and the search costs
+        # what the ball walk did (256 acts, 812 products), less the act
+        # by the identity
+        ("mcmahon", "e", 254, 812),
+    ])
+    def test_regional_check_pair(self, counts, sid, identity, acts,
+                                 products):
+        # the pair and parameters of regional-approach-without-proximality
+        system = get_system(sid)
+        witness = standard_rp_witness(system, 3)
+        v = proximal_verdict(system, witness.x, witness.y, horizon=3,
+                             depth=2)
+        assert v.certificate == {"min_distance": Fraction(1),
+                                 "at_element": identity}
+        assert counts == {"acts": acts, "products": products}
+
+    # a ball walk would pass the default cap of 10^6 elements at either
+    # horizon; the reach is found at length 2, and the pair's orbit of
+    # 256 points closes before length 16
+    @pytest.mark.parametrize("argv,acts,products", [
+        (["orbit-symmetry"], 328, 362),
+        (["proximal-pair", "--point", "o-minus", "--point", "o-plus",
+          "--horizon", "16", "--depth", "3"], 2198, 2560),
+    ])
+    def test_two_copy_commands(self, counts, capsys, argv, acts, products):
+        assert cli.main(["analyze", "two-copy"] + argv + ["--json"]) == 0
+        json.loads(capsys.readouterr().out)
+        assert counts == {"acts": acts, "products": products}
+
+    # the recurrence-symmetry check's pairs: every ordered pair of named
+    # points, horizon 8, depth 2.  The ball walk made 36 and 24 acts
+    # (12 and 4 of them by 0) and as many depth tests; the search stops
+    # at the first passing image, and a free action of Z meets each
+    # layer in sort_key order, so it tests exactly what the walk did
+    @pytest.mark.parametrize("sid,acts,tests", [
+        ("odometer", 24, 36),
+        ("thue-morse", 20, 24),
+    ])
+    def test_integer_named_pairs(self, monkeypatch, sid, acts, tests):
+        system = get_system(sid)
+        counts = {"acts": 0, "tests": 0}
+        act, close = system._act, system.close
+
+        def counted_act(g, x):
+            counts["acts"] += 1
+            return act(g, x)
+
+        def counted_close(x, y, depth):
+            counts["tests"] += 1
+            return close(x, y, depth)
+        monkeypatch.setattr(system, "_act", counted_act)
+        monkeypatch.setattr(system, "close", counted_close)
+        names = sorted(system.point_names())
+        pairs = [(system.point(a), system.point(b))
+                 for a, b in itertools.permutations(names, 2)]
+        assert orbit_symmetry_verdict(system, pairs, horizon=8,
+                                      depth=2).holds
+        assert counts == {"acts": acts, "tests": tests}

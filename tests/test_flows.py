@@ -26,6 +26,8 @@ from zerodim.flows import (LANGUAGE_CAP, CirclePoint, McMahonGroup,
                            get_system, level_radius, odometer_add,
                            ring_point, shift_point, step_point,
                            substitution_factors, successor_act)
+from zerodim.groups import (DEFAULT_BALL_CAP, _ball_layers, power_set,
+                            word_length)
 
 BIN = Scheme("two-sided")
 FULL_SHIFT = build_full_shift()
@@ -1013,6 +1015,107 @@ class TestGroupLaw:
     @settings(max_examples=200)
     def test_successor_map(self, x, a, b):
         assert composes(build_successor_map(), x, a, b)
+
+
+class TestLeftAction:
+    """``act(multiply(s, a), x) == act(s, act(a, x))``: the contract
+    ``FlowSystem.orbit_layers`` reaches each image by, one generator at
+    a time."""
+
+    @pytest.mark.parametrize("sid", available_systems())
+    def test_generators_compose_on_the_left(self, sid):
+        system = get_system(sid)
+        group = system.group
+        reach = power_set(group, 2).sorted(group)
+        for name in system.point_names():
+            x = system.point(name)
+            for a in reach:
+                ax = system.act(a, x)
+                for s in group.generators():
+                    assert system.act(group.multiply(s, a), x) == \
+                        system.act(s, ax), (name, a, s)
+
+
+def reference_orbit_layers(system, points, radius):
+    """Image tuples of each Cayley layer, less those of shorter words,
+    by acting with every element of the radius ball."""
+    seen, out = set(), []
+    for layer in _ball_layers(system.group, radius, DEFAULT_BALL_CAP):
+        images = {tuple(system.act(g, p) for p in points) for g in layer}
+        out.append(images - seen)
+        seen |= images
+    return out
+
+
+class TestOrbitLayers:
+    def _layers(self, system, points, radius):
+        out = []
+        for r, images, g in system.orbit_layers(points, radius):
+            # layer by layer, each tuple once, at its least word length
+            assert r in (len(out) - 1, len(out))
+            if r == len(out):
+                out.append(set())
+            assert word_length(system.group, g) == r
+            assert tuple(system.act(g, p) for p in points) == images
+            assert images not in set().union(*out)
+            out[r].add(images)
+        return out
+
+    @pytest.mark.parametrize("sid,names,radius", [
+        ("two-copy", ("o-minus",), 4),
+        ("two-copy", ("o-plus", "o-minus"), 4),
+        ("mcmahon", ("base", "marked"), 3),
+        ("odometer", ("zero", "minus-one"), 6),
+        ("circle-stack", ("level-2",), 6),
+        ("circle-stack-components", ("level-1",), 3),
+        ("thue-morse", ("reflection",), 5),
+    ])
+    def test_layers_match_the_ball_walk(self, sid, names, radius):
+        system = get_system(sid)
+        points = tuple(system.point(n) for n in names)
+        got = self._layers(system, points, radius)
+        want = reference_orbit_layers(system, points, radius)
+        # a closed orbit stops the search: every later layer is empty
+        assert got == want[:len(got)]
+        assert not any(want[len(got):])
+
+    def test_two_copy_orbit_closes(self):
+        system = get_system("two-copy")
+        x = system.point("o-minus")
+        lengths = [r for r, _, _ in system.orbit_layers((x,), 64)]
+        # 256 points; layer 9 comes up empty, so no longer word is tried
+        assert [lengths.count(r) for r in range(9)] == \
+            [1, 7, 23, 47, 65, 61, 37, 13, 2]
+        assert len(lengths) == 256
+
+    def test_free_integer_layers_in_sort_order(self):
+        system = get_system("odometer")
+        met = [g for _, _, g in system.orbit_layers((system.point("zero"),),
+                                                    3)]
+        assert met == [0, 1, -1, 2, -2, 3, -3]
+
+    def test_finite_orbit_closes_at_once(self):
+        system = get_system("circle-stack-components")
+        layers = self._layers(system, (system.point("level-2"),), 8)
+        assert layers == [{(system.point("level-2"),)}]
+
+    def test_cap_raises_instead_of_truncating(self, monkeypatch):
+        system = get_system("mcmahon")
+        base = (system.point("base"),)
+        # McMahon's action is free: the search meets the whole radius-3
+        # ball, 1 + 14 + 43 + 70 = 128 elements, one image each
+        for cap in (20, 127):
+            monkeypatch.setattr(flows, "DEFAULT_BALL_CAP", cap)
+            with pytest.raises(ResourceCapError, match="orbit search"):
+                list(system.orbit_layers(base, 3))
+        monkeypatch.setattr(flows, "DEFAULT_BALL_CAP", 128)
+        assert len(list(system.orbit_layers(base, 3))) == 128
+
+    @pytest.mark.parametrize("radius", [2.0, True, -1])
+    def test_radius_must_be_a_nonnegative_int(self, radius):
+        system = get_system("odometer")
+        with pytest.raises(PreconditionError):
+            next(system.orbit_layers((system.point("zero"),), radius))
 
 
 class TestInputDepth:
