@@ -12,7 +12,6 @@ reserved for probes that could not even evaluate the bounded claim
 
 from __future__ import annotations
 
-import collections
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,44 +52,53 @@ def _length_ordered(group, radius: int) -> list:
         _ball_layers(group, radius, DEFAULT_BALL_CAP)))
 
 
-def _layer_witness(system: FlowSystem, points: tuple, radius: int,
-                   known: Mapping, test: Callable) -> tuple:
-    """``(g, images)`` for the first g of Cayley layer ``radius``, in
-    ``sort_key`` order, whose images of the points pass ``test``.
-    ``known`` maps the elements ``orbit_layers`` met at length
-    ``radius`` to their images and whether those pass.  They lie in
-    the Cayley layer, so only the others are acted on, and the scan
-    stops at the first passing one at the latest.  The Cayley layer
-    comes from the group's shared search, which grows every layer
-    through ``radius`` at |gens| products an element: the scan pays
-    the products of the whole ball of that radius."""
-    for g in _layer(system.group, radius, DEFAULT_BALL_CAP):
+def _first_least(system: FlowSystem, points: tuple, horizon: int,
+                 key: Callable, floor) -> tuple:
+    """``(least, g, images)``: ``least`` is the least ``key`` of the
+    images of the points under the elements of word length <= horizon,
+    or the first key <= ``floor`` met; g is the first element, in (word
+    length, ``sort_key``) order, whose images have a key <= max(least,
+    floor), and ``images`` are its images.
+
+    The orbit-layer search (``FlowSystem.orbit_layers``) keys each
+    image it meets and stops at the first key <= floor, so it finds
+    the word length r where the least key first appears without a
+    ball.  Then Cayley layer r is scanned in ``sort_key`` order, acting
+    only on the elements the search did not meet, up to the first
+    match.  The layer comes from the group's shared Cayley search,
+    which grows every layer through r at |gens| products an element:
+    the scan pays the products of the ball of radius r."""
+    best = level = None
+    for r, images, g in system.orbit_layers(points, horizon):
+        if r != level:
+            level, met = r, {}   # g -> (images, key) for the layer
+        k = key(images)
+        met[g] = images, k
+        if best is None or k < best[0]:
+            best = k, r, met
+            if k <= floor:
+                break
+    least, r, known = best
+    bound = max(least, floor)
+    for g in _layer(system.group, r, DEFAULT_BALL_CAP):
         entry = known.get(g)
         if entry is None:
             images = tuple([system.act(g, p) for p in points])
-            entry = images, test(images)
-        if entry[1]:
-            return g, entry[0]
-    raise AssertionError("orbit layer %d left Cayley layer %d"
-                         % (radius, radius))
+            entry = images, key(images)
+        if entry[1] <= bound:
+            return least, g, entry[0]
+    raise AssertionError("orbit layer %d left Cayley layer %d" % (r, r))
 
 
-def _first_reach(system: FlowSystem, x, y, horizon: int, depth: int):
-    """The first g in (word length, ``sort_key``) order with |g| <=
-    horizon that moves x into y's depth cell, or None.  The orbit
-    search stops at the first image in that cell, whose length r is
-    the least, or shows there is none; then Cayley layer r is scanned
-    for the first such element."""
-    def test(images) -> bool:
-        return system.close(images[0], y, depth)
-
-    known = collections.defaultdict(dict)   # r -> {g: (images, passes)}
-    for r, images, g in system.orbit_layers((x,), horizon):
-        passes = test(images)
-        known[r][g] = images, passes
-        if passes:
-            return _layer_witness(system, (x,), r, known[r], test)[0]
-    return None
+def _first_hit(system: FlowSystem, points: tuple, horizon: int,
+               test: Callable) -> Optional[tuple]:
+    """``(g, images)`` for the first g, in (word length, ``sort_key``)
+    order with |g| <= horizon, whose images of the points pass
+    ``test``; None if there is none.  An orbit that closes short of
+    the horizon settles a miss at every horizon."""
+    missed, g, images = _first_least(system, points, horizon,
+                                     lambda im: not test(im), False)
+    return None if missed else (g, images)
 
 
 def depth_ball(x: Point, depth: int) -> ClopenSet:
@@ -326,14 +334,15 @@ def weak_rigidity_verdict(system: FlowSystem, points: Sequence, *,
 def escape_length(system: FlowSystem, x, neighborhood: Callable | ClopenSet,
                   *, horizon: int) -> Optional[tuple]:
     """Least word length of a group element moving x out of the
-    neighborhood, with the element; None if none exists within the
-    horizon."""
+    neighborhood, with the first such element in (word length,
+    ``sort_key``) order; None if none exists within the horizon.  The
+    orbit of x is searched, not the ball (see ``_first_least``)."""
     member = (neighborhood.member if isinstance(neighborhood, ClopenSet)
               else neighborhood)
-    for g in _length_ordered(system.group, horizon):
-        if not member(system.act(g, x)):
-            return (word_length(system.group, g), g)
-    return None
+    hit = _first_hit(system, (x,), horizon, lambda im: not member(im[0]))
+    if hit is None:
+        return None
+    return word_length(system.group, hit[0]), hit[0]
 
 
 def confinement_verdict(system: FlowSystem, x,
@@ -488,37 +497,36 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
                 neighbor_depth_max: int) -> Verdict:
     """Orbit containment under perturbation: representative neighbors
     at some tested resolution must keep their horizon orbits inside
-    the depth-resolution trace of the point's own orbit."""
+    the depth-resolution trace of the point's own orbit.  The trace is
+    read from the distinct images of the point's orbit search, and each
+    representative's escape element is the first in (word length,
+    ``sort_key``) order, found by one orbit search from it (see
+    ``_first_least``)."""
     _check_probe(horizon, depth)
     if neighbor_depth_max < depth:
         raise PreconditionError("neighbor depth cap below depth")
     name = "orbit-upper-semicontinuity"
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth, neighbor_depth_max=neighbor_depth_max)
-    system.neighbor_reps(x, depth)  # no representatives: fail before the ball
-    reach = _length_ordered(system.group, horizon)
-    cellwise = system.kind == "cylinder-z"
-    if cellwise:
+    # no representatives: fail before the search
+    system.neighbor_reps(x, depth)
+    own = [im[0] for _, im, _ in system.orbit_layers((x,), horizon)]
+    if system.kind == "cylinder-z":
         lo, hi = system.scheme.depth_window(depth)
-        own = frozenset(tuple(read_symbols(system.act(g, x), lo, hi))
-                        for g in reach)
+        cells = frozenset(tuple(read_symbols(p, lo, hi)) for p in own)
+
+        def escapes(images) -> bool:
+            return tuple(read_symbols(images[0], lo, hi)) not in cells
     else:
-        own_pts = [system.act(g, x) for g in reach]
+        def escapes(images) -> bool:
+            return not any(system.close(images[0], p, depth) for p in own)
     last_failure = None
     for dprime in range(depth, neighbor_depth_max + 1):
         failure = None
         for rep in system.neighbor_reps(x, dprime):
-            for g in reach:
-                moved = system.act(g, rep)
-                if cellwise:
-                    bad = tuple(read_symbols(moved, lo, hi)) not in own
-                else:
-                    bad = all(not system.close(moved, p, depth)
-                              for p in own_pts)
-                if bad:
-                    failure = (dprime, rep, g)
-                    break
-            if failure:
+            hit = _first_hit(system, (rep,), horizon, escapes)
+            if hit is not None:
+                failure = dprime, rep, hit[0]
                 break
         if failure is None:
             return holds(name, params, {
@@ -541,27 +549,29 @@ def orbit_symmetry_verdict(system: FlowSystem, pairs: Sequence, *,
 
     Each witness is the first element, in (word length, ``sort_key``)
     order within the horizon, that moves the one point into the
-    other's depth cell.  An orbit-layer search from the point
-    (``FlowSystem.orbit_layers``) stops at the first image in the cell,
-    whose word length r is the least; an orbit that closes short of
-    the horizon settles a missing reach at every horizon.  Then Cayley
-    layer r is scanned for the first such element.  The scan grows the
-    group's shared Cayley search through layer r, so a reach first met
-    at length r costs the products of the ball of radius r."""
+    other's depth cell, found by one orbit search from the point (see
+    ``_first_least``); an orbit that closes short of the horizon
+    settles a missing reach at every horizon."""
     _check_probe(horizon, depth)
     if not pairs:
         raise PreconditionError("need at least one pair")
     name = "orbit-symmetry"
     params = _params(system, horizon=horizon, depth=depth, pairs=len(pairs))
+
+    def reach(a, b):
+        hit = _first_hit(system, (a,), horizon,
+                         lambda im: system.close(im[0], b, depth))
+        return None if hit is None else hit[0]
+
     established = []
     unestablished = []
     for x, y in pairs:
-        fwd = _first_reach(system, x, y, horizon, depth)
+        fwd = reach(x, y)
         if fwd is None:
             unestablished.append([system.format_point(x),
                                   system.format_point(y)])
             continue
-        back = _first_reach(system, y, x, horizon, depth)
+        back = reach(y, x)
         if back is None:
             return fails(name, params, {
                 "from": system.format_point(x),
@@ -683,12 +693,9 @@ def proximal_verdict(system: FlowSystem, x, y, *, horizon: int,
 
     The witness is the first such element in (word length,
     ``sort_key``) order; on FAILS, the first element attaining the
-    least distance within the horizon.  An orbit-layer search of the
-    pair (``FlowSystem.orbit_layers``) finds the word length r where
-    either first appears, stopping at the first image in one cell.
-    Then Cayley layer r is scanned for the element.  The scan grows
-    the group's shared Cayley search through layer r, so it costs the
-    products of the ball of radius r, not of the horizon."""
+    least distance within the horizon.  One orbit search of the pair
+    finds either (see ``_first_least``): it stops at the first image
+    in one cell, or runs to the horizon for the least distance."""
     _check_probe(horizon, depth)
     if system.equal(x, y):
         raise PreconditionError("points coincide; proximality needs a "
@@ -698,30 +705,12 @@ def proximal_verdict(system: FlowSystem, x, y, *, horizon: int,
                      point_y=system.format_point(y), horizon=horizon,
                      depth=depth)
     target = Fraction(1, 2 ** depth)
-
-    def gap(images) -> Fraction:
-        return system.distance(*images)
-
-    known = collections.defaultdict(dict)   # r -> {g: (images, gap)}
-    best = None
-    for r, images, g in system.orbit_layers((x, y), horizon):
-        d = gap(images)
-        known[r][g] = images, d
-        if best is None or d < best[0]:
-            best = d, r
-            if d <= target:
-                break
-    least, r = best
-    # on FAILS the least distance is the first one this close
-    bound = max(least, target)
-    g, images = _layer_witness(
-        system, (x, y), r,
-        {a: (im, d <= bound) for a, (im, d) in known[r].items()},
-        lambda im: gap(im) <= bound)
+    least, g, images = _first_least(system, (x, y), horizon,
+                                    lambda im: system.distance(*im), target)
     if least <= target:
         return holds(name, params, {
             "witness": system.group.format_element(g),
-            "distance": gap(images),
+            "distance": system.distance(*images),
         })
     return fails(name, params, {
         "min_distance": least,

@@ -486,11 +486,6 @@ class Cylinder:
         return "<cyl [%s@%d]>" % ("".join(str(s) for s in self.pattern), self.lo)
 
 
-def full_cylinder(scheme: Scheme) -> Cylinder:
-    anchor = scheme.start if scheme.kind == "one-sided" else 0
-    return Cylinder(scheme, anchor, anchor - 1, ())
-
-
 def depth_cylinder(x: Point, depth: int) -> Cylinder:
     """The cylinder fixing x on every coordinate at offset < depth."""
     lo, hi = x.scheme.depth_window(depth)

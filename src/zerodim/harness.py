@@ -131,14 +131,24 @@ def _asserted_tags(asserted: Mapping) -> tuple:
                  for k in sorted(asserted))
 
 
+def _int(entry: Mapping, key: str, default: int) -> int:
+    """``entry[key]``, or ``default`` when absent, as an exact int: a
+    float, bool or string is a usage error, never truncated."""
+    value = entry.get(key, default)
+    if type(value) is not int:
+        raise UsageError("check %r: %r must be an integer, got %r"
+                         % (entry.get("check"), key, value))
+    return value
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
 
 def _check_recurrence_symmetry(entry: Mapping) -> CheckReport:
     system = get_system(entry.get("system", "odometer"))
-    horizon = int(entry.get("horizon", 8))
-    depth = int(entry.get("depth", 2))
+    horizon = _int(entry, "horizon", 8)
+    depth = _int(entry, "depth", 2)
     asserted = dict(entry.get("asserted", {}))
     names = sorted(system.point_names())
     recs = {n: type1_verdict(system, system.point(n), horizon=horizon,
@@ -181,8 +191,8 @@ def _check_one_way_reach(entry: Mapping) -> CheckReport:
     system = get_system(entry.get("system", "full-shift"))
     source = system.point(entry.get("source", "step"))
     target = system.point(entry.get("target", "zero"))
-    horizon = int(entry.get("horizon", 8))
-    depth = int(entry.get("depth", 2))
+    horizon = _int(entry, "horizon", 8)
+    depth = _int(entry, "depth", 2)
     sym = orbit_symmetry_verdict(system, [(source, target)],
                                  horizon=horizon, depth=depth)
     conf = confinement_verdict(system, target, depth_ball(target, depth),
@@ -220,8 +230,8 @@ def _check_one_way_reach(entry: Mapping) -> CheckReport:
 def _check_cone_syndetic(entry: Mapping) -> CheckReport:
     system = get_system(entry.get("system", "odometer"))
     x = system.point(entry.get("point", "zero"))
-    horizon = int(entry.get("horizon", 8))
-    depth = int(entry.get("depth", 2))
+    horizon = _int(entry, "horizon", 8)
+    depth = _int(entry, "depth", 2)
     t2 = type2_verdict(system, x, horizon=horizon, depth=depth)
     ap = ap_verdict(system, x, horizon=horizon, depth=depth)
     claim = ("bounded returns inside every tail reach cone force the "
@@ -245,10 +255,10 @@ def _check_joint_returns(entry: Mapping) -> CheckReport:
     nx = entry.get("point_x", "reflection")
     ny = entry.get("point_y", "reflection-flipped")
     x, y = system.point(nx), system.point(ny)
-    horizon = int(entry.get("horizon", 32))
-    depth = int(entry.get("depth", 2))
-    eq = equicontinuity_verdict(system, horizon=int(entry.get(
-        "modulus_horizon", 16)), depth=depth + 1)
+    horizon = _int(entry, "horizon", 32)
+    depth = _int(entry, "depth", 2)
+    eq = equicontinuity_verdict(system, horizon=_int(
+        entry, "modulus_horizon", 16), depth=depth + 1)
     apx = ap_verdict(system, x, horizon=horizon, depth=depth)
     apy = ap_verdict(system, y, horizon=horizon, depth=depth)
     pr = pair_type1_verdict(system, x, y, horizon=horizon, depth=depth)
@@ -275,9 +285,9 @@ def _check_joint_returns(entry: Mapping) -> CheckReport:
 def _check_orbit_trace_continuity(entry: Mapping) -> CheckReport:
     system = get_system(entry.get("system", "circle-stack"))
     x = system.point(entry.get("point", "limit"))
-    horizon = int(entry.get("horizon", 8))
-    depth = int(entry.get("depth", 3))
-    ndm = int(entry.get("neighbor_depth_max", 4))
+    horizon = _int(entry, "horizon", 8)
+    depth = _int(entry, "depth", 3)
+    ndm = _int(entry, "neighbor_depth_max", 4)
     asserted = dict(entry.get("asserted", {}))
     rec = type1_verdict(system, x, horizon=max(2, horizon // 2),
                         depth=depth)
@@ -311,9 +321,9 @@ def _check_orbit_trace_continuity(entry: Mapping) -> CheckReport:
 
 def _check_modulus_continuity(entry: Mapping) -> CheckReport:
     system = get_system(entry.get("system", "odometer"))
-    horizon = int(entry.get("horizon", 8))
-    depth = int(entry.get("depth", 2))
-    ndm = int(entry.get("neighbor_depth_max", 4))
+    horizon = _int(entry, "horizon", 8)
+    depth = _int(entry, "depth", 2)
+    ndm = _int(entry, "neighbor_depth_max", 4)
     names = entry.get("points", ["one", "zero"])
     eq = equicontinuity_verdict(system, horizon=max(4, horizon), depth=depth)
     uscs = [usc_verdict(system, system.point(n), horizon=horizon,
@@ -338,9 +348,9 @@ def _check_modulus_continuity(entry: Mapping) -> CheckReport:
 def _check_regular_tiling(entry: Mapping) -> CheckReport:
     system = get_system(entry.get("system", "odometer"))
     x = system.point(entry.get("point", "zero"))
-    horizon = int(entry.get("horizon", 8))
-    depth = int(entry.get("depth", 2))
-    cover_cap = int(entry.get("cover_cap", 16))
+    horizon = _int(entry, "horizon", 8)
+    depth = _int(entry, "depth", 2)
+    cover_cap = _int(entry, "cover_cap", 16)
     ra = regular_ap_verdict(system, x, horizon=horizon, depth=depth)
     tc = translate_cover_verdict(system, x, horizon=horizon, depth=depth,
                                  cover_cap=cover_cap)
@@ -374,9 +384,9 @@ def _check_regular_tiling(entry: Mapping) -> CheckReport:
 
 def _check_periodic_cells(entry: Mapping) -> CheckReport:
     system = get_system(entry.get("system", "successor-map"))
-    period_max = int(entry.get("period_max", 8))
-    depth = int(entry.get("depth", 3))
-    horizon = int(entry.get("horizon", 6))
+    period_max = _int(entry, "period_max", 8)
+    depth = _int(entry, "depth", 3)
+    horizon = _int(entry, "horizon", 6)
     pts = [("zero", system.point("zero")), ("unit", system.point("unit")),
            ("unit-at(4)", system.family("unit-at", 4))]
     pps = [pointwise_period_verdict(system, p, period_max=period_max)
@@ -423,8 +433,8 @@ def _check_periodic_cells(entry: Mapping) -> CheckReport:
 
 def _check_regional_not_proximal(entry: Mapping) -> CheckReport:
     system = get_system(entry.get("system", "two-copy"))
-    depth = int(entry.get("depth", 3))
-    horizon = int(entry.get("horizon", 3))
+    depth = _int(entry, "depth", 3)
+    horizon = _int(entry, "horizon", 3)
     witness = standard_rp_witness(system, depth)
     rp = regional_proximal_check(system, witness, depth=depth)
     px = proximal_verdict(system, witness.x, witness.y, horizon=horizon,
@@ -494,7 +504,7 @@ def _check_subgroup_cores(entry: Mapping) -> CheckReport:
 
 
 def _check_syndetic_thick_duality(entry: Mapping) -> CheckReport:
-    window = int(entry.get("window", 24))
+    window = _int(entry, "window", 24)
     Z = IntegerGroup()
     claim = ("a set of integers has bounded gaps exactly when its "
              "complement contains no matching run; bounded-gap subgroups "

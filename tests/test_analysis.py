@@ -25,8 +25,9 @@ from zerodim.analysis import (InvariantCoreApprox, _cells, _length_ordered,
                               translate_cover_verdict, type1_verdict,
                               type2_verdict, uniform_recurrence_verdict,
                               usc_verdict, weak_rigidity_verdict)
-from zerodim.cantor import (Cylinder, Point, Scheme, clopen, depth_cylinder,
-                            from_cylinder, make_point, periodic_tail)
+from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, clopen,
+                            depth_cylinder, from_cylinder, make_point,
+                            periodic_tail, read_symbols)
 from zerodim.errors import DomainError, PreconditionError
 from zerodim.flows import (FlowSystem, McMahonGroup, TwoCopyGroup,
                            build_mcmahon, build_two_copy, get_system)
@@ -736,9 +737,11 @@ class TestUpperSemicontinuity:
         system = build_two_copy()
         x = system.point(sorted(system.point_names())[0])
         acted = []
-        act = system.act
-        monkeypatch.setattr(system, "act",
-                            lambda g, y: acted.append(g) or act(g, y))
+        # the orbit search acts through _act, not act
+        for attr in ("act", "_act"):
+            act = getattr(system, attr)
+            monkeypatch.setattr(system, attr, lambda g, y, act=act:
+                                acted.append(g) or act(g, y))
         with pytest.raises(DomainError,
                            match="no neighborhood representatives"):
             usc_verdict(system, x, horizon=3, depth=2, neighbor_depth_max=4)
@@ -968,6 +971,126 @@ def reference_orbit_symmetry(system, pairs, horizon, depth):
     return holds(name, params, {"witnesses": established})
 
 
+def reference_escape_length(system, x, neighborhood, horizon):
+    """``escape_length`` as a walk over the whole horizon ball."""
+    member = (neighborhood.member if isinstance(neighborhood, ClopenSet)
+              else neighborhood)
+    for g in _length_ordered(system.group, horizon):
+        if not member(system.act(g, x)):
+            return (word_length(system.group, g), g)
+    return None
+
+
+def reference_usc(system, x, *, horizon, depth, neighbor_depth_max):
+    """``usc_verdict`` as a walk over the whole horizon ball, per
+    representative, against the images of every ball element."""
+    name = "orbit-upper-semicontinuity"
+    params = _params(system, point=system.format_point(x), horizon=horizon,
+                     depth=depth, neighbor_depth_max=neighbor_depth_max)
+    reach = _length_ordered(system.group, horizon)
+    cellwise = system.kind == "cylinder-z"
+    if cellwise:
+        lo, hi = system.scheme.depth_window(depth)
+        own = frozenset(tuple(read_symbols(system.act(g, x), lo, hi))
+                        for g in reach)
+    else:
+        own_pts = [system.act(g, x) for g in reach]
+    last_failure = None
+    for dprime in range(depth, neighbor_depth_max + 1):
+        failure = None
+        for rep in system.neighbor_reps(x, dprime):
+            for g in reach:
+                moved = system.act(g, rep)
+                if cellwise:
+                    bad = tuple(read_symbols(moved, lo, hi)) not in own
+                else:
+                    bad = all(not system.close(moved, p, depth)
+                              for p in own_pts)
+                if bad:
+                    failure = (dprime, rep, g)
+                    break
+            if failure:
+                break
+        if failure is None:
+            return holds(name, params, {
+                "neighbor_depth": dprime,
+                "representatives": len(system.neighbor_reps(x, dprime)),
+            })
+        last_failure = failure
+    dprime, rep, g = last_failure
+    return fails(name, params, {
+        "deepest_tried": dprime,
+        "escaping_representative": system.format_point(rep),
+        "escape_element": system.group.format_element(g),
+    })
+
+
+def own_cell(system, x, depth):
+    """The depth neighborhood of x: its clopen depth ball on a symbol
+    space, else the points its metric puts within 2^-depth."""
+    if system.scheme is not None:
+        return depth_ball(x, depth)
+    return lambda p: system.close(p, x, depth)
+
+
+# the systems with neighborhood representatives
+REP_SYSTEMS = ("circle-stack", "circle-stack-components", "full-shift",
+               "odometer", "successor-map", "thue-morse")
+
+
+class TestEscapeAndTraceAgainstBallWalk:
+    """``escape_length`` and ``usc_verdict`` match the ball walks on
+    every named point: the orbit search picks the layer, and the layer
+    scan picks the same first element."""
+
+    @pytest.mark.parametrize("sid", REP_SYSTEMS)
+    def test_named_points(self, sid):
+        system = get_system(sid)
+        for name in sorted(system.point_names()):
+            x = system.point(name)
+            for horizon in range(1, 14):
+                for depth in (1, 2, 3):
+                    cell = own_cell(system, x, depth)
+                    assert escape_length(system, x, cell, horizon=horizon) \
+                        == reference_escape_length(system, x, cell, horizon)
+                    kw = dict(horizon=horizon, depth=depth,
+                              neighbor_depth_max=depth + 3)
+                    assert usc_verdict(system, x, **kw).to_json() \
+                        == reference_usc(system, x, **kw).to_json()
+
+
+@st.composite
+def shift_and_odometer_points(draw):
+    """A full-shift point (window of up to six symbols, periodic tails)
+    or an odometer point (up to eight digits, tail 0 or 1)."""
+    bits = st.lists(st.integers(0, 1), max_size=8)
+    if draw(st.booleans()):
+        system = FS
+        x = make_point(FS.scheme, draw(st.lists(st.integers(0, 1),
+                                                max_size=6)),
+                       right=periodic_tail(draw(bits.filter(bool))),
+                       left=periodic_tail(draw(bits.filter(bool))),
+                       lo=draw(st.integers(-3, 0)))
+    else:
+        system = OD
+        x = make_point(OD.scheme, draw(bits), right=draw(st.integers(0, 1)))
+    return system, x, draw(st.integers(1, 13)), draw(st.integers(1, 3))
+
+
+class TestEscapeAndTraceProperty:
+    @given(shift_and_odometer_points())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_ball_walks(self, case):
+        system, x, horizon, depth = case
+        cell = depth_ball(x, depth)
+        assert escape_length(system, x, cell, horizon=horizon) \
+            == reference_escape_length(system, x, cell, horizon)
+        kw = dict(horizon=horizon, depth=depth,
+                  neighbor_depth_max=depth + 3)
+        assert usc_verdict(system, x, **kw).to_json() \
+            == reference_usc(system, x, **kw).to_json()
+
+
 # each system's named points plus a few members of each point family
 FAMILY_SAMPLES = {
     "circle-stack": [("level", 1), ("level", 3, Fraction(1, 4)),
@@ -1055,6 +1178,18 @@ class TestWordGroupProperty:
                                    depth=depth)
             assert got.to_json() == reference_proximal(
                 system, x, y, horizon, depth).to_json()
+
+
+def counted_acts(monkeypatch, system) -> list:
+    """A one-item list counting the calls of the system's own action."""
+    acts = [0]
+    act = system._act
+
+    def counted(g, x):
+        acts[0] += 1
+        return act(g, x)
+    monkeypatch.setattr(system, "_act", counted)
+    return acts
 
 
 class TestOrbitSearchWork:
@@ -1150,3 +1285,26 @@ class TestOrbitSearchWork:
         assert orbit_symmetry_verdict(system, pairs, horizon=8,
                                       depth=2).holds
         assert counts == {"acts": acts, "tests": tests}
+
+    # the ball walk made 1,172 acts here: the trace acted with all 129
+    # elements, and each representative with every element up to its
+    # escape; the orbit search acts once per new image
+    def test_circle_limit_trace(self, monkeypatch):
+        system = get_system("circle-stack")
+        acts = counted_acts(monkeypatch, system)
+        v = usc_verdict(system, system.point("limit"), horizon=64, depth=2,
+                        neighbor_depth_max=8)
+        assert v.certificate["escape_element"] == "33"
+        assert acts == [149]
+
+    # step leaves its cell at length 1, which the walk met after acting
+    # by 0 (2 acts); zero is fixed, so its orbit closes at length 1
+    # where the walk acted with all 17 elements
+    @pytest.mark.parametrize("name,acts", [("step", 1), ("zero", 2)])
+    def test_shift_confinement(self, monkeypatch, name, acts):
+        system = get_system("full-shift")
+        counted = counted_acts(monkeypatch, system)
+        x = system.point(name)
+        confinement_verdict(system, x, depth_ball(x, 2), horizon=8)
+        assert counted == [acts]
+

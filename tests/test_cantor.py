@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
                             agree_to_depth, clopen, complement,
                             constant_tail, depth_cylinder, distance,
-                            from_cylinder, full_cylinder, intersection,
+                            from_cylinder, intersection,
                             make_point, periodic_tail, points_equal,
                             read_symbols, reanchor_tail, scheme_from_json,
                             sym_diff, union)
@@ -330,8 +330,8 @@ class TestCylinders:
         assert c.member(x)
 
     def test_full_cylinder(self):
-        c = full_cylinder(BIN)
-        assert c.member(make_point(BIN, (1,), 0, 1))
+        c = Cylinder(BIN, 0, -1, ())
+        assert all(c.member(x) for x in sample_points())
         assert from_cylinder(c).is_full
 
     def test_pattern_width_checked(self):

@@ -139,6 +139,20 @@ class TestVerify:
         assert code == EXIT_NOINPUT
         assert "missing file" in err
 
+    # a config value is an exact int: 8.9 would run as 8, true as 1
+    @pytest.mark.parametrize("bad", [8.9, True, "8"])
+    def test_inexact_int_is_usage_error(self, tmp_path, capsys, bad):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({
+            "schema": "zerodim-verify/1",
+            "checks": [{"check": "cone-returns-give-syndetic",
+                        "horizon": bad}]}))
+        code, out, err = run(capsys, "verify", "--config", str(p))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == ("usage error: check 'cone-returns-give-syndetic': "
+                       "'horizon' must be an integer, got %r\n" % (bad,))
+
     def test_double_run_is_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
