@@ -15,8 +15,10 @@ and dict keys work without ceremony.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (Callable, Collection, Iterable, Iterator, Mapping,
+                    Optional, Sequence)
 
 from .errors import DomainError, PreconditionError, RangeError, ResourceCapError
 from .verdict import Verdict, fails, holds, inconclusive
@@ -67,10 +69,12 @@ class Group:
         """Exact word length when the variant admits one, else None."""
         return None
 
-    def cone_members(self, g, radius: int, cap: int) -> frozenset:
-        """The elements of ``ball(self, radius)`` in the cone layer of g,
-        the set ``cone_approx`` keeps per index; g and the radius are
-        checked by the caller.
+    def cone_members(self, g, radius: int, cap: int) -> Collection:
+        """A collection equal, as a set, to the elements of
+        ``ball(self, radius)`` in the cone layer of g: the entry
+        ``cone_approx`` keeps per index and compares with ``==``.  g and
+        the radius are checked by the caller.  On the integers it is a
+        ``range``, elsewhere a frozenset.
 
         By default the radius ball is filtered by ``_cone_member``: one
         product and one length per ball element, and the cap rules of
@@ -120,14 +124,15 @@ class IntegerGroup(Group):
     def closed_form_length(self, g: int) -> int:
         return abs(g)
 
-    def cone_members(self, g: int, radius: int, cap: int) -> frozenset:
+    def cone_members(self, g: int, radius: int, cap: int) -> range:
         """The cone layer of g > 0 is the interval [1, 2g-1], so its
         part in the radius ball is [1, min(radius, 2g-1)], negated for
-        g < 0: no product, no search, and no cap to meet."""
+        g < 0: no product, no search, and no cap to meet.  Returned as
+        a ``range``, which compares by its bounds."""
         if g == 0:
             raise PreconditionError("cone layer undefined at the identity")
         top = min(radius, 2 * abs(g) - 1)
-        return frozenset(range(1, top + 1) if g > 0 else range(-top, 0))
+        return range(1, top + 1) if g > 0 else range(-top, 0)
 
     def to_json(self) -> dict:
         return {"variant": self.variant}
@@ -148,10 +153,10 @@ class LatticeGroup(Group):
         return (0,) * self.dim
 
     def multiply(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inverse(self, a: tuple) -> tuple:
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def generators(self) -> tuple:
         gens = [self.identity]
@@ -168,13 +173,13 @@ class LatticeGroup(Group):
             raise RangeError("lattice element must be an int %d-tuple" % self.dim)
 
     def sort_key(self, g: tuple):
-        return (sum(abs(x) for x in g), tuple(-x for x in g))
+        return (sum(map(abs, g)), tuple(map(operator.neg, g)))
 
     def format_element(self, g: tuple) -> str:
         return "(" + ",".join(str(x) for x in g) + ")"
 
     def closed_form_length(self, g: tuple) -> int:
-        return sum(abs(x) for x in g)
+        return sum(map(abs, g))
 
     def cone_members(self, g: tuple, radius: int, cap: int) -> frozenset:
         """The lens {c : |c|_1 <= radius, |c - g|_1 <= |g|_1 - 1}, which
@@ -452,11 +457,12 @@ class _CayleySearch:
     the caller's cap, so what the search holds, and what a call returns
     or raises, never depends on which calls came before.  ``views``
     holds the ``ElementSet`` that ``ball``, ``sphere`` and ``power_set``
-    hand out, keyed by ``(kind, radius)`` and built from the layers on
-    first request.  The search keeps no reference to its group: callers
-    pass it in, and ``group.multiply`` is looked up afresh for every
-    layer.  Growth is not locked, so one instance must not be searched
-    from two threads at once.
+    hand out, keyed by ``(kind, radius)``, and next to a ball or power
+    set its ``sort_key``-ordered tuple, keyed by ``(kind, radius,
+    "sorted")``; each is built on first request.  The search keeps no
+    reference to its group: callers pass it in, and ``group.multiply``
+    is looked up afresh for every layer.  Growth is not locked, so one
+    instance must not be searched from two threads at once.
     """
 
     def __init__(self, group: Group):
@@ -653,6 +659,20 @@ def power_set(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> Element
                  itertools.chain.from_iterable(layers))
 
 
+def _sorted_view(group: Group, kind: str, radius: int, cap: int) -> tuple:
+    """The ``ball`` (kind ``"ball"``) or ``power_set`` (``"power"``) view
+    as a tuple in ``sort_key`` order, sorted once per instance and
+    radius and held next to the set.  The view itself is asked for
+    first, so the radius and cap checks run on every call."""
+    view = (ball if kind == "ball" else power_set)(group, radius, cap)
+    views = _search(group).views
+    ordered = views.get((kind, radius, "sorted"))
+    if ordered is None:
+        ordered = views[kind, radius, "sorted"] = tuple(
+            sorted(view.elements, key=group.sort_key))
+    return ordered
+
+
 # ---------------------------------------------------------------------------
 # reach sets and cone approximations
 
@@ -802,9 +822,11 @@ def cone_approx(group: Group, seq: SequenceDescriptor, radius: int,
 
     Entry n is the part of the radius ball in the cone layer of g_n,
     ``group.cone_members(g_n, radius, cap)``, and no shell is built.
-    On the integers it is an interval and on a lattice an L1 lens, each
+    On the integers it is an interval, held as a ``range`` and compared
+    with the next entry by its bounds; on a lattice it is an L1 lens,
     listed directly; any other variant filters the radius ball with one
-    ``_cone_member`` test per element and index.  Raises
+    ``_cone_member`` test per element and index.  Only the last entry
+    becomes a set, the frozenset ``elements``.  Raises
     ResourceCapError iff the radius ball, or the closed ball of radius
     |g_n| of some g_n that needs the search, has more than ``cap``
     elements; a closed-form variant never enumerates the radius
@@ -823,8 +845,7 @@ def cone_approx(group: Group, seq: SequenceDescriptor, radius: int,
     prev_len = -1
     for n in range(1, max_index + 1):
         g = seq.element(group, n)
-        group.validate(g)
-        glen = word_length(group, g, cap=cap)
+        glen = word_length(group, g, cap=cap)  # validates g first
         if glen <= prev_len:
             raise PreconditionError(
                 "sequence word lengths must increase strictly "
@@ -839,7 +860,7 @@ def cone_approx(group: Group, seq: SequenceDescriptor, radius: int,
         tail += 1
     stabilized = tail >= STABLE_RUN
     stab_index = len(history) - tail + 1 if stabilized else None
-    return ConeApproximation(radius=radius, elements=history[-1],
+    return ConeApproximation(radius=radius, elements=frozenset(history[-1]),
                              stabilized=stabilized,
                              stabilization_index=stab_index,
                              examined=max_index, tail_run=tail)
@@ -870,13 +891,15 @@ def is_thick_window(group: Group, subset: SetLike, probe_radius: int,
     certifies thickness at this probe scale.  Candidates t are subset
     members in the window ball.  If every candidate is refuted the probe
     is reported unplaceable at this window; an empty candidate list is
-    inconclusive.
+    inconclusive.  Candidates are read in ``sort_key`` order from the
+    window ball's sorted view, sorted once per instance and radius.
     """
     if probe_radius < 0 or window < probe_radius:
         raise PreconditionError("need 0 <= probe_radius <= window")
     member = _membership(group, subset)
     probe = power_set(group, probe_radius, cap)
-    candidates = [t for t in ball(group, window, cap).sorted(group) if member(t)]
+    candidates = [t for t in _sorted_view(group, "ball", window, cap)
+                  if member(t)]
     params = {"probe_radius": probe_radius, "window": window}
     for t in candidates:
         if all(member(group.multiply(k, t)) for k in probe):
@@ -898,15 +921,17 @@ def is_syndetic_window(group: Group, subset: SetLike, k_radius: int,
     Checks that every g with |g| <= window - k_radius satisfies
     k*g in subset for some |k| <= k_radius.  For the integers the
     certificate also reports the largest gap between consecutive subset
-    members in the window.
+    members in the window.  Targets are read in ``sort_key`` order from
+    the sorted view of their power set, sorted once per instance and
+    radius, so the first uncovered one is reported.
     """
     if k_radius < 0 or window <= k_radius:
         raise PreconditionError("need 0 <= k_radius < window")
     member = _membership(group, subset)
     cover = power_set(group, k_radius, cap)
-    targets = power_set(group, window - k_radius, cap)
+    targets = _sorted_view(group, "power", window - k_radius, cap)
     params = {"k_radius": k_radius, "window": window}
-    for g in sorted(targets, key=group.sort_key):
+    for g in targets:
         if not any(member(group.multiply(k, g)) for k in cover):
             return fails("syndetic-window", params,
                          {"uncovered": group.format_element(g)})
@@ -949,11 +974,15 @@ def layer_embedding_bound(group: Group, finite_set: Iterable, g_bound: int,
     admits a sphere-n translate carrying finite_set into g's reach set.
 
     ``probe`` optionally restricts the elements g examined (default: all
-    of the g_bound ball).  The certificate records the bound and one
-    witness per examined g.
+    of the g_bound ball, read in ``sort_key`` order from its sorted
+    view, sorted once per instance and radius).  The certificate
+    records the bound and one witness per examined g.  ``n_max`` must
+    be an exact int >= 1.
     """
+    _check_int(n_max, "n_max", 1)
     fs = sorted(set(finite_set), key=group.sort_key)
-    pool = list(probe) if probe is not None else ball(group, g_bound, cap).sorted(group)
+    pool = (list(probe) if probe is not None
+            else _sorted_view(group, "ball", g_bound, cap))
     params = {"g_bound": g_bound, "n_max": n_max,
               "set_size": len(fs)}
     for n in range(1, n_max + 1):

@@ -131,14 +131,48 @@ def _asserted_tags(asserted: Mapping) -> tuple:
                  for k in sorted(asserted))
 
 
+def _usage_error(entry: Mapping, key: str, kind: str, value) -> UsageError:
+    return UsageError("check %r: %r must be %s, got %r"
+                      % (entry.get("check"), key, kind, value))
+
+
 def _int(entry: Mapping, key: str, default: int) -> int:
     """``entry[key]``, or ``default`` when absent, as an exact int: a
     float, bool or string is a usage error, never truncated."""
     value = entry.get(key, default)
     if type(value) is not int:
-        raise UsageError("check %r: %r must be an integer, got %r"
-                         % (entry.get("check"), key, value))
+        raise _usage_error(entry, key, "an integer", value)
     return value
+
+
+def _str(entry: Mapping, key: str, default: str) -> str:
+    """``entry[key]``, or ``default`` when absent, as a string: a system
+    or point name of another type is a usage error."""
+    value = entry.get(key, default)
+    if type(value) is not str:
+        raise _usage_error(entry, key, "a string", value)
+    return value
+
+
+def _names(entry: Mapping, key: str, default: list) -> list:
+    """``entry[key]``, or ``default`` when absent, as a list of strings:
+    a bare string would be iterated letter by letter."""
+    value = entry.get(key, default)
+    if type(value) is not list or any(type(n) is not str for n in value):
+        raise _usage_error(entry, key, "a list of strings", value)
+    return value
+
+
+def _asserted(entry: Mapping) -> dict:
+    """The ``asserted`` hypotheses, absent meaning none, as a map from
+    names to JSON booleans: the string "true" is not an assertion."""
+    value = entry.get("asserted", {})
+    if not isinstance(value, Mapping) or any(
+            type(k) is not str or type(v) is not bool
+            for k, v in value.items()):
+        raise _usage_error(entry, "asserted",
+                           "a map from names to booleans", value)
+    return dict(value)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +180,10 @@ def _int(entry: Mapping, key: str, default: int) -> int:
 
 
 def _check_recurrence_symmetry(entry: Mapping) -> CheckReport:
-    system = get_system(entry.get("system", "odometer"))
+    system = get_system(_str(entry, "system", "odometer"))
     horizon = _int(entry, "horizon", 8)
     depth = _int(entry, "depth", 2)
-    asserted = dict(entry.get("asserted", {}))
+    asserted = _asserted(entry)
     names = sorted(system.point_names())
     recs = {n: type1_verdict(system, system.point(n), horizon=horizon,
                              depth=depth) for n in names}
@@ -188,9 +222,9 @@ def _check_recurrence_symmetry(entry: Mapping) -> CheckReport:
 
 
 def _check_one_way_reach(entry: Mapping) -> CheckReport:
-    system = get_system(entry.get("system", "full-shift"))
-    source = system.point(entry.get("source", "step"))
-    target = system.point(entry.get("target", "zero"))
+    system = get_system(_str(entry, "system", "full-shift"))
+    source = system.point(_str(entry, "source", "step"))
+    target = system.point(_str(entry, "target", "zero"))
     horizon = _int(entry, "horizon", 8)
     depth = _int(entry, "depth", 2)
     sym = orbit_symmetry_verdict(system, [(source, target)],
@@ -228,8 +262,8 @@ def _check_one_way_reach(entry: Mapping) -> CheckReport:
 
 
 def _check_cone_syndetic(entry: Mapping) -> CheckReport:
-    system = get_system(entry.get("system", "odometer"))
-    x = system.point(entry.get("point", "zero"))
+    system = get_system(_str(entry, "system", "odometer"))
+    x = system.point(_str(entry, "point", "zero"))
     horizon = _int(entry, "horizon", 8)
     depth = _int(entry, "depth", 2)
     t2 = type2_verdict(system, x, horizon=horizon, depth=depth)
@@ -251,9 +285,9 @@ def _check_cone_syndetic(entry: Mapping) -> CheckReport:
 
 
 def _check_joint_returns(entry: Mapping) -> CheckReport:
-    system = get_system(entry.get("system", "thue-morse"))
-    nx = entry.get("point_x", "reflection")
-    ny = entry.get("point_y", "reflection-flipped")
+    system = get_system(_str(entry, "system", "thue-morse"))
+    nx = _str(entry, "point_x", "reflection")
+    ny = _str(entry, "point_y", "reflection-flipped")
     x, y = system.point(nx), system.point(ny)
     horizon = _int(entry, "horizon", 32)
     depth = _int(entry, "depth", 2)
@@ -283,12 +317,12 @@ def _check_joint_returns(entry: Mapping) -> CheckReport:
 
 
 def _check_orbit_trace_continuity(entry: Mapping) -> CheckReport:
-    system = get_system(entry.get("system", "circle-stack"))
-    x = system.point(entry.get("point", "limit"))
+    system = get_system(_str(entry, "system", "circle-stack"))
+    x = system.point(_str(entry, "point", "limit"))
     horizon = _int(entry, "horizon", 8)
     depth = _int(entry, "depth", 3)
     ndm = _int(entry, "neighbor_depth_max", 4)
-    asserted = dict(entry.get("asserted", {}))
+    asserted = _asserted(entry)
     rec = type1_verdict(system, x, horizon=max(2, horizon // 2),
                         depth=depth)
     usc = usc_verdict(system, x, horizon=horizon, depth=depth,
@@ -320,11 +354,11 @@ def _check_orbit_trace_continuity(entry: Mapping) -> CheckReport:
 
 
 def _check_modulus_continuity(entry: Mapping) -> CheckReport:
-    system = get_system(entry.get("system", "odometer"))
+    system = get_system(_str(entry, "system", "odometer"))
     horizon = _int(entry, "horizon", 8)
     depth = _int(entry, "depth", 2)
     ndm = _int(entry, "neighbor_depth_max", 4)
-    names = entry.get("points", ["one", "zero"])
+    names = _names(entry, "points", ["one", "zero"])
     eq = equicontinuity_verdict(system, horizon=max(4, horizon), depth=depth)
     uscs = [usc_verdict(system, system.point(n), horizon=horizon,
                         depth=depth, neighbor_depth_max=ndm)
@@ -346,8 +380,8 @@ def _check_modulus_continuity(entry: Mapping) -> CheckReport:
 
 
 def _check_regular_tiling(entry: Mapping) -> CheckReport:
-    system = get_system(entry.get("system", "odometer"))
-    x = system.point(entry.get("point", "zero"))
+    system = get_system(_str(entry, "system", "odometer"))
+    x = system.point(_str(entry, "point", "zero"))
     horizon = _int(entry, "horizon", 8)
     depth = _int(entry, "depth", 2)
     cover_cap = _int(entry, "cover_cap", 16)
@@ -383,7 +417,7 @@ def _check_regular_tiling(entry: Mapping) -> CheckReport:
 
 
 def _check_periodic_cells(entry: Mapping) -> CheckReport:
-    system = get_system(entry.get("system", "successor-map"))
+    system = get_system(_str(entry, "system", "successor-map"))
     period_max = _int(entry, "period_max", 8)
     depth = _int(entry, "depth", 3)
     horizon = _int(entry, "horizon", 6)
@@ -432,7 +466,7 @@ def _check_periodic_cells(entry: Mapping) -> CheckReport:
 
 
 def _check_regional_not_proximal(entry: Mapping) -> CheckReport:
-    system = get_system(entry.get("system", "two-copy"))
+    system = get_system(_str(entry, "system", "two-copy"))
     depth = _int(entry, "depth", 3)
     horizon = _int(entry, "horizon", 3)
     witness = standard_rp_witness(system, depth)
@@ -456,7 +490,7 @@ def _check_regional_not_proximal(entry: Mapping) -> CheckReport:
 
 
 def _check_subgroup_cores(entry: Mapping) -> CheckReport:
-    sizes = entry.get("samples", ["sym-3", "dihedral-4"])
+    sizes = _names(entry, "samples", ["sym-3", "dihedral-4"])
     groups = []
     for tag in sizes:
         kind, _, n = tag.partition("-")

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, PreconditionError, RangeError
 from .groups import (CyclicSumGroup, ElementSet, FiniteGroup, Group,
-                     ball, power_set, word_length)
+                     _check_int, ball, power_set, word_length)
 from .verdict import Verdict, fails, holds
 
 
@@ -318,9 +318,9 @@ def generation_check(group: Group, sub: Subgroup, n_max: int,
                      extra: Iterable = ()) -> Verdict:
     """Is every ball slice of the subgroup a product of induced
     generators?  Checks ball(n) cap sub inside psi^n for n <= n_max,
-    where psi is the induced generating set."""
-    if n_max < 1:
-        raise PreconditionError("n_max must be >= 1")
+    where psi is the induced generating set.  ``n_max`` must be an
+    exact int >= 1."""
+    _check_int(n_max, "n_max", 1)
     psi = induced_generating_set(group, sub, extra)
     params = {"n_max": n_max, "induced_size": len(psi)}
     power = {group.identity} | set(psi.elements)

@@ -153,6 +153,24 @@ class TestVerify:
         assert err == ("usage error: check 'cone-returns-give-syndetic': "
                        "'horizon' must be an integer, got %r\n" % (bad,))
 
+    # a string list was iterated (exit 1), a list in place of a map
+    # escaped as a traceback, and the string "true" ran as no assertion
+    # (exit 0, where the boolean gives VIOLATION and exit 3)
+    @pytest.mark.parametrize("entry", [
+        {"check": "uniform-modulus-gives-orbit-continuity", "points": "one"},
+        {"check": "recurrence-vs-reach-symmetry", "asserted": [1]},
+        {"check": "recurrence-vs-reach-symmetry", "system": "full-shift",
+         "asserted": {"pointwise-recurrent": "true"}},
+    ], ids=["points", "asserted-list", "asserted-string"])
+    def test_mistyped_entry_is_usage_error(self, tmp_path, capsys, entry):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"schema": "zerodim-verify/1",
+                                 "checks": [entry]}))
+        code, out, err = run(capsys, "verify", "--config", str(p))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: check %r: " % entry["check"])
+
     def test_double_run_is_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

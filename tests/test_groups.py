@@ -14,6 +14,7 @@ from zerodim.groups import (DEFAULT_BALL_CAP, STABLE_RUN, ConeApproximation,
                             CyclicSumGroup, ElementSet, FiniteGroup,
                             FreeGroupVariant, IntegerGroup, LatticeGroup,
                             _ball_layers, _cone_member, _layer,
+                            _sorted_view,
                             affine_sequence, ball, cone_approx, cone_layer,
                             explicit_sequence, group_from_json,
                             is_syndetic_window, is_thick_window,
@@ -692,8 +693,8 @@ class TestConeMembership:
                 for radius in range(2 * n + 2):
                     want = frozenset(x for x in ball(group, radius)
                                      if x in layer)
-                    assert group.cone_members(g, radius,
-                                              DEFAULT_BALL_CAP) == want
+                    assert frozenset(group.cone_members(
+                        g, radius, DEFAULT_BALL_CAP)) == want
 
     @pytest.mark.parametrize("group, g", [
         (IntegerGroup(), 0), (LatticeGroup(2), (0, 0))])
@@ -775,3 +776,118 @@ class TestConeMembership:
         else:
             assert v.fails and v.certificate == {
                 "no_bound_up_to": want["no_bound_up_to"]}
+
+    @pytest.mark.parametrize("bad, message", [
+        (True, "n_max must be an int, got True"),
+        (0, "n_max must be >= 1"),
+        (8.0, "n_max must be an int, got 8.0"),
+    ], ids=repr)
+    def test_layer_embedding_bound_n_max_is_an_exact_int(self, bad,
+                                                         message):
+        # True ran as 1 and wrote true into the certificate, 0 gave a
+        # FAILS from an empty search, 8.0 escaped as a TypeError
+        with pytest.raises(PreconditionError, match=message):
+            layer_embedding_bound(Z, [0, 1], 6, bad)
+
+    @PROPERTY
+    @given(step=st.integers(1, 9), sign=st.sampled_from((1, -1)),
+           offset=st.integers(-5, 5), radius=st.integers(1, 80),
+           max_index=st.integers(1, 40))
+    def test_integer_cone_approx_matches_the_oracle(self, step, sign, offset,
+                                                    radius, max_index):
+        # the interval entries against cone layers built in full; an
+        # offset can make the lengths fall or pass through 0, and then
+        # both must raise the same error
+        seq = affine_sequence(sign * step, offset)
+
+        def outcome(fn):
+            try:
+                return fn(IntegerGroup(), seq, radius, max_index)
+            except PreconditionError as exc:
+                return type(exc)
+
+        got = outcome(cone_approx)
+        assert got == outcome(reference_cone_approx)
+        if got is not PreconditionError:
+            assert type(got.elements) is frozenset
+
+
+# the generator-expression bodies of the lattice kernels, the oracles
+# of their map forms
+def old_lattice_multiply(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def old_lattice_inverse(a):
+    return tuple(-x for x in a)
+
+
+def old_lattice_sort_key(g):
+    return (sum(abs(x) for x in g), tuple(-x for x in g))
+
+
+def old_lattice_length(g):
+    return sum(abs(x) for x in g)
+
+
+class TestLatticeKernels:
+    @PROPERTY
+    @given(st.data())
+    def test_kernels_match_the_generator_forms(self, data):
+        dim = data.draw(st.integers(1, 4))
+        group = LatticeGroup(dim)
+        vector = st.tuples(*[st.integers()] * dim)
+        a, b = data.draw(vector), data.draw(vector)
+        assert group.multiply(a, b) == old_lattice_multiply(a, b)
+        assert group.inverse(a) == old_lattice_inverse(a)
+        assert group.sort_key(a) == old_lattice_sort_key(a)
+        assert group.closed_form_length(a) == old_lattice_length(a)
+        assert all(type(x) is int
+                   for x in group.multiply(a, b) + group.inverse(a))
+
+
+SORTED_VIEW_GROUPS = {
+    "Z": IntegerGroup,
+    "Z2": lambda: LatticeGroup(2),
+    "Z3": lambda: LatticeGroup(3),
+    "F2": lambda: FreeGroupVariant(2),
+    "cyclic-sum": lambda: CyclicSumGroup.symmetric(2, 5),
+    "S3": lambda: symmetric_group(3),
+    "two-copy": lambda: TwoCopyGroup(1),
+}
+
+
+class TestSortedViews:
+    """The window helpers read each ball and power set in sort_key
+    order from a tuple sorted once per instance and radius."""
+
+    @pytest.mark.parametrize("kind, fn", [("ball", ball),
+                                          ("power", power_set)])
+    @pytest.mark.parametrize("name", sorted(SORTED_VIEW_GROUPS))
+    def test_view_is_the_set_in_sort_order_and_built_once(self, name, kind,
+                                                          fn):
+        group = SORTED_VIEW_GROUPS[name]()
+        for radius in range(4):
+            view = _sorted_view(group, kind, radius, DEFAULT_BALL_CAP)
+            assert type(view) is tuple
+            assert list(view) == sorted(fn(group, radius),
+                                        key=group.sort_key)
+            assert _sorted_view(group, kind, radius,
+                                DEFAULT_BALL_CAP) is view
+
+    @pytest.mark.parametrize("kind", ["ball", "power"])
+    @pytest.mark.parametrize("name", sorted(SORTED_VIEW_GROUPS))
+    def test_cap_is_checked_on_every_call(self, name, kind):
+        make = SORTED_VIEW_GROUPS[name]
+        for radius in range(1, 4):
+            group = make()
+            tight = len(power_set(make(), radius)) - 1
+            # one below the closed ball raises, before and after the
+            # view of a smaller radius, then of this one, was built
+            for built in (radius - 1, radius, None):
+                for _ in range(2):
+                    with pytest.raises(ResourceCapError):
+                        _sorted_view(group, kind, radius, tight)
+                if built is not None:
+                    _sorted_view(group, kind, built,
+                                 len(power_set(make(), built)))

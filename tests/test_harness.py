@@ -79,6 +79,43 @@ class TestNegativeControl:
                        for n in r.notes), r.notes
 
 
+class TestEntryTypes:
+    """List, map and name entries of a check are read with their JSON
+    type checked, as the integer entries are."""
+
+    @pytest.mark.parametrize("entry, message", [
+        # a string was iterated letter by letter
+        ({"check": "uniform-modulus-gives-orbit-continuity",
+          "points": "one"}, "'points' must be a list of strings"),
+        ({"check": "uniform-modulus-gives-orbit-continuity",
+          "points": ["one", 0]}, "'points' must be a list of strings"),
+        ({"check": "syndetic-subgroup-normal-core", "samples": "sym-3"},
+         "'samples' must be a list of strings"),
+        # a list escaped as a TypeError
+        ({"check": "recurrence-vs-reach-symmetry", "asserted": [1]},
+         "'asserted' must be a map from names to booleans"),
+        # the string "true" was printed as asserted but never used
+        ({"check": "recurrence-vs-reach-symmetry", "system": "full-shift",
+          "asserted": {"pointwise-recurrent": "true"}},
+         "'asserted' must be a map from names to booleans"),
+        ({"check": "cone-returns-give-syndetic", "system": ["odometer"]},
+         "'system' must be a string"),
+        ({"check": "cone-returns-give-syndetic", "point": 0},
+         "'point' must be a string"),
+        ({"check": "one-way-reach-blocks-return", "source": None},
+         "'source' must be a string"),
+        ({"check": "one-way-reach-blocks-return", "target": ["zero"]},
+         "'target' must be a string"),
+        ({"check": "joint-returns-under-uniform-modulus", "point_x": 1},
+         "'point_x' must be a string"),
+        ({"check": "joint-returns-under-uniform-modulus",
+          "point_y": {"name": "reflection"}}, "'point_y' must be a string"),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_wrong_type_is_usage_error(self, entry, message):
+        with pytest.raises(UsageError, match=message):
+            run_check(entry)
+
+
 class TestIndividualChecks:
     def test_one_way_reach(self):
         rep = run_check({"check": "one-way-reach-blocks-return",

@@ -260,6 +260,17 @@ class TestInducedGeneration:
         assert v.fails
         assert v.certificate["counterexample"] in ("5", "-5")
 
+    @pytest.mark.parametrize("bad, message", [
+        (True, "n_max must be an int, got True"),
+        (0, "n_max must be >= 1"),
+        (8.0, "n_max must be an int, got 8.0"),
+    ], ids=repr)
+    def test_generation_check_n_max_is_an_exact_int(self, bad, message):
+        # True ran as 1 and wrote true into the certificate, 8.0 escaped
+        # as a TypeError
+        with pytest.raises(PreconditionError, match=message):
+            generation_check(Z, IntegerSubgroup(2), bad)
+
     def test_generates_within(self):
         psi = induced_generating_set(Z, IntegerSubgroup(2))
         v = generates_within(Z, IntegerSubgroup(2), psi, 50)
