@@ -21,8 +21,7 @@ from .cantor import (ClopenSet, Point, depth_cylinder, from_cylinder,
                      make_point, read_symbols)
 from .errors import DomainError, PreconditionError, ResourceCapError
 from .flows import FlowSystem
-from .groups import (DEFAULT_BALL_CAP, _ball_layers, _check_int, _layer,
-                     power_set, word_length)
+from .groups import DEFAULT_BALL_CAP, _ball_layers, _check_int, power_set
 from .verdict import Verdict, fails, holds, inconclusive
 
 CELL_CAP = 8192
@@ -54,51 +53,39 @@ def _length_ordered(group, radius: int) -> list:
 
 def _first_least(system: FlowSystem, points: tuple, horizon: int,
                  key: Callable, floor) -> tuple:
-    """``(least, g, images)``: ``least`` is the least ``key`` of the
+    """``(least, r, g, images)``: ``least`` is the least ``key`` of the
     images of the points under the elements of word length <= horizon,
-    or the first key <= ``floor`` met; g is the first element, in (word
-    length, ``sort_key``) order, whose images have a key <= max(least,
-    floor), and ``images`` are its images.
+    or the first key <= ``floor`` met; g is the first element, in
+    breadth-first order, whose images have a key <= max(least, floor),
+    ``images`` are its images and r = |g|.
 
-    The orbit-layer search (``FlowSystem.orbit_layers``) keys each
-    image it meets and stops at the first key <= floor, so it finds
-    the word length r where the least key first appears without a
-    ball.  Then Cayley layer r is scanned in ``sort_key`` order, acting
-    only on the elements the search did not meet, up to the first
-    match.  The layer comes from the group's shared Cayley search,
-    which grows every layer through r at |gens| products an element:
-    the scan pays the products of the ball of radius r."""
-    best = level = None
+    Breadth-first order starts at the identity and lists the successors
+    s*a of each element in turn, with s running over the non-identity
+    generators in ``sort_key`` order; on Z it is ``sort_key`` order.
+    The orbit-layer search (``FlowSystem.orbit_layers``) yields each new
+    image with the first element in that order that reaches it, at its
+    word length, so the first image it meets with the best key names
+    the witness: no ball is built and no Cayley layer is scanned.  It
+    stops at the first key <= floor."""
+    best = None
     for r, images, g in system.orbit_layers(points, horizon):
-        if r != level:
-            level, met = r, {}   # g -> (images, key) for the layer
         k = key(images)
-        met[g] = images, k
         if best is None or k < best[0]:
-            best = k, r, met
+            best = k, r, g, images
             if k <= floor:
                 break
-    least, r, known = best
-    bound = max(least, floor)
-    for g in _layer(system.group, r, DEFAULT_BALL_CAP):
-        entry = known.get(g)
-        if entry is None:
-            images = tuple([system.act(g, p) for p in points])
-            entry = images, key(images)
-        if entry[1] <= bound:
-            return least, g, entry[0]
-    raise AssertionError("orbit layer %d left Cayley layer %d" % (r, r))
+    return best
 
 
 def _first_hit(system: FlowSystem, points: tuple, horizon: int,
                test: Callable) -> Optional[tuple]:
-    """``(g, images)`` for the first g, in (word length, ``sort_key``)
-    order with |g| <= horizon, whose images of the points pass
-    ``test``; None if there is none.  An orbit that closes short of
-    the horizon settles a miss at every horizon."""
-    missed, g, images = _first_least(system, points, horizon,
-                                     lambda im: not test(im), False)
-    return None if missed else (g, images)
+    """``(r, g)`` for the first g, in breadth-first order (see
+    ``_first_least``) with |g| <= horizon, whose images of the points
+    pass ``test``, and r = |g|; None if there is none.  An orbit that
+    closes short of the horizon settles a miss at every horizon."""
+    missed, r, g, _ = _first_least(system, points, horizon,
+                                   lambda im: not test(im), False)
+    return None if missed else (r, g)
 
 
 def depth_ball(x: Point, depth: int) -> ClopenSet:
@@ -334,15 +321,13 @@ def weak_rigidity_verdict(system: FlowSystem, points: Sequence, *,
 def escape_length(system: FlowSystem, x, neighborhood: Callable | ClopenSet,
                   *, horizon: int) -> Optional[tuple]:
     """Least word length of a group element moving x out of the
-    neighborhood, with the first such element in (word length,
-    ``sort_key``) order; None if none exists within the horizon.  The
-    orbit of x is searched, not the ball (see ``_first_least``)."""
+    neighborhood, with the first such element in breadth-first order;
+    None if none exists within the horizon.  The orbit of x is
+    searched, not the ball (see ``_first_least``): the search first
+    meets the escaping image at the layer of its least word length."""
     member = (neighborhood.member if isinstance(neighborhood, ClopenSet)
               else neighborhood)
-    hit = _first_hit(system, (x,), horizon, lambda im: not member(im[0]))
-    if hit is None:
-        return None
-    return word_length(system.group, hit[0]), hit[0]
+    return _first_hit(system, (x,), horizon, lambda im: not member(im[0]))
 
 
 def confinement_verdict(system: FlowSystem, x,
@@ -499,9 +484,8 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
     at some tested resolution must keep their horizon orbits inside
     the depth-resolution trace of the point's own orbit.  The trace is
     read from the distinct images of the point's orbit search, and each
-    representative's escape element is the first in (word length,
-    ``sort_key``) order, found by one orbit search from it (see
-    ``_first_least``)."""
+    representative's escape element is the first in breadth-first
+    order, found by one orbit search from it (see ``_first_least``)."""
     _check_probe(horizon, depth)
     if neighbor_depth_max < depth:
         raise PreconditionError("neighbor depth cap below depth")
@@ -526,7 +510,7 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
         for rep in system.neighbor_reps(x, dprime):
             hit = _first_hit(system, (rep,), horizon, escapes)
             if hit is not None:
-                failure = dprime, rep, hit[0]
+                failure = dprime, rep, hit[1]
                 break
         if failure is None:
             return holds(name, params, {
@@ -547,11 +531,11 @@ def orbit_symmetry_verdict(system: FlowSystem, pairs: Sequence, *,
     """For each sampled pair, reaching y from x at the stated depth
     must be matched by reaching x back from y.
 
-    Each witness is the first element, in (word length, ``sort_key``)
-    order within the horizon, that moves the one point into the
-    other's depth cell, found by one orbit search from the point (see
-    ``_first_least``); an orbit that closes short of the horizon
-    settles a missing reach at every horizon."""
+    Each witness is the first element, in breadth-first order within
+    the horizon, that moves the one point into the other's depth cell,
+    found by one orbit search from the point (see ``_first_least``); an
+    orbit that closes short of the horizon settles a missing reach at
+    every horizon."""
     _check_probe(horizon, depth)
     if not pairs:
         raise PreconditionError("need at least one pair")
@@ -561,7 +545,7 @@ def orbit_symmetry_verdict(system: FlowSystem, pairs: Sequence, *,
     def reach(a, b):
         hit = _first_hit(system, (a,), horizon,
                          lambda im: system.close(im[0], b, depth))
-        return None if hit is None else hit[0]
+        return None if hit is None else hit[1]
 
     established = []
     unestablished = []
@@ -691,11 +675,11 @@ def proximal_verdict(system: FlowSystem, x, y, *, horizon: int,
     """Some horizon element must push the two points into one depth
     cell.
 
-    The witness is the first such element in (word length,
-    ``sort_key``) order; on FAILS, the first element attaining the
-    least distance within the horizon.  One orbit search of the pair
-    finds either (see ``_first_least``): it stops at the first image
-    in one cell, or runs to the horizon for the least distance."""
+    The witness is the first such element in breadth-first order; on
+    FAILS, the first element attaining the least distance within the
+    horizon.  One orbit search of the pair finds either (see
+    ``_first_least``): it stops at the first image in one cell, or
+    runs to the horizon for the least distance."""
     _check_probe(horizon, depth)
     if system.equal(x, y):
         raise PreconditionError("points coincide; proximality needs a "
@@ -705,8 +689,8 @@ def proximal_verdict(system: FlowSystem, x, y, *, horizon: int,
                      point_y=system.format_point(y), horizon=horizon,
                      depth=depth)
     target = Fraction(1, 2 ** depth)
-    least, g, images = _first_least(system, (x, y), horizon,
-                                    lambda im: system.distance(*im), target)
+    least, _, g, images = _first_least(
+        system, (x, y), horizon, lambda im: system.distance(*im), target)
     if least <= target:
         return holds(name, params, {
             "witness": system.group.format_element(g),

@@ -976,9 +976,10 @@ def layer_embedding_bound(group: Group, finite_set: Iterable, g_bound: int,
     ``probe`` optionally restricts the elements g examined (default: all
     of the g_bound ball, read in ``sort_key`` order from its sorted
     view, sorted once per instance and radius).  The certificate
-    records the bound and one witness per examined g.  ``n_max`` must
-    be an exact int >= 1.
+    records the bound and one witness per examined g.  ``g_bound`` must
+    be an exact int >= 0 and ``n_max`` one >= 1, probe or not.
     """
+    _check_int(g_bound, "g_bound")
     _check_int(n_max, "n_max", 1)
     fs = sorted(set(finite_set), key=group.sort_key)
     pool = (list(probe) if probe is not None

@@ -18,6 +18,7 @@ intended way to demonstrate a VIOLATION.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -489,17 +490,26 @@ def _check_regional_not_proximal(entry: Mapping) -> CheckReport:
                        (note,))
 
 
+# the finite group samples, with the largest n whose order (n! or 2n)
+# is at most 120: S5 already takes seconds to survey
+SAMPLE_GROUPS = {"sym": (symmetric_group, 5), "dihedral": (dihedral_group, 60)}
+
+
+def _sample_group(entry: Mapping, tag: str):
+    """The group a ``samples`` tag names, checked before any permutation
+    is built: n is written in plain decimal and within its bound."""
+    kind, _, n = tag.partition("-")
+    build, n_max = SAMPLE_GROUPS.get(kind, (None, 0))
+    if not re.fullmatch("[1-9][0-9]?", n) or int(n) > n_max:
+        raise _usage_error(entry, "samples", " or ".join(
+            "%s-<n> with 1 <= n <= %d" % (k, m)
+            for k, (_, m) in SAMPLE_GROUPS.items()), tag)
+    return build(int(n))
+
+
 def _check_subgroup_cores(entry: Mapping) -> CheckReport:
-    sizes = _names(entry, "samples", ["sym-3", "dihedral-4"])
-    groups = []
-    for tag in sizes:
-        kind, _, n = tag.partition("-")
-        if kind == "sym":
-            groups.append(symmetric_group(int(n)))
-        elif kind == "dihedral":
-            groups.append(dihedral_group(int(n)))
-        else:
-            raise UsageError("unknown finite group sample %r" % tag)
+    groups = [_sample_group(entry, tag) for tag in
+              _names(entry, "samples", ["sym-3", "dihedral-4"])]
     claim = ("inside every sampled finite group, each subgroup contains "
              "its conjugate-stable part as a normal subgroup of finite "
              "index, and that part is the largest normal subgroup inside "

@@ -13,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zerodim import cantor, cli, flows
-from zerodim.analysis import (InvariantCoreApprox, _cells, _length_ordered,
-                              _params, _syndetic_search, ap_verdict,
+from zerodim.analysis import (InvariantCoreApprox, _cells, _first_hit,
+                              _first_least, _length_ordered, _params,
+                              _syndetic_search, ap_verdict,
                               confinement_verdict, depth_ball,
                               equicontinuity_verdict, escape_length,
                               invariant_core, orbit_cylinders,
@@ -916,6 +917,24 @@ class TestProbeParameters:
                              horizon=0, depth=2)
 
 
+def breadth_first(group, radius):
+    """The radius ball in breadth-first discovery order: the identity,
+    then the successors s*a of each element in turn, with s running
+    over the non-identity generators in ``sort_key`` order."""
+    gens = sorted((s for s in group.generators() if s != group.identity),
+                  key=group.sort_key)
+    order, length = [group.identity], {group.identity: 0}
+    for a in order:
+        if length[a] == radius:
+            break
+        for s in gens:
+            b = group.multiply(s, a)
+            if b not in length:
+                length[b] = length[a] + 1
+                order.append(b)
+    return order
+
+
 def reference_proximal(system, x, y, horizon, depth):
     """``proximal_verdict`` as a walk over the whole horizon ball."""
     params = _params(system, point_x=system.format_point(x),
@@ -923,7 +942,7 @@ def reference_proximal(system, x, y, horizon, depth):
                      depth=depth)
     best = None
     target = Fraction(1, 2 ** depth)
-    for g in _length_ordered(system.group, horizon):
+    for g in breadth_first(system.group, horizon):
         d = system.distance(system.act(g, x), system.act(g, y))
         if best is None or d < best[0]:
             best = (d, g)
@@ -943,7 +962,7 @@ def reference_orbit_symmetry(system, pairs, horizon, depth):
     for each reach."""
     name = "orbit-symmetry"
     params = _params(system, horizon=horizon, depth=depth, pairs=len(pairs))
-    reach = _length_ordered(system.group, horizon)
+    reach = breadth_first(system.group, horizon)
     established, unestablished = [], []
     for x, y in pairs:
         fwd = next((g for g in reach
@@ -1040,8 +1059,9 @@ REP_SYSTEMS = ("circle-stack", "circle-stack-components", "full-shift",
 
 class TestEscapeAndTraceAgainstBallWalk:
     """``escape_length`` and ``usc_verdict`` match the ball walks on
-    every named point: the orbit search picks the layer, and the layer
-    scan picks the same first element."""
+    every named point.  These systems act by Z, where breadth-first
+    order is (word length, ``sort_key``) order, so the walks keep that
+    order and check that the integer certificates did not change."""
 
     @pytest.mark.parametrize("sid", REP_SYSTEMS)
     def test_named_points(self, sid):
@@ -1114,8 +1134,10 @@ def sample_points(sid):
 
 
 class TestOrbitSearchAgainstBallWalk:
-    """Certificates match the ball walks byte for byte: the search picks
-    the layer, and the layer scan picks the same first element."""
+    """Certificates match the ball walks byte for byte.  The walks list
+    the ball in breadth-first discovery order (``breadth_first``), which
+    does not depend on the orbit search; the search yields each new
+    image with the first element in that order that reaches it."""
 
     @pytest.mark.parametrize("sid", sorted(FAMILY_SAMPLES))
     def test_proximal(self, sid):
@@ -1178,6 +1200,72 @@ class TestWordGroupProperty:
                                    depth=depth)
             assert got.to_json() == reference_proximal(
                 system, x, y, horizon, depth).to_json()
+
+
+def least_passing_length(system, points, horizon, test):
+    """The least word length, within the horizon, of an element whose
+    images of the points pass ``test``: the length of the first such
+    element in (word length, ``sort_key``) order; None if none."""
+    for g in _length_ordered(system.group, horizon):
+        if test(tuple(system.act(g, p) for p in points)):
+            return word_length(system.group, g, method="bfs")
+    return None
+
+
+class TestWitnessLengthProperty:
+    """Every witness the orbit search names has word length r, the
+    layer it was met at, and no element of the ball that passes is
+    shorter.  Checked against the Cayley search's own ``word_length``
+    on the two word groups, where breadth-first order need not be
+    (word length, ``sort_key``) order."""
+
+    @given(word_group_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_witnesses_have_least_length(self, case):
+        system, x, y, horizon, depth = case
+        group = system.group
+
+        def check(points, test, r, g):
+            assert word_length(group, g, method="bfs") == r
+            assert least_passing_length(system, points, horizon, test) == r
+
+        if not system.equal(x, y):
+            target = Fraction(1, 2 ** depth)
+            least, r, g, _ = _first_least(
+                system, (x, y), horizon, lambda im: system.distance(*im),
+                target)
+            bound = max(least, target)
+            check((x, y), lambda im: system.distance(*im) <= bound, r, g)
+            v = proximal_verdict(system, x, y, horizon=horizon, depth=depth)
+            assert v.certificate["witness" if v.holds else "at_element"] \
+                == group.format_element(g)
+        named = []
+        for a, b in ((x, y), (y, x)):
+            def test(im, b=b):
+                return system.close(im[0], b, depth)
+            hit = _first_hit(system, (a,), horizon, test)
+            if hit is None:
+                assert least_passing_length(system, (a,), horizon,
+                                            test) is None
+                break
+            check((a,), test, *hit)
+            named.append(group.format_element(hit[1]))
+        sym = orbit_symmetry_verdict(system, [(x, y)], horizon=horizon,
+                                     depth=depth)
+        if sym.holds:
+            assert sym.certificate["witnesses"] == [named]
+
+        def cell(p):
+            return system.close(p, x, depth)
+
+        def leaves(im):
+            return not cell(im[0])
+        hit = escape_length(system, x, cell, horizon=horizon)
+        if hit is None:
+            assert least_passing_length(system, (x,), horizon,
+                                        leaves) is None
+        else:
+            check((x,), leaves, *hit)
 
 
 def counted_acts(monkeypatch, system) -> list:
@@ -1245,15 +1333,34 @@ class TestOrbitSearchWork:
 
     # a ball walk would pass the default cap of 10^6 elements at either
     # horizon; the reach is found at length 2, and the pair's orbit of
-    # 256 points closes before length 16
+    # 256 points closes before length 16.  The witness is the element
+    # the search meets, so no Cayley layer is scanned: the scan of
+    # layer 2 for the first element in sort_key order made 328 acts
+    # and 362 products for orbit-symmetry
     @pytest.mark.parametrize("argv,acts,products", [
-        (["orbit-symmetry"], 328, 362),
+        (["orbit-symmetry"], 192, 252),
         (["proximal-pair", "--point", "o-minus", "--point", "o-plus",
           "--horizon", "16", "--depth", "3"], 2198, 2560),
     ])
     def test_two_copy_commands(self, counts, capsys, argv, acts, products):
         assert cli.main(["analyze", "two-copy"] + argv + ["--json"]) == 0
         json.loads(capsys.readouterr().out)
+        assert counts == {"acts": acts, "products": products}
+
+    # reaches from o-minus into a depth cell of a step point, first met
+    # at lengths 6, 7 and 8 (there and back).  Scanning Cayley layer r
+    # for the witness took seconds at 6 and 7, and passed the cap of
+    # 10^6 elements at 8
+    @pytest.mark.parametrize("k,depth,acts,products", [
+        (-3, 3, 1302, 3007),
+        (-3, 4, 1610, 3760),
+        (-4, 4, 1718, 4030),
+    ])
+    def test_two_copy_reach(self, counts, k, depth, acts, products):
+        system = get_system("two-copy")
+        pair = (system.point("o-minus"), system.family("step", k, 1))
+        assert orbit_symmetry_verdict(system, [pair], horizon=16,
+                                      depth=depth).holds
         assert counts == {"acts": acts, "products": products}
 
     # the recurrence-symmetry check's pairs: every ordered pair of named

@@ -789,6 +789,20 @@ class TestConeMembership:
         with pytest.raises(PreconditionError, match=message):
             layer_embedding_bound(Z, [0, 1], 6, bad)
 
+    @pytest.mark.parametrize("probe", [None, [1]], ids=repr)
+    @pytest.mark.parametrize("bad, message", [
+        (True, "g_bound must be an int, got True"),
+        (2.5, "g_bound must be an int, got 2.5"),
+        ("3", "g_bound must be an int, got '3'"),
+        (-1, "g_bound must be >= 0"),
+    ], ids=repr)
+    def test_layer_embedding_bound_g_bound_is_an_exact_int(self, bad,
+                                                           message, probe):
+        # with a probe, True and 2.5 gave a verdict with the bad value in
+        # its params and "3" escaped as a TypeError
+        with pytest.raises(PreconditionError, match=message):
+            layer_embedding_bound(Z, [0, 1], bad, probe=probe)
+
     @PROPERTY
     @given(step=st.integers(1, 9), sign=st.sampled_from((1, -1)),
            offset=st.integers(-5, 5), radius=st.integers(1, 80),

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from zerodim import subgroups
 from zerodim.config import (default_config, load_config,
                             negative_control_config, validate_config)
 from zerodim.errors import UsageError
@@ -114,6 +115,30 @@ class TestEntryTypes:
     def test_wrong_type_is_usage_error(self, entry, message):
         with pytest.raises(UsageError, match=message):
             run_check(entry)
+
+
+class TestSampleTags:
+    """A finite group sample is sym-<n> or dihedral-<n>, n a plain
+    decimal of order (n! or 2n) at most 120, checked before any group
+    is built."""
+
+    @pytest.fixture(autouse=True)
+    def unbuilt(self, monkeypatch):
+        def refuse(perms, label, *args, **kwargs):
+            raise AssertionError("built %s" % label)
+        monkeypatch.setattr(subgroups, "_group_from_perms", refuse)
+
+    @pytest.mark.parametrize("tag", [
+        "sym-x",        # a ValueError traceback from int()
+        "sym-3.0",      # the same
+        "dihedral-0",   # an IndexError
+        "sym-07",       # ran as S7 (order 5040) for more than 20 s
+        "sym-9",        # would build a table of about 10^11 entries
+    ])
+    def test_bad_tag_is_usage_error(self, tag):
+        with pytest.raises(UsageError, match="'samples' must be sym-<n>"):
+            run_check({"check": "syndetic-subgroup-normal-core",
+                       "samples": [tag]})
 
 
 class TestIndividualChecks:
