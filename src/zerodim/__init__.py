@@ -21,9 +21,9 @@ from .analysis import (InvariantCoreApprox, OrbitCells,
                        type2_verdict, uniform_recurrence_verdict,
                        usc_verdict, weak_rigidity_verdict)
 from .cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
-                     agree_to_depth, clopen, complement, constant_tail,
-                     depth_cylinder, distance, from_cylinder, intersection,
-                     make_point, periodic_tail, points_equal, reanchor_tail,
+                     clopen, complement, constant_tail, depth_cylinder,
+                     distance, from_cylinder, intersection, make_point,
+                     periodic_tail, points_equal, reanchor_tail,
                      scheme_from_json, sym_diff, union)
 from .config import (SCHEMA, default_config, load_config,
                      negative_control_config, validate_config)

@@ -43,14 +43,6 @@ def _check_probe(horizon: int, depth: int) -> None:
     _check_int(depth, "depth", 1)
 
 
-def _length_ordered(group, radius: int) -> list:
-    """Group elements of length <= radius, identity first, then by
-    word length with deterministic tie-breaking (the search keeps its
-    layers in ``sort_key`` order)."""
-    return list(itertools.chain.from_iterable(
-        _ball_layers(group, radius, DEFAULT_BALL_CAP)))
-
-
 def _first_least(system: FlowSystem, points: tuple, horizon: int,
                  key: Callable, floor) -> tuple:
     """``(least, r, g, images)``: ``least`` is the least ``key`` of the
@@ -191,8 +183,7 @@ def pointwise_period_verdict(system: FlowSystem, x, *,
                              period_max: int) -> Verdict:
     """Least exact period of the point, if one exists within the cap."""
     system.require_integer_action()
-    if period_max < 1:
-        raise PreconditionError("period cap must be >= 1")
+    _check_int(period_max, "period cap", 1)
     name = "pointwise-period"
     params = _params(system, point=system.format_point(x),
                      period_max=period_max)
@@ -416,7 +407,8 @@ def invariant_core(system: FlowSystem, target: ClopenSet, *, depth: int,
                      system.scheme.offset(target.hi)) + 1
     # an element the depth does not resolve can neither keep a cell in
     # nor move it out: it leaves every cell without a witness unknown
-    reach = _length_ordered(system.group, horizon)
+    reach = list(itertools.chain.from_iterable(
+        _ball_layers(system.group, horizon, DEFAULT_BALL_CAP)))
     resolved = [g for g in reach
                 if system.required_input_depth(g, need_depth) <= depth]
     blind = len(reach) - len(resolved)
@@ -466,12 +458,16 @@ class OrbitCells:
 
 def orbit_cylinders(system: FlowSystem, x, *, horizon: int,
                     depth: int) -> OrbitCells:
+    """Each cell's witness is the first element, in breadth-first
+    order, whose image lies in it: the orbit search meets each image
+    with its first element (see ``_first_least``), and on Z that order
+    is ``sort_key`` order."""
     _require_cells(system)
     _check_probe(horizon, depth)
     lo, hi = system.scheme.depth_window(depth)
     witnesses: dict = {}
-    for g in _length_ordered(system.group, horizon):
-        pattern = tuple(read_symbols(system.act(g, x), lo, hi))
+    for _, (y,), g in system.orbit_layers((x,), horizon):
+        pattern = tuple(read_symbols(y, lo, hi))
         if pattern not in witnesses:
             witnesses[pattern] = system.group.format_element(g)
     return OrbitCells(depth, horizon, (lo, hi), frozenset(witnesses),
@@ -487,8 +483,7 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
     representative's escape element is the first in breadth-first
     order, found by one orbit search from it (see ``_first_least``)."""
     _check_probe(horizon, depth)
-    if neighbor_depth_max < depth:
-        raise PreconditionError("neighbor depth cap below depth")
+    _check_int(neighbor_depth_max, "neighbor depth cap", depth)
     name = "orbit-upper-semicontinuity"
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth, neighbor_depth_max=neighbor_depth_max)
@@ -502,8 +497,10 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
         def escapes(images) -> bool:
             return tuple(read_symbols(images[0], lo, hi)) not in cells
     else:
+        tests = [system.cell(p, depth) for p in own]
+
         def escapes(images) -> bool:
-            return not any(system.close(images[0], p, depth) for p in own)
+            return not any(test(images[0]) for test in tests)
     last_failure = None
     for dprime in range(depth, neighbor_depth_max + 1):
         failure = None
@@ -543,8 +540,8 @@ def orbit_symmetry_verdict(system: FlowSystem, pairs: Sequence, *,
     params = _params(system, horizon=horizon, depth=depth, pairs=len(pairs))
 
     def reach(a, b):
-        hit = _first_hit(system, (a,), horizon,
-                         lambda im: system.close(im[0], b, depth))
+        home = system.cell(b, depth)
+        hit = _first_hit(system, (a,), horizon, lambda im: home(im[0]))
         return None if hit is None else hit[1]
 
     established = []
@@ -589,6 +586,7 @@ def equicontinuity_verdict(system: FlowSystem, *, horizon: int, depth: int,
     _check_probe(horizon, depth)
     if horizon < 2:
         raise PreconditionError("horizon must be >= 2")
+    _check_int(input_depth_max, "input depth cap", depth)
     name = "equicontinuity"
     params = _params(system, horizon=horizon, depth=depth,
                      input_depth_max=input_depth_max)
@@ -623,10 +621,8 @@ def uniform_recurrence_verdict(system: FlowSystem, *, word_length: int,
     """Every admissible window of some bounded size must contain every
     admissible word of the stated length; a pumpable word avoiding one
     refutes it."""
-    if word_length < 1:
-        raise PreconditionError("word length must be >= 1")
-    if window_max < word_length:
-        raise PreconditionError("window cap below word length")
+    _check_int(word_length, "word length", 1)
+    _check_int(window_max, "window cap", word_length)
     name = "uniform-recurrence"
     params = _params(system, word_length=word_length, window_max=window_max)
     lang_n = system.language(word_length)
@@ -718,8 +714,7 @@ def regional_proximal_check(system: FlowSystem,
     """Verify a regional-proximality witness chain: both approach
     distances and the pushed-together distances must be nonincreasing
     and end at or below the target resolution."""
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
+    _check_int(depth, "depth", 1)
     if len(witness.entries) < 2:
         raise PreconditionError("witness needs at least two entries")
     name = "regional-proximal"
@@ -761,8 +756,7 @@ def regional_proximal_check(system: FlowSystem,
 def standard_rp_witness(system: FlowSystem,
                         depth: int) -> RegionalProximalWitness:
     """The canonical witness chains of the two word-group systems."""
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
+    _check_int(depth, "depth", 1)
     count = max(2, depth)
     m = system.metadata.get("m")
     if m is None or count > m:
@@ -795,8 +789,7 @@ def translate_cover_verdict(system: FlowSystem, x, *, horizon: int,
     """Greedy cover of the horizon interval by nonnegative translates
     of the return-time set, candidates taken in ascending order."""
     _check_probe(horizon, depth)
-    if cover_cap < 1:
-        raise PreconditionError("cover cap must be >= 1")
+    _check_int(cover_cap, "cover cap", 1)
     name = "translate-cover"
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth, cover_cap=cover_cap)

@@ -405,20 +405,6 @@ def distance(x: Point, y: Point) -> Fraction:
     return Fraction(0)
 
 
-def agree_to_depth(x: Point, y: Point, depth: int) -> bool:
-    """Whether x and y agree on every coordinate at offset < depth,
-    that is ``distance(x, y) <= 2^-depth``, without building the
-    distance: the scan stops at the first disagreement and never looks
-    past the depth."""
-    if x.scheme != y.scheme:
-        raise DomainError("points live on different schemes")
-    for k in range(depth):
-        for n in x.scheme.coords_at_offset(k):
-            if x.value(n) != y.value(n):
-                return False
-    return True
-
-
 def read_symbols(x: Point, lo: int, hi: int) -> list:
     """The symbols of a point at coordinates lo..hi, as a new list: the
     left tail repeated below the window, a slice of the window, and the

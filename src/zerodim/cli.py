@@ -26,15 +26,14 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .analysis import (_require_cells, ap_verdict, confinement_verdict,
-                       depth_ball, equicontinuity_verdict,
-                       orbit_symmetry_verdict, pair_type1_verdict,
-                       pointwise_period_verdict, proximal_verdict,
-                       regional_proximal_check, regular_ap_verdict,
-                       standard_rp_witness, translate_cover_verdict,
-                       type1_verdict, type2_verdict,
-                       uniform_recurrence_verdict, usc_verdict,
-                       weak_rigidity_verdict)
+from .analysis import (ap_verdict, confinement_verdict,
+                       equicontinuity_verdict, orbit_symmetry_verdict,
+                       pair_type1_verdict, pointwise_period_verdict,
+                       proximal_verdict, regional_proximal_check,
+                       regular_ap_verdict, standard_rp_witness,
+                       translate_cover_verdict, type1_verdict,
+                       type2_verdict, uniform_recurrence_verdict,
+                       usc_verdict, weak_rigidity_verdict)
 from .config import default_config, load_config, validate_config
 from .errors import DomainError, UsageError, WorkbenchError
 from .flows import available_systems, get_system
@@ -81,9 +80,8 @@ def _run_rigidity(system, ns):
 
 
 def _run_confinement(system, ns):
-    _require_cells(system)
     x = _points(system, ns, 1)[0]
-    return confinement_verdict(system, x, depth_ball(x, ns.depth),
+    return confinement_verdict(system, x, system.cell(x, ns.depth),
                                horizon=ns.horizon)
 
 

@@ -23,7 +23,6 @@ from .cantor import (
     Scheme,
     Tail,
     _trusted_point,
-    agree_to_depth,
     canonical_point,
     clopen,
     depth_cylinder,
@@ -162,15 +161,28 @@ class FlowSystem:
         return cantor_distance(x, y)
 
     def equal(self, x, y) -> bool:
-        return self.distance(x, y) == 0
+        """Every point is held in one canonical form (``make_point``,
+        ``canonical_point``; a circle point reduces its turn mod 1), so
+        ``x == y`` iff ``distance(x, y) == 0``."""
+        return x == y
+
+    def cell(self, x, depth: int) -> Callable:
+        """The test y -> ``distance(x, y) <= 2^-depth``: whether y lies
+        in the depth cell of x.  x's side is worked out once.  A
+        symbol-space point is read once over the depth window, and each
+        y compares its own read of that window; a system with its own
+        metric fixes 2^-depth once and asks it."""
+        _check_int(depth, "depth", 1)
+        if self._dist is not None:
+            dist, eps = self._dist, Fraction(1, 2 ** depth)
+            return lambda y: dist(x, y) <= eps
+        lo, hi = self.scheme.depth_window(depth)
+        word = read_symbols(x, lo, hi)
+        return lambda y: read_symbols(y, lo, hi) == word
 
     def close(self, x, y, depth: int) -> bool:
-        """Whether y lies in the depth cell of x: ``distance(x, y) <=
-        2^-depth``.  Symbol-space points answer by agreement on the
-        offsets < depth; a system with its own metric asks it."""
-        if self._dist is not None:
-            return self._dist(x, y) <= Fraction(1, 2 ** depth)
-        return agree_to_depth(x, y, depth)
+        """Whether y lies in the depth cell of x (see ``cell``)."""
+        return self.cell(x, depth)(y)
 
     def require_integer_action(self) -> None:
         """Raise ``DomainError`` unless the acting group is Z."""
@@ -188,10 +200,8 @@ class FlowSystem:
         every later n is ``act(ns.step, ·)`` of the point before it,
         which is exact because the integer action is a group action.
         So each nonzero n costs one act, and an act by a small step is
-        cheap (an odometer carry walks a digit or two).  A symbol-space
-        point is read once over the depth window and each acted point
-        compares its read of the same window, which is
-        ``agree_to_depth``; a system with its own metric asks ``close``.
+        cheap (an odometer carry walks a digit or two).  Each point
+        met is asked x's ``cell``, whose side of x is worked out once.
         A shift answers exactly without building a point
         (``shift_returns``):
 
@@ -206,21 +216,12 @@ class FlowSystem:
           slices.
         """
         self.require_integer_action()
-        if depth < 1:
-            raise PreconditionError("depth must be >= 1")
+        _check_int(depth, "depth", 1)
         if not isinstance(ns, range):
             raise PreconditionError("shifts must be given as a range")
         if self._returns is not None:
             return self._returns(x, depth, ns)
-        if self._dist is not None:
-            def home(y) -> bool:
-                return self.close(y, x, depth)
-        else:
-            lo, hi = self.scheme.depth_window(depth)
-            word = read_symbols(x, lo, hi)
-
-            def home(y) -> bool:
-                return read_symbols(y, lo, hi) == word
+        home = self.cell(x, depth)
 
         def walk():
             act, step = self.act, ns.step
@@ -236,8 +237,7 @@ class FlowSystem:
         return walk()
 
     def required_input_depth(self, g, depth: int) -> int:
-        if depth < 1:
-            raise PreconditionError("depth must be >= 1")
+        _check_int(depth, "depth", 1)
         self.group.validate(g)
         return self._input_depth(g, depth)
 

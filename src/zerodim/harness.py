@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .analysis import (ap_verdict, confinement_verdict, depth_ball,
+from .analysis import (ap_verdict, confinement_verdict,
                        equicontinuity_verdict, invariant_core,
                        orbit_symmetry_verdict, pair_type1_verdict,
                        pointwise_period_verdict, proximal_verdict,
@@ -230,7 +230,7 @@ def _check_one_way_reach(entry: Mapping) -> CheckReport:
     depth = _int(entry, "depth", 2)
     sym = orbit_symmetry_verdict(system, [(source, target)],
                                  horizon=horizon, depth=depth)
-    conf = confinement_verdict(system, target, depth_ball(target, depth),
+    conf = confinement_verdict(system, target, system.cell(target, depth),
                                horizon=horizon)
     rec_src = type1_verdict(system, source, horizon=horizon, depth=depth)
     rec_tgt = type1_verdict(system, target, horizon=horizon, depth=depth)
@@ -519,6 +519,7 @@ def _check_subgroup_cores(entry: Mapping) -> CheckReport:
     total = 0
     for G in groups:
         subs = all_subgroups(G)
+        normals = [K for K in subs if K.is_normal()]
         group_bad = []
         for H in subs:
             total += 1
@@ -527,9 +528,8 @@ def _check_subgroup_cores(entry: Mapping) -> CheckReport:
                   and N.members <= H.members
                   and subgroup_index(G, H) <= subgroup_index(G, N)
                   and subgroup_index(G, N) >= 1)
-            largest = max((len(K.members) for K in subs
-                           if K.is_normal() and K.members <= H.members),
-                          default=0)
+            largest = max((len(K.members) for K in normals
+                           if K.members <= H.members), default=0)
             if not ok or len(N.members) != largest:
                 group_bad.append("%s: subgroup of order %d"
                                  % (G.label, len(H.members)))

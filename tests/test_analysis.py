@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from zerodim import cantor, cli, flows
 from zerodim.analysis import (InvariantCoreApprox, _cells, _first_hit,
-                              _first_least, _length_ordered, _params,
+                              _first_least, _params,
                               _syndetic_search, ap_verdict,
                               confinement_verdict, depth_ball,
                               equicontinuity_verdict, escape_length,
@@ -32,7 +32,7 @@ from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, clopen,
 from zerodim.errors import DomainError, PreconditionError
 from zerodim.flows import (FlowSystem, McMahonGroup, TwoCopyGroup,
                            build_mcmahon, build_two_copy, get_system)
-from zerodim.groups import cone_layer, word_length
+from zerodim.groups import cone_layer, power_set, word_length
 from zerodim.verdict import fails, holds, inconclusive
 
 OD = get_system("odometer")
@@ -41,6 +41,14 @@ FS = get_system("full-shift")
 SM = get_system("successor-map")
 CS = get_system("circle-stack")
 CC = get_system("circle-stack-components")
+TC = get_system("two-copy")
+
+
+def length_ordered(group, radius: int) -> list:
+    """Elements of word length <= radius in (length, ``sort_key``)
+    order, identity first: the order a ball walk meets them in."""
+    return sorted(power_set(group, radius),
+                  key=lambda g: (word_length(group, g), group.sort_key(g)))
 
 
 def tm_bit(i: int) -> int:
@@ -599,7 +607,7 @@ def reference_invariant_core(system, target, depth, horizon):
                                    {}, {})
     need_depth = max(system.scheme.offset(target.lo),
                      system.scheme.offset(target.hi)) + 1
-    reach = _length_ordered(system.group, horizon)
+    reach = length_ordered(system.group, horizon)
     inner, outer = [], []
     excluded, unknown = {}, {}
     for pattern in cells:
@@ -673,7 +681,7 @@ class TestInvariantCoreAgainstOracle:
 def reference_orbit_witnesses(system, x, horizon, depth):
     """Orbit cells keyed by the validated depth cylinder of each point."""
     witnesses = {}
-    for g in _length_ordered(system.group, horizon):
+    for g in length_ordered(system.group, horizon):
         pattern = depth_cylinder(system.act(g, x), depth).pattern
         witnesses.setdefault(pattern, system.group.format_element(g))
     return witnesses
@@ -916,6 +924,36 @@ class TestProbeParameters:
             proximal_verdict(OD, OD.point("zero"), OD.point("one"),
                              horizon=0, depth=2)
 
+    # parameter -> (the call with it set to v, a value below its bound)
+    CAPS = {
+        "cover_cap": (lambda v: translate_cover_verdict(
+            OD, OD.point("zero"), horizon=4, depth=2, cover_cap=v), 0),
+        "period_max": (lambda v: pointwise_period_verdict(
+            SM, SM.point("zero"), period_max=v), 0),
+        "input_depth_max": (lambda v: equicontinuity_verdict(
+            OD, horizon=4, depth=2, input_depth_max=v), 1),
+        "neighbor_depth_max": (lambda v: usc_verdict(
+            OD, OD.point("zero"), horizon=4, depth=2,
+            neighbor_depth_max=v), 1),
+        "word_length": (lambda v: uniform_recurrence_verdict(
+            TM, word_length=v, window_max=8), 0),
+        "window_max": (lambda v: uniform_recurrence_verdict(
+            TM, word_length=2, window_max=v), 1),
+        "regional_proximal_check-depth": (lambda v: regional_proximal_check(
+            TC, standard_rp_witness(TC, 3), depth=v), 0),
+        "standard_rp_witness-depth": (
+            lambda v: standard_rp_witness(TC, v), 0),
+        "required_input_depth-depth": (lambda v: OD.required_input_depth(
+            1, v), 0),
+    }
+
+    @pytest.mark.parametrize("param", CAPS)
+    @pytest.mark.parametrize("value", [True, 2.5, "3", "below"])
+    def test_caps_reject_bad_values(self, param, value):
+        call, below = self.CAPS[param]
+        with pytest.raises(PreconditionError):
+            call(below if value == "below" else value)
+
 
 def breadth_first(group, radius):
     """The radius ball in breadth-first discovery order: the identity,
@@ -994,7 +1032,7 @@ def reference_escape_length(system, x, neighborhood, horizon):
     """``escape_length`` as a walk over the whole horizon ball."""
     member = (neighborhood.member if isinstance(neighborhood, ClopenSet)
               else neighborhood)
-    for g in _length_ordered(system.group, horizon):
+    for g in length_ordered(system.group, horizon):
         if not member(system.act(g, x)):
             return (word_length(system.group, g), g)
     return None
@@ -1006,7 +1044,7 @@ def reference_usc(system, x, *, horizon, depth, neighbor_depth_max):
     name = "orbit-upper-semicontinuity"
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth, neighbor_depth_max=neighbor_depth_max)
-    reach = _length_ordered(system.group, horizon)
+    reach = length_ordered(system.group, horizon)
     cellwise = system.kind == "cylinder-z"
     if cellwise:
         lo, hi = system.scheme.depth_window(depth)
@@ -1206,7 +1244,7 @@ def least_passing_length(system, points, horizon, test):
     """The least word length, within the horizon, of an element whose
     images of the points pass ``test``: the length of the first such
     element in (word length, ``sort_key``) order; None if none."""
-    for g in _length_ordered(system.group, horizon):
+    for g in length_ordered(system.group, horizon):
         if test(tuple(system.act(g, p) for p in points)):
             return word_length(system.group, g, method="bfs")
     return None
@@ -1375,17 +1413,21 @@ class TestOrbitSearchWork:
     def test_integer_named_pairs(self, monkeypatch, sid, acts, tests):
         system = get_system(sid)
         counts = {"acts": 0, "tests": 0}
-        act, close = system._act, system.close
+        act, cell = system._act, system.cell
 
         def counted_act(g, x):
             counts["acts"] += 1
             return act(g, x)
 
-        def counted_close(x, y, depth):
-            counts["tests"] += 1
-            return close(x, y, depth)
+        def counted_cell(x, depth):
+            test = cell(x, depth)
+
+            def counted_test(y):
+                counts["tests"] += 1
+                return test(y)
+            return counted_test
         monkeypatch.setattr(system, "_act", counted_act)
-        monkeypatch.setattr(system, "close", counted_close)
+        monkeypatch.setattr(system, "cell", counted_cell)
         names = sorted(system.point_names())
         pairs = [(system.point(a), system.point(b))
                  for a, b in itertools.permutations(names, 2)]

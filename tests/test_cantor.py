@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
-                            agree_to_depth, clopen, complement,
-                            constant_tail, depth_cylinder, distance,
-                            from_cylinder, intersection,
-                            make_point, periodic_tail, points_equal,
-                            read_symbols, reanchor_tail, scheme_from_json,
-                            sym_diff, union)
+                            clopen, complement, constant_tail,
+                            depth_cylinder, distance, from_cylinder,
+                            intersection, make_point, periodic_tail,
+                            points_equal, read_symbols, reanchor_tail,
+                            scheme_from_json, sym_diff, union)
 from zerodim.errors import (DomainError, PreconditionError, RangeError,
                             ResourceCapError)
-from zerodim.flows import _flip_region, build_odometer
+from zerodim.flows import (_flip_region, build_full_shift, build_odometer,
+                           build_successor_map)
 
 BIN = Scheme("two-sided")
 ONE = Scheme("one-sided")
@@ -59,10 +59,10 @@ SCHEMES = (BIN, ONE, Scheme("two-sided", alphabet=3),
 
 
 @st.composite
-def near_pairs(draw):
+def near_pairs(draw, schemes=SCHEMES):
     """A scheme and two points on it: equal, independent, or one
     coordinate apart at a random offset."""
-    scheme = draw(st.sampled_from(SCHEMES))
+    scheme = draw(st.sampled_from(schemes))
     x = draw(scheme_points(scheme))
     how = draw(st.sampled_from(("equal", "independent", "one-apart")))
     if how == "equal":
@@ -244,26 +244,35 @@ class TestDistance:
         assert distance(x, z) <= max(distance(x, y), distance(y, z))
 
 
-class TestAgreeToDepth:
-    @given(near_pairs(), st.integers(0, 14))
+# symbol-space systems whose schemes cover the kinds in SCHEMES:
+# two-sided of 2 and 3 symbols, one-sided constant and cycling, index
+CELL_SYSTEMS = (build_full_shift(2), build_full_shift(3), build_odometer((2,)),
+                build_odometer((2, 3)), build_successor_map())
+
+
+def system_pairs():
+    """Strategy: a symbol-space system and a near pair on its scheme."""
+    return st.sampled_from(CELL_SYSTEMS).flatmap(
+        lambda s: st.tuples(st.just(s), near_pairs((s.scheme,))))
+
+
+class TestDepthCell:
+    @given(system_pairs(), st.integers(1, 14))
     @settings(max_examples=400)
-    def test_matches_distance(self, pair, depth):
-        _, x, y = pair
+    def test_matches_distance(self, drawn, depth):
+        system, (_, x, y) = drawn
         expected = distance(x, y) <= Fraction(1, 2 ** depth)
-        assert agree_to_depth(x, y, depth) == expected
-        assert agree_to_depth(y, x, depth) == expected
+        assert system.close(x, y, depth) == expected
+        assert system.close(y, x, depth) == expected
+        assert system.cell(x, depth)(y) == expected
 
-    def test_stops_at_first_disagreement(self):
-        zero = make_point(BIN, (), 0, 0)
-        for k in range(6):
-            y = make_point(BIN, {-k: 1}, 0, 0)
-            assert agree_to_depth(zero, y, k)
-            assert not agree_to_depth(zero, y, k + 1)
-
-    def test_schemes_must_match(self):
-        with pytest.raises(DomainError):
-            agree_to_depth(make_point(BIN, (), 0, 0),
-                           make_point(ONE, (), 0), 1)
+    def test_first_disagreement_sets_the_depth(self):
+        system = CELL_SYSTEMS[0]
+        zero = make_point(system.scheme, (), 0, 0)
+        for k in range(1, 6):
+            y = make_point(system.scheme, {-k: 1}, 0, 0)
+            assert system.close(zero, y, k)
+            assert not system.close(zero, y, k + 1)
 
 
 class TestReadSymbols:

@@ -94,12 +94,24 @@ class TestAnalyze:
         assert code == EXIT_GENERIC
         assert "unknown system" in err
 
-    @pytest.mark.parametrize("system", ["two-copy", "mcmahon"])
-    def test_confinement_rejects_word_action(self, capsys, system):
-        code, out, err = run(capsys, "analyze", system, "orbit-confinement")
-        assert code == EXIT_GENERIC
-        assert out == ""
-        assert err.startswith("error: analyzer needs a symbol-space system")
+    # the depth cell is the system's own, so confinement runs on word
+    # groups and metric systems too; flipping a coordinate of the cell
+    # moves a word-group point out of it at length 1
+    @pytest.mark.parametrize("system,status,certificate", [
+        ("two-copy", "fails", {"escape_element": "e-1", "escape_length": 1}),
+        ("mcmahon", "fails", {"escape_element": "t-1", "escape_length": 1}),
+        ("circle-stack", "fails", {"escape_element": "1",
+                                   "escape_length": 1}),
+        ("circle-stack-components", "holds", {"elements_checked": 17}),
+    ])
+    def test_confinement_on_every_system(self, capsys, system, status,
+                                         certificate):
+        code, out, err = run(capsys, "analyze", system, "orbit-confinement",
+                             "--json")
+        assert (code, err) == (EXIT_OK, "")
+        result = json.loads(out)
+        assert result["status"] == status
+        assert result["certificate"] == certificate
 
     @pytest.mark.parametrize("system", available_systems())
     @pytest.mark.parametrize("analyzer", available_analyzers())

@@ -854,6 +854,27 @@ class TestTrustedPoints:
             assert [f.name for f in dataclasses.fields(x)] == list(vars(x))
 
 
+# a few members of every point family, per system; some name one point
+# twice (a turn past 1), so ``equal`` meets equal points built apart
+FAMILY_ARGS = {
+    "circle-stack": [("level", (1,)), ("level", (3, Fraction(1, 2))),
+                     ("level", (1, Fraction(3, 2))),
+                     ("limit-at", (Fraction(1, 4),)),
+                     ("limit-at", (Fraction(5, 4),))],
+    "circle-stack-components": [("level", (1,)), ("level", (3,)),
+                                ("level", (None,))],
+    "full-shift": [("single", (-1,)), ("single", (2,)), ("step", (0,)),
+                   ("step", (-2,))],
+    "mcmahon": [("ring", (1,)), ("ring", (2, 1)), ("ring-flipped", (1, 1)),
+                ("ring-flipped", (2,))],
+    "odometer": [],
+    "successor-map": [("unit-at", (2,)), ("unit-at", (3,))],
+    "thue-morse": [("reflection", (2,)), ("reflection", (4,)),
+                   ("reflection-flipped", (2,))],
+    "two-copy": [("step", (0, 1)), ("step", (1, -1)), ("step", (-2, 1))],
+}
+
+
 class TestClose:
     @pytest.mark.parametrize("sid", available_systems())
     def test_close_is_the_distance_test(self, sid):
@@ -864,6 +885,27 @@ class TestClose:
                 for depth in range(1, 7):
                     assert system.close(x, y, depth) == (
                         system.distance(x, y) <= Fraction(1, 2 ** depth))
+
+    @pytest.mark.parametrize("sid", available_systems())
+    def test_equal_is_distance_zero(self, sid):
+        system = get_system(sid)
+        pts = [system.point(n) for n in system.point_names()]
+        pts += [system.family(f, *args) for f, args in FAMILY_ARGS[sid]]
+        for x in pts:
+            for y in pts:
+                assert system.equal(x, y) == (system.distance(x, y) == 0)
+
+    # the depth-0 cell would be the whole space, so every pair would be
+    # close; True would run as depth 1 and a float would reach 2 ** depth
+    @pytest.mark.parametrize("sid", available_systems())
+    @pytest.mark.parametrize("depth", [True, 2.5, 0])
+    def test_cell_rejects_bad_depth(self, sid, depth):
+        system = get_system(sid)
+        x = system.point(system.point_names()[0])
+        with pytest.raises(PreconditionError):
+            system.cell(x, depth)
+        with pytest.raises(PreconditionError):
+            system.close(x, x, depth)
 
 
 def reference_returns(system, x, depth, ns):

@@ -177,6 +177,22 @@ class TestIndividualChecks:
         assert rep.outcome == CONSISTENT
         assert all(v.holds for v in rep.verdicts)
 
+    # S3 has 6 subgroups: 6 tests pick out the normal ones once, and
+    # each subgroup's core is tested twice (once as it is built); a
+    # scan of every subgroup per subgroup made 48
+    def test_subgroup_survey_tests_normality_once(self, monkeypatch):
+        calls = []
+        is_normal = subgroups.FiniteSubgroup.is_normal
+
+        def counted(self):
+            calls.append(self)
+            return is_normal(self)
+        monkeypatch.setattr(subgroups.FiniteSubgroup, "is_normal", counted)
+        rep = run_check({"check": "syndetic-subgroup-normal-core",
+                         "samples": ["sym-3"]})
+        assert rep.outcome == CONSISTENT
+        assert len(calls) == 18
+
     def test_duality_window(self):
         rep = run_check({"check": "syndetic-thick-duality", "window": 24})
         assert rep.outcome == CONSISTENT
