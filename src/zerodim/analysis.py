@@ -793,8 +793,10 @@ def translate_cover_verdict(system: FlowSystem, x, *, horizon: int,
     name = "translate-cover"
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth, cover_cap=cover_cap)
-    span = horizon + cover_cap
-    times = set(return_times(system, x, depth, -span, span)) | {0}
+    # a target t <= horizon less a translate c >= 0 reads no return
+    # time above horizon
+    times = set(return_times(system, x, depth, -horizon - cover_cap,
+                             horizon)) | {0}
     targets = set(range(-horizon, horizon + 1))
     chosen = []
     covered: set = set()

@@ -8,8 +8,9 @@ under every action in the package and makes equality and the standard
 fractions.
 
 Clopen subsets are stored as a coordinate window plus the set of
-admissible patterns on it, kept in a canonical minimal-window form so
-that structural equality is set equality.
+admissible patterns on it, each pattern as one int code, kept in a
+canonical minimal-window form so that structural equality is set
+equality.
 """
 
 from __future__ import annotations
@@ -483,39 +484,82 @@ def depth_cylinder(x: Point, depth: int) -> Cylinder:
 class ClopenSet:
     """Finite union of same-window cylinders in canonical form.
 
+    Each admitted pattern on the window lo..hi is held as one int, its
+    code: the pattern read as a big-endian mixed-radix numeral, the
+    symbol at lo the most significant digit and each coordinate's
+    alphabet size its radix.  Code order is lexicographic pattern
+    order, and ``patterns`` decodes the codes on demand.
+
     Canonical means: no edge coordinate of the window is free (a
     coordinate is free when every completion of every residual pattern
     is admitted), the empty set is stored with an empty window and no
-    patterns, and the full space with an empty window and the empty
-    pattern.  Build through ``clopen`` / ``from_cylinder`` or the
-    algebra operations.
+    codes, and the full space with an empty window and the code 0 of
+    the empty pattern.  Build through ``clopen`` / ``from_cylinder`` or
+    the algebra operations.
     """
 
     scheme: Scheme
     lo: int
     hi: int
-    patterns: frozenset
+    codes: frozenset
+
+    @property
+    def patterns(self) -> frozenset:
+        """The admitted patterns as tuples, decoded afresh each time."""
+        return frozenset(_decode(self.scheme, self.lo, self.hi, self.codes))
 
     def member(self, x: Point) -> bool:
         if self.lo > self.hi:
-            return () in self.patterns
-        return tuple(read_symbols(x, self.lo, self.hi)) in self.patterns
+            return bool(self.codes)
+        return _encode(self.scheme, self.lo,
+                       read_symbols(x, self.lo, self.hi)) in self.codes
 
     @property
     def is_empty(self) -> bool:
-        return not self.patterns
+        return not self.codes
 
     @property
     def is_full(self) -> bool:
-        return self.lo > self.hi and bool(self.patterns)
+        return self.lo > self.hi and bool(self.codes)
 
     def to_json(self) -> dict:
         return {"scheme": self.scheme.to_json(), "lo": self.lo,
-                "patterns": sorted(list(p) for p in self.patterns)}
+                "patterns": [list(p) for p in _decode(
+                    self.scheme, self.lo, self.hi, sorted(self.codes))]}
 
     def __repr__(self) -> str:
         return "<clopen [%d..%d] %d patterns>" % (self.lo, self.hi,
-                                                  len(self.patterns))
+                                                  len(self.codes))
+
+
+def _count(scheme: Scheme, lo: int, hi: int, cap: bool = False) -> int:
+    """Number of patterns on coordinates lo..hi (1 on an empty window);
+    with ``cap``, raise before more than PATTERN_CAP are enumerated."""
+    size = scheme.alphabet
+    total = size ** max(0, hi - lo + 1) if isinstance(size, int) else \
+        math.prod(scheme.size(n) for n in range(lo, hi + 1))
+    if cap and total > PATTERN_CAP:
+        raise ResourceCapError("pattern enumeration exceeds cap")
+    return total
+
+
+def _encode(scheme: Scheme, lo: int, symbols: Sequence[int]) -> int:
+    """The code of a pattern laid out from coordinate lo."""
+    code, size = 0, scheme.alphabet
+    if isinstance(size, int):
+        for s in symbols:
+            code = code * size + s
+        return code
+    for n, s in enumerate(symbols, lo):
+        code = code * scheme.size(n) + s
+    return code
+
+
+def _decode(scheme: Scheme, lo: int, hi: int, codes: Iterable[int]) -> list:
+    """The patterns on lo..hi of ``codes``, as tuples in the given order."""
+    places = [(_count(scheme, n + 1, hi), scheme.size(n))
+              for n in range(lo, hi + 1)]
+    return [tuple([c // w % r for w, r in places]) for c in codes]
 
 
 def clopen(scheme: Scheme, lo: int, patterns: Iterable[Sequence[int]]) -> ClopenSet:
@@ -527,7 +571,8 @@ def clopen(scheme: Scheme, lo: int, patterns: Iterable[Sequence[int]]) -> Clopen
         raise DomainError("all patterns must share the window width")
     for p in pats:
         _check_symbols(scheme, lo, p)
-    return _canonical(scheme, lo, lo + width - 1, pats)
+    return _canonical(scheme, lo, lo + width - 1,
+                      frozenset([_encode(scheme, lo, p) for p in pats]))
 
 
 def from_cylinder(c: Cylinder) -> ClopenSet:
@@ -538,7 +583,7 @@ def from_cylinder(c: Cylinder) -> ClopenSet:
 
 def _full_clopen(scheme: Scheme) -> ClopenSet:
     anchor = scheme.start if scheme.kind == "one-sided" else 0
-    return ClopenSet(scheme, anchor, anchor - 1, frozenset({()}))
+    return ClopenSet(scheme, anchor, anchor - 1, frozenset({0}))
 
 
 def _empty_clopen(scheme: Scheme) -> ClopenSet:
@@ -546,38 +591,33 @@ def _empty_clopen(scheme: Scheme) -> ClopenSet:
     return ClopenSet(scheme, anchor, anchor - 1, frozenset())
 
 
-def _canonical(scheme: Scheme, lo: int, hi: int, pats: frozenset) -> ClopenSet:
+def _canonical(scheme: Scheme, lo: int, hi: int,
+               codes: frozenset) -> ClopenSet:
+    """Drop free edge coordinates until none is left.
+
+    The residual of a code with its edge symbol cut off is its
+    remainder by the patterns on the coordinates after lo (left edge),
+    or its quotient by the alphabet size at hi (right edge).  The edge
+    is free when every residual occurs with all ``size`` symbols there.
+    Each residual occurs with at most ``size`` symbols, so that holds
+    exactly when ``len(residuals) * size == len(codes)``: one counting
+    pass, with no grouping of symbols by residual.
+    """
     while lo <= hi:
-        shrunk = _try_drop(scheme, lo, hi, pats, left=True)
-        if shrunk is not None:
-            lo, pats = lo + 1, shrunk
+        size, block = scheme.size(lo), _count(scheme, lo + 1, hi)
+        rests = frozenset([c % block for c in codes])
+        if len(rests) * size == len(codes):
+            lo, codes = lo + 1, rests
             continue
-        shrunk = _try_drop(scheme, lo, hi, pats, left=False)
-        if shrunk is not None:
-            hi, pats = hi - 1, shrunk
+        size = scheme.size(hi)
+        rests = frozenset([c // size for c in codes])
+        if len(rests) * size == len(codes):
+            hi, codes = hi - 1, rests
             continue
         break
     if lo > hi:
-        return _full_clopen(scheme) if pats else _empty_clopen(scheme)
-    return ClopenSet(scheme, lo, hi, pats)
-
-
-def _try_drop(scheme: Scheme, lo: int, hi: int, pats: frozenset,
-              left: bool):
-    """Residual pattern set if the chosen edge coordinate is free.
-
-    The coordinate is free when every residual (a pattern with the edge
-    symbol cut off) occurs with all ``size`` symbols there.  Each
-    residual occurs with at most ``size`` symbols, so that holds exactly
-    when ``len(residuals) * size == len(pats)``: one counting pass, with
-    no grouping of symbols by residual.
-    """
-    size = scheme.size(lo if left else hi)
-    if left:
-        rests = frozenset([p[1:] for p in pats])
-    else:
-        rests = frozenset([p[:-1] for p in pats])
-    return rests if len(rests) * size == len(pats) else None
+        return _full_clopen(scheme) if codes else _empty_clopen(scheme)
+    return ClopenSet(scheme, lo, hi, codes)
 
 
 def complement(a: ClopenSet) -> ClopenSet:
@@ -593,8 +633,8 @@ def complement(a: ClopenSet) -> ClopenSet:
         return _full_clopen(a.scheme)
     if a.is_full:
         return _empty_clopen(a.scheme)
-    universe = _all_patterns(a.scheme, a.lo, a.hi)
-    return ClopenSet(a.scheme, a.lo, a.hi, universe - a.patterns)
+    total = _count(a.scheme, a.lo, a.hi, cap=True)
+    return ClopenSet(a.scheme, a.lo, a.hi, frozenset(range(total)) - a.codes)
 
 
 def union(a: ClopenSet, b: ClopenSet) -> ClopenSet:
@@ -625,9 +665,7 @@ def _refine(a: ClopenSet, b: ClopenSet):
     hi_parts = [c.hi for c in (a, b) if c.lo <= c.hi]
     if not lo_parts:
         anchor = a.scheme.start if a.scheme.kind == "one-sided" else 0
-        return (frozenset({()}) if a.patterns else frozenset(),
-                frozenset({()}) if b.patterns else frozenset(),
-                anchor, anchor - 1)
+        return a.codes, b.codes, anchor, anchor - 1
     lo, hi = min(lo_parts), max(hi_parts)
     width = hi - lo + 1
     if width > WINDOW_CAP:
@@ -637,31 +675,24 @@ def _refine(a: ClopenSet, b: ClopenSet):
 
 
 def _expand(c: ClopenSet, lo: int, hi: int) -> frozenset:
+    """The codes on lo..hi (a window holding c's) of c's patterns: each
+    prefix p, code m of c and suffix s give (p * mid + m) * suf + s."""
     if c.is_empty:
         return frozenset()
     if c.is_full:
-        return _all_patterns(c.scheme, lo, hi)
+        return frozenset(range(_count(c.scheme, lo, hi, cap=True)))
     if (c.lo, c.hi) == (lo, hi):
-        return c.patterns
-    prefixes = _enumerate(c.scheme, range(lo, c.lo))
-    suffixes = _enumerate(c.scheme, range(c.hi + 1, hi + 1))
-    total = len(prefixes) * len(c.patterns) * len(suffixes)
+        return c.codes
+    pre = _count(c.scheme, lo, c.lo - 1, cap=True)
+    suf = _count(c.scheme, c.hi + 1, hi, cap=True)
+    total = pre * len(c.codes) * suf
     if total > PATTERN_CAP:
         raise ResourceCapError("pattern expansion would produce %d patterns"
                                % total)
-    return frozenset(p + mid + s for p in prefixes for mid in c.patterns
-                     for s in suffixes)
-
-
-def _enumerate(scheme: Scheme, coords: range) -> list:
-    out = [()]
-    for n in coords:
-        size = scheme.size(n)
-        if len(out) * size > PATTERN_CAP:
-            raise ResourceCapError("pattern enumeration exceeds cap")
-        out = [p + (s,) for p in out for s in range(size)]
-    return out
-
-
-def _all_patterns(scheme: Scheme, lo: int, hi: int) -> frozenset:
-    return frozenset(_enumerate(scheme, range(lo, hi + 1)))
+    mid = _count(c.scheme, c.lo, c.hi)
+    out: set = set()
+    for p in range(pre):
+        for m in c.codes:
+            base = (p * mid + m) * suf
+            out.update(range(base, base + suf))
+    return frozenset(out)

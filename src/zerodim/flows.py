@@ -827,8 +827,8 @@ class TwoCopyGroup(Group):
 
     def sort_key(self, g):
         v, d = g
-        return (len(v), tuple(sorted(v)), len(d.patterns), d.lo, d.hi,
-                tuple(sorted(d.patterns)))
+        return (len(v), tuple(sorted(v)), len(d.codes), d.lo, d.hi,
+                tuple(sorted(d.codes)))
 
     def format_element(self, g) -> str:
         for name, el in self._named.items():
@@ -841,7 +841,7 @@ class TwoCopyGroup(Group):
         if d.is_empty:
             region = "-"
         else:
-            region = "[%d..%d:%d]" % (d.lo, d.hi, len(d.patterns))
+            region = "[%d..%d:%d]" % (d.lo, d.hi, len(d.codes))
         return "flips{%s}signs%s" % (flips, region)
 
     def to_json(self) -> dict:
@@ -849,21 +849,23 @@ class TwoCopyGroup(Group):
 
 
 def _flip_region(d: ClopenSet, v: frozenset) -> ClopenSet:
-    """Image of a clopen set under flipping the coordinates in v.
+    """Image of a binary clopen set under flipping the coordinates in v.
 
-    The image lives on ``d``'s own window and is canonical as it
-    stands: a flip permutes the two symbols at its coordinate, so at an
-    edge it maps the symbols a residual admits onto as many, and inside
-    the window it only renames residuals.  An edge coordinate is free
-    for the image iff it is free for ``d``.
+    A flip at coordinate c toggles the digit of weight 2^(hi - c) in
+    every code, so the image is each code XOR one mask.  It lives on
+    ``d``'s own window and is canonical as it stands: a flip permutes
+    the two symbols at its coordinate, so at an edge it maps the
+    symbols a residual admits onto as many, and inside the window it
+    only renames residuals.  An edge coordinate is free for the image
+    iff it is free for ``d``.
     """
     if d.lo > d.hi or not v:
         return d
-    mask = tuple(int(c in v) for c in range(d.lo, d.hi + 1))
-    if not any(mask):
+    mask = sum(1 << (d.hi - c) for c in v if d.lo <= c <= d.hi)
+    if not mask:
         return d
-    return ClopenSet(d.scheme, d.lo, d.hi, frozenset([
-        tuple([s ^ f for s, f in zip(p, mask)]) for p in d.patterns]))
+    return ClopenSet(d.scheme, d.lo, d.hi,
+                     frozenset([c ^ mask for c in d.codes]))
 
 
 def build_two_copy(m: int = 3) -> FlowSystem:

@@ -224,6 +224,8 @@ def _check_recurrence_symmetry(entry: Mapping) -> CheckReport:
 
 def _check_one_way_reach(entry: Mapping) -> CheckReport:
     system = get_system(_str(entry, "system", "full-shift"))
+    # type1_verdict below needs Z: reject other groups before searching
+    system.require_integer_action()
     source = system.point(_str(entry, "source", "step"))
     target = system.point(_str(entry, "target", "zero"))
     horizon = _int(entry, "horizon", 8)

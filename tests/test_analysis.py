@@ -894,6 +894,38 @@ class TestTranslateCover:
         assert v.certificate["partial_cover"] == [0, 1, 2, 3, 4]
         assert v.certificate["uncovered_sample"][0] == -8
 
+    # the greedy reads t - c for t <= horizon and c >= 0, so returns
+    # above horizon were scanned for nothing: 16 of 160 acts at h64
+    def test_scan_stops_at_the_horizon(self, monkeypatch):
+        acts = []
+        act = FlowSystem.act
+        monkeypatch.setattr(FlowSystem, "act",
+                            lambda self, g, x: acts.append(g) or
+                            act(self, g, x))
+        v = translate_cover_verdict(OD, OD.point("one"), horizon=64,
+                                    depth=4, cover_cap=16)
+        assert v.holds and len(acts) == 144
+
+    @pytest.mark.parametrize("system", [OD, FS, TM],
+                             ids=lambda s: s.system_id)
+    def test_matches_the_full_span_scan(self, monkeypatch, system):
+        import zerodim.analysis as analysis
+        scan = analysis.return_times
+        for name in system.point_names():
+            x = system.point(name)
+            for horizon, depth, cap in ((8, 1, 2), (16, 2, 4),
+                                        (32, 3, 16)):
+                v = translate_cover_verdict(system, x, horizon=horizon,
+                                            depth=depth, cover_cap=cap)
+                # the scan as it was: [-horizon - cap, horizon + cap]
+                with monkeypatch.context() as m:
+                    m.setattr(analysis, "return_times",
+                              lambda s, y, d, lo, hi: scan(s, y, d, lo, -lo))
+                    want = translate_cover_verdict(
+                        system, x, horizon=horizon, depth=depth,
+                        cover_cap=cap)
+                assert v.to_json() == want.to_json()
+
 
 # ---------------------------------------------------------------------------
 # proximality and orbit symmetry from the orbit-layer search

@@ -2,6 +2,7 @@
 algebra, with membership semantics checked pointwise."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -428,7 +429,8 @@ def grouping_canonical(scheme, lo, hi, pats):
     """The clopen canonical form as first written: group the patterns by
     residual at an edge, drop the edge while every group holds the whole
     alphabet, and repeat.  Kept as the oracle for the counting test and
-    for the operations that skip the trimming pass."""
+    for the operations that skip the trimming pass.  It works on pattern
+    tuples and returns ``form`` of the set it finds."""
     pats = frozenset(pats)
     while lo <= hi:
         for left in (True, False):
@@ -445,9 +447,15 @@ def grouping_canonical(scheme, lo, hi, pats):
             break
     if lo > hi:
         anchor = scheme.start if scheme.kind == "one-sided" else 0
-        return ClopenSet(scheme, anchor, anchor - 1,
-                         frozenset({()}) if pats else frozenset())
-    return ClopenSet(scheme, lo, hi, pats)
+        return (scheme, anchor, anchor - 1,
+                frozenset({()}) if pats else frozenset())
+    return (scheme, lo, hi, pats)
+
+
+def form(c):
+    """A clopen set as (scheme, window, decoded patterns), the terms
+    the tuple oracles compare in."""
+    return (c.scheme, c.lo, c.hi, c.patterns)
 
 
 def window_patterns(scheme, lo, hi):
@@ -494,7 +502,7 @@ class TestCanonicalFormsAgainstGrouping:
         for c in pair:
             if c.lo <= c.hi:
                 assert grouping_canonical(c.scheme, c.lo, c.hi,
-                                          c.patterns) == c
+                                          c.patterns) == form(c)
 
     @given(clopen_pairs())
     @settings(max_examples=300)
@@ -509,14 +517,15 @@ class TestCanonicalFormsAgainstGrouping:
         a2, b2 = grouping_expand(a, lo, hi), grouping_expand(b, lo, hi)
         for op, want in ((union, a2 | b2), (intersection, a2 & b2),
                          (sym_diff, a2 ^ b2)):
-            assert op(a, b) == grouping_canonical(a.scheme, lo, hi, want)
+            assert form(op(a, b)) == grouping_canonical(a.scheme, lo, hi,
+                                                        want)
 
     @given(clopen_pairs())
     @settings(max_examples=300)
     def test_complement(self, pair):
         for c in pair:
             universe = frozenset(window_patterns(c.scheme, c.lo, c.hi))
-            assert complement(c) == grouping_canonical(
+            assert form(complement(c)) == grouping_canonical(
                 c.scheme, c.lo, c.hi, universe - c.patterns)
 
     @given(clopen_pairs((BIN,)),
@@ -530,8 +539,47 @@ class TestCanonicalFormsAgainstGrouping:
             if c.lo <= c.hi:
                 want = grouping_canonical(BIN, c.lo, c.hi, flipped)
             else:
-                want = c
-            assert _flip_region(c, flips) == want
+                want = form(c)
+            assert form(_flip_region(c, flips)) == want
+
+
+class TestPatternCodes:
+    """A pattern's code is its index among the window's patterns in
+    lexicographic order (``itertools.product`` order)."""
+
+    @given(clopen_pairs())
+    @settings(max_examples=300)
+    def test_codes_index_the_window_patterns(self, pair):
+        for c in pair:
+            universe = window_patterns(c.scheme, c.lo, c.hi)
+            assert all(0 <= k < len(universe) for k in c.codes)
+            assert c.patterns == frozenset(universe[k] for k in c.codes)
+            assert [universe[k] for k in sorted(c.codes)] == \
+                sorted(c.patterns)
+            assert c.to_json()["patterns"] == \
+                sorted(list(p) for p in c.patterns)
+            if c.lo <= c.hi:
+                assert clopen(c.scheme, c.lo, c.patterns) == c
+
+    def test_patterns_are_decoded_afresh(self):
+        c = clopen(BIN, 0, [(1, 0), (0, 1)])
+        assert c.codes == frozenset({1, 2})
+        assert c.patterns == frozenset({(1, 0), (0, 1)})
+        assert c.patterns is not c.patterns
+        assert "patterns" not in vars(c)
+
+    def test_wide_complement_raises_before_enumerating(self):
+        wide = clopen(BIN, 0, [(1,) * 22])
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError,
+                           match="pattern enumeration exceeds cap"):
+            complement(wide)
+        assert time.perf_counter() - start < 1.0
+
+    def test_width_18_complement(self):
+        half = union(clopen(BIN, 0, [(0,)]), clopen(BIN, 0, [(1,) * 18]))
+        assert (half.lo, half.hi, len(half.codes)) == (0, 17, 131073)
+        assert len(complement(half).codes) == 131071
 
 
 def value_probe(c, x):
@@ -552,7 +600,7 @@ class TestMembershipAgainstValueProbe:
                                         if s.kind == "one-sided"])
     def test_below_a_one_sided_window_raises_like_value(self, scheme):
         c = ClopenSet(scheme, scheme.start - 1, scheme.start,
-                      frozenset({(0, 0)}))
+                      frozenset({0}))     # the code of the pattern (0, 0)
         x = make_point(scheme, (1,), 0)
         with pytest.raises(RangeError) as by_probe:
             value_probe(c, x)

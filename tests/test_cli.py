@@ -13,7 +13,7 @@ from zerodim import cli
 from zerodim.cli import (EXIT_GENERIC, EXIT_INCONCLUSIVE, EXIT_NOINPUT,
                          EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
                          available_analyzers, main)
-from zerodim.flows import available_systems
+from zerodim.flows import FlowSystem, available_systems
 
 
 def run(capsys, *argv):
@@ -182,6 +182,28 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("usage error: check %r: " % entry["check"])
+
+    # the check's type1_verdict needs Z; the two orbit searches before it
+    # used to run to the end on two-copy and then hit the same error
+    def test_one_way_reach_rejects_word_group_before_searching(
+            self, tmp_path, capsys, monkeypatch):
+        searches = []
+        orbit_layers = FlowSystem.orbit_layers
+        monkeypatch.setattr(FlowSystem, "orbit_layers",
+                            lambda self, *a, **k: searches.append(a)
+                            or orbit_layers(self, *a, **k))
+        p = tmp_path / "owr.json"
+        p.write_text(json.dumps({
+            "schema": "zerodim-verify/1",
+            "checks": [{"check": "one-way-reach-blocks-return",
+                        "system": "two-copy", "source": "o-minus",
+                        "target": "o-plus"}]}))
+        code, out, err = run(capsys, "verify", "--config", str(p))
+        assert code == EXIT_GENERIC
+        assert out == ""
+        assert err == ("error: analyzer needs an integer acting group, "
+                       "system 'two-copy' has two-copy-word\n")
+        assert searches == []
 
     def test_double_run_is_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

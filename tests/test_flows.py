@@ -26,7 +26,7 @@ from zerodim.flows import (LANGUAGE_CAP, CirclePoint, McMahonGroup,
                            get_system, level_radius, odometer_add,
                            ring_point, shift_point, step_point,
                            substitution_factors, successor_act)
-from zerodim.groups import (DEFAULT_BALL_CAP, _ball_layers, power_set,
+from zerodim.groups import (DEFAULT_BALL_CAP, _ball_layers, ball, power_set,
                             word_length)
 
 BIN = Scheme("two-sided")
@@ -468,6 +468,23 @@ class TestTwoCopy:
             with pytest.raises(RangeError, match="frozenset of ints"):
                 G.validate((flips, empty))
         G.validate((frozenset({1}), empty))
+
+
+    # the key reads codes; code order is lexicographic pattern order and
+    # a code set has as many members as its pattern set
+    def test_sort_key_orders_like_pattern_tuples(self):
+        G = TwoCopyGroup(3)
+
+        def tuple_key(g):
+            v, d = g
+            return (len(v), tuple(sorted(v)), len(d.patterns), d.lo, d.hi,
+                    tuple(sorted(d.patterns)))
+
+        elements = list(ball(G, 3))
+        assert len(elements) == 418
+        assert len({tuple_key(g) for g in elements}) == len(elements)
+        assert sorted(elements, key=G.sort_key) == \
+            sorted(elements, key=tuple_key)
 
 
 class TestFlipCoords:
