@@ -86,7 +86,8 @@ def _run_confinement(system, ns):
 
 
 def _run_usc(system, ns):
-    ndm = ns.neighbor_depth_max or ns.depth + 2
+    ndm = (ns.depth + 2 if ns.neighbor_depth_max is None
+           else ns.neighbor_depth_max)
     return usc_verdict(system, _points(system, ns, 1)[0],
                        horizon=ns.horizon, depth=ns.depth,
                        neighbor_depth_max=ndm)
@@ -155,75 +156,65 @@ def available_analyzers() -> tuple:
 # gallery
 
 
+def _notes(system, rng) -> list:
+    """The gallery lines of a system that are not an analyzer verdict."""
+    if system.system_id == "full-shift":
+        n = rng.randint(2, 6)
+        return ["shifting the step point by %d gives %s" % (n, system
+                .format_point(system.act(n, system.point("step"))))]
+    if system.system_id == "thue-morse":
+        return ["words of length 3: %s" % sorted(system.language(3))]
+    if system.system_id == "successor-map":
+        return ["period of %s: %s"
+                % (name, pointwise_period_verdict(system, pt, period_max=8)
+                   .certificate.get("period"))
+                for name, pt in [("zero", system.point("zero")),
+                                 ("unit", system.point("unit")),
+                                 ("unit-at(4)", system.family("unit-at", 4))]]
+    return []
+
+
+# system -> the ``zerodim analyze <system>`` argument lines whose
+# rendered verdicts the gallery shows after the system's notes
+GALLERY: dict = {
+    "full-shift": ("almost-periodic --point step",
+                   "uniform-recurrence --window-max 6"),
+    "thue-morse": ("almost-periodic --point reflection --horizon 16",
+                   "uniform-recurrence --window-max 6",
+                   "pair-recurrence --point reflection "
+                   "--point reflection-flipped --horizon 16"),
+    "odometer": ("regular-return --point zero",
+                 "translate-cover --point zero --cover-cap 8",
+                 "equicontinuity"),
+    "successor-map": (),
+    "two-copy": ("proximal-pair --point o-plus --point o-minus --horizon 2",
+                 "regional-proximal --depth 3"),
+    "mcmahon": ("proximal-pair --point marked --point base --horizon 2",
+                "regional-proximal --depth 3"),
+    "circle-stack": ("equicontinuity",
+                     "orbit-upper-semicontinuity --point limit --depth 3 "
+                     "--neighbor-depth-max 4"),
+    "circle-stack-components": ("equicontinuity",),
+}
+
+
+@functools.cache
+def _analyze_args(argv: tuple) -> argparse.Namespace:
+    """``argv`` parsed as a command line, once per process."""
+    return _build_parser().parse_args(argv)
+
+
 def _gallery_sections(seed: int) -> list:
     rng = random.Random(seed)
     sections = []
-
-    def add(system_id: str, *lines):
+    for system_id, analyses in GALLERY.items():
         system = get_system(system_id)
-        sections.append({"system": system_id,
-                         "title": system.describe(),
-                         "lines": [str(l) for l in lines]})
-        return system
-
-    s = get_system("full-shift")
-    n = rng.randint(2, 6)
-    step = s.point("step")
-    add("full-shift",
-        s.summary,
-        "shifting the step point by %d gives %s"
-        % (n, s.format_point(s.act(n, step))),
-        ap_verdict(s, step, horizon=8, depth=2).render(),
-        uniform_recurrence_verdict(s, word_length=1, window_max=6).render())
-
-    s = get_system("thue-morse")
-    add("thue-morse",
-        s.summary,
-        "words of length 3: %s" % sorted(s.language(3)),
-        ap_verdict(s, s.point("reflection"), horizon=16, depth=2).render(),
-        uniform_recurrence_verdict(s, word_length=1, window_max=6).render(),
-        pair_type1_verdict(s, s.point("reflection"),
-                           s.point("reflection-flipped"), horizon=16,
-                           depth=2).render())
-
-    s = get_system("odometer")
-    add("odometer",
-        s.summary,
-        regular_ap_verdict(s, s.point("zero"), horizon=8, depth=2).render(),
-        translate_cover_verdict(s, s.point("zero"), horizon=8, depth=2,
-                                cover_cap=8).render(),
-        equicontinuity_verdict(s, horizon=8, depth=2).render())
-
-    s = get_system("successor-map")
-    add("successor-map",
-        s.summary,
-        *[("period of %s: %s" % (name,
-           pointwise_period_verdict(s, pt, period_max=8)
-           .certificate.get("period")))
-          for name, pt in [("zero", s.point("zero")),
-                           ("unit", s.point("unit")),
-                           ("unit-at(4)", s.family("unit-at", 4))]])
-
-    for sid in ("two-copy", "mcmahon"):
-        s = get_system(sid)
-        w = standard_rp_witness(s, 3)
-        add(sid,
-            s.summary,
-            proximal_verdict(s, w.x, w.y, horizon=2, depth=2).render(),
-            regional_proximal_check(s, w, depth=3).render())
-
-    s = get_system("circle-stack")
-    add("circle-stack",
-        s.summary,
-        equicontinuity_verdict(s, horizon=8, depth=2).render(),
-        usc_verdict(s, s.point("limit"), horizon=8, depth=3,
-                    neighbor_depth_max=4).render())
-
-    s = get_system("circle-stack-components")
-    add("circle-stack-components",
-        s.summary,
-        equicontinuity_verdict(s, horizon=8, depth=2).render())
-
+        lines = [system.summary] + _notes(system, rng)
+        for line in analyses:
+            ns = _analyze_args(("analyze", system_id, *line.split()))
+            lines.append(_run_analyzer(system, ns).render())
+        sections.append({"system": system_id, "title": system.describe(),
+                         "lines": lines})
     return sections
 
 

@@ -17,6 +17,7 @@ intended way to demonstrate a VIOLATION.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import re
 from dataclasses import dataclass
@@ -129,62 +130,39 @@ class HarnessRun:
 
 def _asserted_tags(asserted: Mapping) -> tuple:
     return tuple("%s=%s" % (k, str(asserted[k]).lower())
-                 for k in sorted(asserted))
+                 for k in sorted(asserted) if asserted[k] is not None)
 
 
-def _usage_error(entry: Mapping, key: str, kind: str, value) -> UsageError:
+def _usage_error(cid: str, key: str, kind: str, value) -> UsageError:
     return UsageError("check %r: %r must be %s, got %r"
-                      % (entry.get("check"), key, kind, value))
+                      % (cid, key, kind, value))
 
 
-def _int(entry: Mapping, key: str, default: int) -> int:
-    """``entry[key]``, or ``default`` when absent, as an exact int: a
-    float, bool or string is a usage error, never truncated."""
-    value = entry.get(key, default)
-    if type(value) is not int:
-        raise _usage_error(entry, key, "an integer", value)
-    return value
-
-
-def _str(entry: Mapping, key: str, default: str) -> str:
-    """``entry[key]``, or ``default`` when absent, as a string: a system
-    or point name of another type is a usage error."""
-    value = entry.get(key, default)
-    if type(value) is not str:
-        raise _usage_error(entry, key, "a string", value)
-    return value
-
-
-def _names(entry: Mapping, key: str, default: list) -> list:
-    """``entry[key]``, or ``default`` when absent, as a list of strings:
-    a bare string would be iterated letter by letter."""
-    value = entry.get(key, default)
-    if type(value) is not list or any(type(n) is not str for n in value):
-        raise _usage_error(entry, key, "a list of strings", value)
-    return value
-
-
-def _asserted(entry: Mapping) -> dict:
-    """The ``asserted`` hypotheses, absent meaning none, as a map from
-    names to JSON booleans: the string "true" is not an assertion."""
-    value = entry.get("asserted", {})
-    if not isinstance(value, Mapping) or any(
-            type(k) is not str or type(v) is not bool
-            for k, v in value.items()):
-        raise _usage_error(entry, "asserted",
-                           "a map from names to booleans", value)
-    return dict(value)
+# the JSON type a check parameter's default fixes for its config key,
+# as (description, test): an integer is exact (no float, bool or "8"),
+# a tuple of names takes a list of strings, and an ``asserted`` default
+# maps each hypothesis the check reads to None (not asserted) and takes
+# JSON booleans only (not the string "true")
+_KINDS = {
+    int: ("an integer", lambda v: type(v) is int),
+    str: ("a string", lambda v: type(v) is str),
+    tuple: ("a list of strings", lambda v: type(v) is list
+            and all(type(n) is str for n in v)),
+    dict: ("a map from names to booleans",
+           lambda v: isinstance(v, Mapping)
+           and all(type(k) is str and type(b) is bool
+                   for k, b in v.items())),
+}
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 
 
-def _check_recurrence_symmetry(entry: Mapping) -> CheckReport:
-    system = get_system(_str(entry, "system", "odometer"))
-    horizon = _int(entry, "horizon", 8)
-    depth = _int(entry, "depth", 2)
-    asserted = _asserted(entry)
+def _check_recurrence_symmetry(
+        *, system="odometer", horizon=8, depth=2,
+        asserted={"pointwise-recurrent": None}) -> CheckReport:
+    system = get_system(system)
     names = sorted(system.point_names())
     recs = {n: type1_verdict(system, system.point(n), horizon=horizon,
                              depth=depth) for n in names}
@@ -198,7 +176,7 @@ def _check_recurrence_symmetry(entry: Mapping) -> CheckReport:
              "sampled points must be matched by a reverse reach; a broken "
              "reverse reach must come with a non-returning sample")
     nonret = sorted(n for n in names if recs[n].fails)
-    if asserted.get("pointwise-recurrent") is True and nonret:
+    if asserted["pointwise-recurrent"] is True and nonret:
         outcome = VIOLATION
         notes.append("asserted pointwise recurrence contradicted at "
                      "sampled point(s): %s" % ", ".join(nonret))
@@ -222,14 +200,12 @@ def _check_recurrence_symmetry(entry: Mapping) -> CheckReport:
                        tuple(notes))
 
 
-def _check_one_way_reach(entry: Mapping) -> CheckReport:
-    system = get_system(_str(entry, "system", "full-shift"))
+def _check_one_way_reach(*, system="full-shift", source="step",
+                         target="zero", horizon=8, depth=2) -> CheckReport:
+    system = get_system(system)
     # type1_verdict below needs Z: reject other groups before searching
     system.require_integer_action()
-    source = system.point(_str(entry, "source", "step"))
-    target = system.point(_str(entry, "target", "zero"))
-    horizon = _int(entry, "horizon", 8)
-    depth = _int(entry, "depth", 2)
+    source, target = system.point(source), system.point(target)
     sym = orbit_symmetry_verdict(system, [(source, target)],
                                  horizon=horizon, depth=depth)
     conf = confinement_verdict(system, target, system.cell(target, depth),
@@ -264,11 +240,10 @@ def _check_one_way_reach(entry: Mapping) -> CheckReport:
                        claim, outcome, verdicts, (), tuple(notes))
 
 
-def _check_cone_syndetic(entry: Mapping) -> CheckReport:
-    system = get_system(_str(entry, "system", "odometer"))
-    x = system.point(_str(entry, "point", "zero"))
-    horizon = _int(entry, "horizon", 8)
-    depth = _int(entry, "depth", 2)
+def _check_cone_syndetic(*, system="odometer", point="zero", horizon=8,
+                         depth=2) -> CheckReport:
+    system = get_system(system)
+    x = system.point(point)
     t2 = type2_verdict(system, x, horizon=horizon, depth=depth)
     ap = ap_verdict(system, x, horizon=horizon, depth=depth)
     claim = ("bounded returns inside every tail reach cone force the "
@@ -287,15 +262,13 @@ def _check_cone_syndetic(entry: Mapping) -> CheckReport:
                        claim, outcome, (t2, ap), (), (note,))
 
 
-def _check_joint_returns(entry: Mapping) -> CheckReport:
-    system = get_system(_str(entry, "system", "thue-morse"))
-    nx = _str(entry, "point_x", "reflection")
-    ny = _str(entry, "point_y", "reflection-flipped")
-    x, y = system.point(nx), system.point(ny)
-    horizon = _int(entry, "horizon", 32)
-    depth = _int(entry, "depth", 2)
-    eq = equicontinuity_verdict(system, horizon=_int(
-        entry, "modulus_horizon", 16), depth=depth + 1)
+def _check_joint_returns(*, system="thue-morse", point_x="reflection",
+                         point_y="reflection-flipped", horizon=32, depth=2,
+                         modulus_horizon=16) -> CheckReport:
+    system = get_system(system)
+    x, y = system.point(point_x), system.point(point_y)
+    eq = equicontinuity_verdict(system, horizon=modulus_horizon,
+                                depth=depth + 1)
     apx = ap_verdict(system, x, horizon=horizon, depth=depth)
     apy = ap_verdict(system, y, horizon=horizon, depth=depth)
     pr = pair_type1_verdict(system, x, y, horizon=horizon, depth=depth)
@@ -319,23 +292,22 @@ def _check_joint_returns(entry: Mapping) -> CheckReport:
                        (eq, apx, apy, pr), (), tuple(notes))
 
 
-def _check_orbit_trace_continuity(entry: Mapping) -> CheckReport:
-    system = get_system(_str(entry, "system", "circle-stack"))
-    x = system.point(_str(entry, "point", "limit"))
-    horizon = _int(entry, "horizon", 8)
-    depth = _int(entry, "depth", 3)
-    ndm = _int(entry, "neighbor_depth_max", 4)
-    asserted = _asserted(entry)
+def _check_orbit_trace_continuity(
+        *, system="circle-stack", point="limit", horizon=8, depth=3,
+        neighbor_depth_max=4,
+        asserted={"totally-disconnected": None}) -> CheckReport:
+    system = get_system(system)
+    x = system.point(point)
     rec = type1_verdict(system, x, horizon=max(2, horizon // 2),
                         depth=depth)
     usc = usc_verdict(system, x, horizon=horizon, depth=depth,
-                      neighbor_depth_max=ndm)
+                      neighbor_depth_max=neighbor_depth_max)
     claim = ("on a totally disconnected phase space, a point returning "
              "to its own cell keeps the orbit trace of every fine enough "
              "neighbor inside its own orbit trace; with connected pieces "
              "in the space this control may break down")
     notes = []
-    flag = asserted.get("totally-disconnected")
+    flag = asserted["totally-disconnected"]
     if usc.holds:
         outcome = CONSISTENT
         notes.append("orbit trace controlled at the tested resolutions")
@@ -356,19 +328,18 @@ def _check_orbit_trace_continuity(entry: Mapping) -> CheckReport:
                        tuple(notes))
 
 
-def _check_modulus_continuity(entry: Mapping) -> CheckReport:
-    system = get_system(_str(entry, "system", "odometer"))
-    horizon = _int(entry, "horizon", 8)
-    depth = _int(entry, "depth", 2)
-    ndm = _int(entry, "neighbor_depth_max", 4)
-    names = _names(entry, "points", ["one", "zero"])
+def _check_modulus_continuity(*, system="odometer", horizon=8, depth=2,
+                              neighbor_depth_max=4,
+                              points=("one", "zero")) -> CheckReport:
+    system = get_system(system)
+    names = sorted(points)
     eq = equicontinuity_verdict(system, horizon=max(4, horizon), depth=depth)
     uscs = [usc_verdict(system, system.point(n), horizon=horizon,
-                        depth=depth, neighbor_depth_max=ndm)
-            for n in sorted(names)]
+                        depth=depth, neighbor_depth_max=neighbor_depth_max)
+            for n in names]
     claim = ("a stabilized input-depth modulus keeps every sampled "
              "orbit trace stable under fine perturbation")
-    bad = [n for n, v in zip(sorted(names), uscs) if v.fails]
+    bad = [n for n, v in zip(names, uscs) if v.fails]
     if eq.holds and bad:
         outcome = VIOLATION
         note = ("modulus stabilized yet the orbit trace escapes at: "
@@ -382,12 +353,10 @@ def _check_modulus_continuity(entry: Mapping) -> CheckReport:
                        tuple([eq] + uscs), (), (note,))
 
 
-def _check_regular_tiling(entry: Mapping) -> CheckReport:
-    system = get_system(_str(entry, "system", "odometer"))
-    x = system.point(_str(entry, "point", "zero"))
-    horizon = _int(entry, "horizon", 8)
-    depth = _int(entry, "depth", 2)
-    cover_cap = _int(entry, "cover_cap", 16)
+def _check_regular_tiling(*, system="odometer", point="zero", horizon=8,
+                          depth=2, cover_cap=16) -> CheckReport:
+    system = get_system(system)
+    x = system.point(point)
     ra = regular_ap_verdict(system, x, horizon=horizon, depth=depth)
     tc = translate_cover_verdict(system, x, horizon=horizon, depth=depth,
                                  cover_cap=cover_cap)
@@ -419,11 +388,9 @@ def _check_regular_tiling(entry: Mapping) -> CheckReport:
                        claim, outcome, (ra, tc), (), tuple(notes))
 
 
-def _check_periodic_cells(entry: Mapping) -> CheckReport:
-    system = get_system(_str(entry, "system", "successor-map"))
-    period_max = _int(entry, "period_max", 8)
-    depth = _int(entry, "depth", 3)
-    horizon = _int(entry, "horizon", 6)
+def _check_periodic_cells(*, system="successor-map", period_max=8, depth=3,
+                          horizon=6) -> CheckReport:
+    system = get_system(system)
     pts = [("zero", system.point("zero")), ("unit", system.point("unit")),
            ("unit-at(4)", system.family("unit-at", 4))]
     pps = [pointwise_period_verdict(system, p, period_max=period_max)
@@ -468,10 +435,9 @@ def _check_periodic_cells(entry: Mapping) -> CheckReport:
                        tuple(notes))
 
 
-def _check_regional_not_proximal(entry: Mapping) -> CheckReport:
-    system = get_system(_str(entry, "system", "two-copy"))
-    depth = _int(entry, "depth", 3)
-    horizon = _int(entry, "horizon", 3)
+def _check_regional_not_proximal(*, system="two-copy", depth=3,
+                                 horizon=3) -> CheckReport:
+    system = get_system(system)
     witness = standard_rp_witness(system, depth)
     rp = regional_proximal_check(system, witness, depth=depth)
     px = proximal_verdict(system, witness.x, witness.y, horizon=horizon,
@@ -497,21 +463,21 @@ def _check_regional_not_proximal(entry: Mapping) -> CheckReport:
 SAMPLE_GROUPS = {"sym": (symmetric_group, 5), "dihedral": (dihedral_group, 60)}
 
 
-def _sample_group(entry: Mapping, tag: str):
+def _sample_group(tag: str):
     """The group a ``samples`` tag names, checked before any permutation
     is built: n is written in plain decimal and within its bound."""
     kind, _, n = tag.partition("-")
     build, n_max = SAMPLE_GROUPS.get(kind, (None, 0))
     if not re.fullmatch("[1-9][0-9]?", n) or int(n) > n_max:
-        raise _usage_error(entry, "samples", " or ".join(
-            "%s-<n> with 1 <= n <= %d" % (k, m)
-            for k, (_, m) in SAMPLE_GROUPS.items()), tag)
+        kinds = " or ".join("%s-<n> with 1 <= n <= %d" % (k, m)
+                            for k, (_, m) in SAMPLE_GROUPS.items())
+        raise _usage_error("syndetic-subgroup-normal-core", "samples",
+                           kinds, tag)
     return build(int(n))
 
 
-def _check_subgroup_cores(entry: Mapping) -> CheckReport:
-    groups = [_sample_group(entry, tag) for tag in
-              _names(entry, "samples", ["sym-3", "dihedral-4"])]
+def _check_subgroup_cores(*, samples=("sym-3", "dihedral-4")) -> CheckReport:
+    groups = [_sample_group(tag) for tag in samples]
     claim = ("inside every sampled finite group, each subgroup contains "
              "its conjugate-stable part as a normal subgroup of finite "
              "index, and that part is the largest normal subgroup inside "
@@ -549,8 +515,7 @@ def _check_subgroup_cores(entry: Mapping) -> CheckReport:
                        tuple(verdicts), (), (note,))
 
 
-def _check_syndetic_thick_duality(entry: Mapping) -> CheckReport:
-    window = _int(entry, "window", 24)
+def _check_syndetic_thick_duality(*, window=24) -> CheckReport:
     Z = IntegerGroup()
     claim = ("a set of integers has bounded gaps exactly when its "
              "complement contains no matching run; bounded-gap subgroups "
@@ -611,16 +576,49 @@ def available_checks() -> tuple:
     return tuple(sorted(CHECKS))
 
 
-def run_check(entry: Mapping) -> CheckReport:
+def _bind(entry: Mapping) -> tuple:
+    """The check an entry names and its keyword arguments.  Every
+    other key of the entry must be a keyword parameter of the check, of
+    the JSON type its default fixes; ``asserted`` may name only the
+    hypotheses its default lists."""
     cid = entry.get("check")
-    if cid not in CHECKS:
+    if type(cid) is not str or cid not in CHECKS:
         raise UsageError("unknown check %r (have: %s)"
                          % (cid, ", ".join(available_checks())))
-    return CHECKS[cid](entry)
+    check = CHECKS[cid]
+    # a tracing wrapper keeps the check itself on __wrapped__
+    defaults = inspect.unwrap(check).__kwdefaults__
+    kwargs = {}
+    for key, value in entry.items():
+        if key == "check":
+            continue
+        if key not in defaults:
+            raise UsageError("check %r: unknown key %r (have: %s)"
+                             % (cid, key, ", ".join(sorted(defaults))))
+        default = defaults[key]
+        kind, ok = _KINDS[type(default)]
+        if not ok(value):
+            raise _usage_error(cid, key, kind, value)
+        if type(default) is dict:
+            unknown = sorted(set(value) - set(default))
+            if unknown:
+                raise UsageError("check %r: unknown hypothesis %r (have: %s)"
+                                 % (cid, unknown[0],
+                                    ", ".join(sorted(default))))
+            value = {**default, **value}
+        kwargs[key] = value
+    return check, kwargs
+
+
+def run_check(entry: Mapping) -> CheckReport:
+    check, kwargs = _bind(entry)
+    return check(**kwargs)
 
 
 def run_config(config: Mapping) -> HarnessRun:
+    """Run every check of a config, once every entry has bound."""
     entries = config.get("checks")
     if not isinstance(entries, list) or not entries:
         raise UsageError("config needs a non-empty 'checks' list")
-    return HarnessRun(tuple(run_check(e) for e in entries))
+    bound = [_bind(e) for e in entries]
+    return HarnessRun(tuple(check(**kwargs) for check, kwargs in bound))

@@ -125,6 +125,15 @@ class TestAnalyze:
             prefix = "error: " if code == EXIT_GENERIC else "usage error: "
             assert err.startswith(prefix)
 
+    # 0 was read as absent and ran at depth + 2
+    @pytest.mark.parametrize("cap", ["0", "1"])
+    def test_neighbor_depth_cap_below_depth_is_an_error(self, capsys, cap):
+        code, out, err = run(capsys, "analyze", "circle-stack",
+                             "orbit-upper-semicontinuity", "--point", "limit",
+                             "--depth", "3", "--neighbor-depth-max", cap)
+        assert (code, out) == (EXIT_GENERIC, "")
+        assert err == "error: neighbor depth cap must be >= 3\n"
+
 
 class TestVerify:
     def test_default_battery_consistent(self, capsys):
@@ -173,7 +182,13 @@ class TestVerify:
         {"check": "recurrence-vs-reach-symmetry", "asserted": [1]},
         {"check": "recurrence-vs-reach-symmetry", "system": "full-shift",
          "asserted": {"pointwise-recurrent": "true"}},
-    ], ids=["points", "asserted-list", "asserted-string"])
+        # a misspelled key or hypothesis was dropped: the first ran at
+        # horizon 8, the second exited 0 where the right name exits 3
+        {"check": "cone-returns-give-syndetic", "horizn": 64},
+        {"check": "recurrence-vs-reach-symmetry", "system": "full-shift",
+         "asserted": {"pointwise-recurent": True}},
+    ], ids=["points", "asserted-list", "asserted-string", "key-misspelled",
+            "hypothesis-misspelled"])
     def test_mistyped_entry_is_usage_error(self, tmp_path, capsys, entry):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"schema": "zerodim-verify/1",
@@ -250,6 +265,22 @@ class TestGallery:
             "full-shift", "thue-morse", "odometer", "successor-map",
             "two-copy", "mcmahon", "circle-stack",
             "circle-stack-components"]
+
+    # each verdict line of the gallery is an analyze command line
+    def test_analyzer_lines_rerun_as_analyze(self, capsys):
+        _, out, _ = run(capsys, "gallery", "--json")
+        shown = {s["system"]: s["lines"]
+                 for s in json.loads(out)["sections"]}
+        count = 0
+        for system, analyses in cli.GALLERY.items():
+            verdicts = shown[system][len(shown[system]) - len(analyses):]
+            for line, expected in zip(analyses, verdicts):
+                code, printed, err = run(capsys, "analyze", system,
+                                         *line.split())
+                assert (code, err) == (EXIT_OK, ""), line
+                assert printed == expected + "\n", line
+                count += 1
+        assert count == 15
 
 
 class TestUsage:

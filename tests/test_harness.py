@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from zerodim import subgroups
+from zerodim import harness, subgroups
 from zerodim.config import (default_config, load_config,
                             negative_control_config, validate_config)
 from zerodim.errors import UsageError
@@ -115,6 +115,70 @@ class TestEntryTypes:
     def test_wrong_type_is_usage_error(self, entry, message):
         with pytest.raises(UsageError, match=message):
             run_check(entry)
+
+    # a misspelled key ran the check at that key's default
+    @pytest.mark.parametrize("entry, key", [
+        ({"check": "cone-returns-give-syndetic", "horizn": 64}, "horizn"),
+        ({"check": "cone-returns-give-syndetic", "sytem": "full-shift"},
+         "sytem"),
+        ({"check": "uniform-modulus-gives-orbit-continuity",
+          "point": ["one"]}, "point"),
+        ({"check": "recurrence-vs-reach-symmetry",
+          "assertion": {"pointwise-recurrent": True}}, "assertion"),
+        # asserted is a key only of the checks that read a hypothesis
+        ({"check": "cone-returns-give-syndetic", "asserted": {}},
+         "asserted"),
+    ], ids=["int", "str", "names", "asserted", "asserted-elsewhere"])
+    def test_undeclared_key_is_usage_error(self, entry, key):
+        with pytest.raises(UsageError, match="%r: unknown key %r"
+                           % (entry["check"], key)):
+            run_check(entry)
+
+    @pytest.mark.parametrize("cid, name", [
+        ("recurrence-vs-reach-symmetry", "pointwise-recurent"),
+        ("recurrence-vs-reach-symmetry", "totally-disconnected"),
+        ("recurrent-orbit-trace-continuity", "pointwise-recurrent"),
+    ])
+    def test_undeclared_hypothesis_is_usage_error(self, cid, name):
+        with pytest.raises(UsageError, match="unknown hypothesis %r" % name):
+            run_check({"check": cid, "system": "full-shift",
+                       "asserted": {name: True}})
+
+    # a list or map check id raised TypeError: unhashable type
+    @pytest.mark.parametrize("cid", [["x"], {"a": 1}, None, 3])
+    def test_non_string_check_id_is_usage_error(self, cid):
+        with pytest.raises(UsageError, match="unknown check"):
+            run_check({"check": cid})
+
+    def test_every_entry_binds_before_any_check_runs(self, monkeypatch):
+        cid = "recurrence-vs-reach-symmetry"
+
+        def refuse(**kwargs):
+            raise AssertionError("ran a check")
+        refuse.__wrapped__ = harness.CHECKS[cid]
+        monkeypatch.setitem(harness.CHECKS, cid, refuse)
+        config = default_config()
+        assert config["checks"][0]["check"] == cid
+        config["checks"].append({"check": "cone-returns-give-syndetic",
+                                 "depht": 5})
+        with pytest.raises(UsageError, match="unknown key 'depht'"):
+            run_config(config)
+
+    # the schema is read through a wrapper that sets __wrapped__, as a
+    # tracing wrapper does
+    def test_wrapped_check_binds_like_the_check(self, monkeypatch):
+        check = harness.CHECKS["syndetic-thick-duality"]
+        calls = []
+
+        def traced(*args, **kwargs):
+            calls.append(kwargs)
+            return check(*args, **kwargs)
+        traced.__wrapped__ = check
+        monkeypatch.setitem(harness.CHECKS, "syndetic-thick-duality", traced)
+        rep = run_check({"check": "syndetic-thick-duality", "window": 30})
+        assert rep.outcome == CONSISTENT and calls == [{"window": 30}]
+        with pytest.raises(UsageError, match="unknown key 'windw'"):
+            run_check({"check": "syndetic-thick-duality", "windw": 30})
 
 
 class TestSampleTags:
