@@ -7,14 +7,15 @@ under every action in the package and makes equality and the standard
 2^-k ultrametric decidable, so all distances come out as exact dyadic
 fractions.
 
-Clopen subsets are stored as a coordinate window plus the set of
-admissible patterns on it, each pattern as one int code, kept in a
-canonical minimal-window form so that structural equality is set
-equality.
+Clopen subsets are stored as a coordinate window plus the smaller side
+of its patterns (the admitted or the excluded ones), each pattern as
+one int code, kept in a canonical minimal-window form so that
+structural equality is set equality.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import DomainError, PreconditionError, RangeError, ResourceCapError
 
 WINDOW_CAP = 24          # widest clopen window the algebra will enumerate
-PATTERN_CAP = 1 << 21    # most patterns a single clopen set may hold
+PATTERN_CAP = 1 << 21    # most patterns a single clopen set may admit
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +333,20 @@ def _check_symbol(scheme: Scheme, n: int, s: int) -> None:
                          % (s, n, scheme.size(n)))
 
 
+def _all_symbols(symbols: Sequence, size: int) -> bool:
+    """Whether ``_is_symbol(s, size)`` holds for every symbol, in three
+    C-level passes: the types, the least and the greatest."""
+    return not symbols or (set(map(type, symbols)) == {int}
+                           and min(symbols) >= 0 and max(symbols) < size)
+
+
 def _check_symbols(scheme: Scheme, first: int, symbols: Sequence) -> None:
     """Check symbols laid out at coordinates first, first + 1, ...;
-    integer alphabets take one pass, and the per-coordinate loop runs
-    only for the other alphabets or to name the bad symbol."""
+    integer alphabets take one ``_all_symbols`` pass, and the
+    per-coordinate loop runs only for the other alphabets or to name
+    the bad symbol."""
     size = scheme.alphabet
-    if isinstance(size, int) and all(_is_symbol(s, size) for s in symbols):
+    if isinstance(size, int) and _all_symbols(symbols, size):
         return
     for n, s in enumerate(symbols, first):
         _check_symbol(scheme, n, s)
@@ -410,35 +419,43 @@ def read_symbols(x: Point, lo: int, hi: int) -> list:
     """The symbols of a point at coordinates lo..hi, as a new list: the
     left tail repeated below the window, a slice of the window, and the
     right tail repeated above it.  No coordinate is looked up on its
-    own.  A one-sided point is read too; a coordinate below its window
-    raises ``RangeError``, as ``Point.value`` does."""
-    if x.lo <= lo and hi <= x.hi:       # inside the window: one slice
-        return list(x.window[lo - x.lo:hi - x.lo + 1])
-    out: list = []
-    if lo < x.lo:                       # coordinates read off the left tail
+    own, and a range wholly inside one tail is one repeated run.  A
+    one-sided point is read too; a coordinate below its window raises
+    ``RangeError``, as ``Point.value`` does."""
+    xlo, xhi = x.lo, x.hi
+    if xlo <= lo and hi <= xhi:         # inside the window: one slice
+        return list(x.window[lo - xlo:hi - xlo + 1])
+    if lo > xhi:                        # wholly in the right tail
+        r = x.right.symbols
+        return _cycled(r, (lo - xhi - 1) % len(r), hi - lo + 1)
+    if lo >= xlo:
+        out = list(x.window[lo - xlo:])
+    else:                               # from the left tail on
         if x.left is None:
             x.scheme.check_coord(lo)
             raise RangeError("coordinate %d below a one-sided window" % lo)
         rev = x.left.symbols[::-1]
-        count = min(hi, x.lo - 1) - lo + 1
-        out += _cycled(rev, (lo - x.lo) % len(rev), count)
-    first, last = max(lo, x.lo), min(hi, x.hi)
-    if first <= last:
-        out += x.window[first - x.lo:last - x.lo + 1]
-    first = max(lo, x.hi + 1)
-    if first <= hi:                     # coordinates read off the right tail
-        r = x.right.symbols
-        out += _cycled(r, (first - x.hi - 1) % len(r), hi - first + 1)
+        start = (lo - xlo) % len(rev)
+        if hi < xlo:                    # wholly in the left tail
+            return _cycled(rev, start, hi - lo + 1)
+        out = _cycled(rev, start, xlo - lo)
+        out += x.window[:hi - xlo + 1]
+    if hi > xhi:                        # on into the right tail
+        out += _cycled(x.right.symbols, 0, hi - xhi)
     return out
 
 
-def _cycled(pattern: tuple, start: int, count: int) -> tuple:
+def _cycled(pattern: tuple, start: int, count: int) -> list:
     """``count`` symbols of the repeated pattern from index ``start``
-    (0 <= start < len(pattern)); nothing when count <= 0."""
-    if count <= 0:
-        return ()
-    reps = -(-(start + count) // len(pattern))
-    return (pattern * reps)[start:start + count]
+    (0 <= start < len(pattern)), as a new list: whole turns of the
+    pattern rotated to ``start`` and then a part of one turn."""
+    period = len(pattern)
+    if period == 1:
+        return [pattern[0]] * count
+    turn = list(pattern[start:] + pattern[:start])
+    out = turn * (count // period)
+    out += turn[:count % period]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -484,52 +501,77 @@ def depth_cylinder(x: Point, depth: int) -> Cylinder:
 class ClopenSet:
     """Finite union of same-window cylinders in canonical form.
 
-    Each admitted pattern on the window lo..hi is held as one int, its
-    code: the pattern read as a big-endian mixed-radix numeral, the
-    symbol at lo the most significant digit and each coordinate's
-    alphabet size its radix.  Code order is lexicographic pattern
-    order, and ``patterns`` decodes the codes on demand.
+    Each pattern on the window lo..hi has one int, its code: the
+    pattern read as a big-endian mixed-radix numeral, the symbol at lo
+    the most significant digit and each coordinate's alphabet size its
+    radix.  Code order is lexicographic pattern order.
+
+    ``codes`` holds the smaller side of the window: the admitted codes,
+    or the excluded ones when ``complemented``.  The set is complemented
+    iff it admits more than half the window's patterns, so a dense set
+    and its sparse complement cost the same.  ``patterns`` and
+    ``to_json`` decode the admitted side on demand.
 
     Canonical means: no edge coordinate of the window is free (a
     coordinate is free when every completion of every residual pattern
-    is admitted), the empty set is stored with an empty window and no
-    codes, and the full space with an empty window and the code 0 of
-    the empty pattern.  Build through ``clopen`` / ``from_cylinder`` or
-    the algebra operations.
+    is admitted), the side rule above holds, and the empty set and the
+    full space have an empty window and no codes, the full space
+    complemented.  Build through ``clopen`` / ``from_cylinder`` or the
+    algebra operations.
     """
 
     scheme: Scheme
     lo: int
     hi: int
     codes: frozenset
+    complemented: bool = False
 
     @property
     def patterns(self) -> frozenset:
         """The admitted patterns as tuples, decoded afresh each time."""
-        return frozenset(_decode(self.scheme, self.lo, self.hi, self.codes))
+        return frozenset(_decode(self.scheme, self.lo, self.hi,
+                                 _admitted_codes(self)))
 
     def member(self, x: Point) -> bool:
         if self.lo > self.hi:
-            return bool(self.codes)
-        return _encode(self.scheme, self.lo,
-                       read_symbols(x, self.lo, self.hi)) in self.codes
+            return self.complemented
+        code = _encode(self.scheme, self.lo, read_symbols(x, self.lo, self.hi))
+        return (code in self.codes) is not self.complemented
 
     @property
     def is_empty(self) -> bool:
-        return not self.codes
+        return not self.codes and not self.complemented
 
     @property
     def is_full(self) -> bool:
-        return self.lo > self.hi and bool(self.codes)
+        return not self.codes and self.complemented
 
     def to_json(self) -> dict:
         return {"scheme": self.scheme.to_json(), "lo": self.lo,
                 "patterns": [list(p) for p in _decode(
-                    self.scheme, self.lo, self.hi, sorted(self.codes))]}
+                    self.scheme, self.lo, self.hi, _admitted_codes(self))]}
 
     def __repr__(self) -> str:
         return "<clopen [%d..%d] %d patterns>" % (self.lo, self.hi,
-                                                  len(self.codes))
+                                                  _admitted_count(self))
+
+
+def _admitted_count(c: ClopenSet) -> int:
+    """How many patterns on its window ``c`` admits, by arithmetic."""
+    if c.complemented:
+        return _count(c.scheme, c.lo, c.hi) - len(c.codes)
+    return len(c.codes)
+
+
+def _admitted_codes(c: ClopenSet) -> list:
+    """The admitted codes of ``c`` in increasing order.  A complemented
+    set admits more than half its window, so this enumerates fewer than
+    twice as many codes as it returns."""
+    if not c.complemented:
+        return sorted(c.codes)
+    excluded = c.codes
+    return [k for k in range(_count(c.scheme, c.lo, c.hi))
+            if k not in excluded]
 
 
 def _count(scheme: Scheme, lo: int, hi: int, cap: bool = False) -> int:
@@ -569,8 +611,12 @@ def clopen(scheme: Scheme, lo: int, patterns: Iterable[Sequence[int]]) -> Clopen
     width = len(next(iter(pats)))
     if any(len(p) != width for p in pats):
         raise DomainError("all patterns must share the window width")
-    for p in pats:
-        _check_symbols(scheme, lo, p)
+    # on an integer alphabet every pattern is checked in one pass
+    size = scheme.alphabet
+    if not (isinstance(size, int) and
+            _all_symbols(list(itertools.chain.from_iterable(pats)), size)):
+        for p in pats:
+            _check_symbols(scheme, lo, p)
     return _canonical(scheme, lo, lo + width - 1,
                       frozenset([_encode(scheme, lo, p) for p in pats]))
 
@@ -581,27 +627,36 @@ def from_cylinder(c: Cylinder) -> ClopenSet:
     return clopen(c.scheme, c.lo, [c.pattern])
 
 
+def _anchor(scheme: Scheme) -> int:
+    return scheme.start if scheme.kind == "one-sided" else 0
+
+
 def _full_clopen(scheme: Scheme) -> ClopenSet:
-    anchor = scheme.start if scheme.kind == "one-sided" else 0
-    return ClopenSet(scheme, anchor, anchor - 1, frozenset({0}))
+    anchor = _anchor(scheme)
+    return ClopenSet(scheme, anchor, anchor - 1, frozenset(), True)
 
 
 def _empty_clopen(scheme: Scheme) -> ClopenSet:
-    anchor = scheme.start if scheme.kind == "one-sided" else 0
+    anchor = _anchor(scheme)
     return ClopenSet(scheme, anchor, anchor - 1, frozenset())
 
 
-def _canonical(scheme: Scheme, lo: int, hi: int,
-               codes: frozenset) -> ClopenSet:
-    """Drop free edge coordinates until none is left.
+def _canonical(scheme: Scheme, lo: int, hi: int, codes: frozenset,
+               complemented: bool = False) -> ClopenSet:
+    """Drop free edge coordinates of the held side until none is left,
+    then settle the side.
 
-    The residual of a code with its edge symbol cut off is its
-    remainder by the patterns on the coordinates after lo (left edge),
-    or its quotient by the alphabet size at hi (right edge).  The edge
-    is free when every residual occurs with all ``size`` symbols there.
-    Each residual occurs with at most ``size`` symbols, so that holds
-    exactly when ``len(residuals) * size == len(codes)``: one counting
-    pass, with no grouping of symbols by residual.
+    An edge is free for a set iff it is free for its complement (at
+    each residual the complement admits exactly the symbols the set
+    does not, so all-or-none stays all-or-none), so trimming the held
+    side trims the set.  The residual of a code with its edge symbol
+    cut off is its remainder by the patterns on the coordinates after
+    lo (left edge), or its quotient by the alphabet size at hi (right
+    edge).  The edge is free when every residual occurs with all
+    ``size`` symbols there.  Each residual occurs with at most ``size``
+    symbols, so that holds exactly when ``len(residuals) * size ==
+    len(codes)``: one counting pass, with no grouping of symbols by
+    residual.
     """
     while lo <= hi:
         size, block = scheme.size(lo), _count(scheme, lo + 1, hi)
@@ -615,46 +670,76 @@ def _canonical(scheme: Scheme, lo: int, hi: int,
             hi, codes = hi - 1, rests
             continue
         break
+    return _settle(scheme, lo, hi, codes, complemented)
+
+
+def _settle(scheme: Scheme, lo: int, hi: int, codes: frozenset,
+            complemented: bool) -> ClopenSet:
+    """The set on a canonical window lo..hi whose held side is
+    ``codes``, held by its smaller side: complemented iff it admits
+    more than half the window's patterns, the admitted side on a tie.
+
+    It costs one count.  It enumerates the window only to change
+    sides, and then fewer than twice as many codes as it admits, after
+    checking that count against PATTERN_CAP.
+    """
+    total = _count(scheme, lo, hi)
+    admitted = total - len(codes) if complemented else len(codes)
+    if admitted > PATTERN_CAP:
+        raise ResourceCapError("pattern enumeration exceeds cap")
+    if (2 * admitted > total) is not complemented:
+        codes = frozenset(range(total)) - codes
+        complemented = not complemented
     if lo > hi:
-        return _full_clopen(scheme) if codes else _empty_clopen(scheme)
-    return ClopenSet(scheme, lo, hi, codes)
+        lo = _anchor(scheme)
+        hi = lo - 1
+    return ClopenSet(scheme, lo, hi, codes, complemented)
 
 
 def complement(a: ClopenSet) -> ClopenSet:
-    """The complement, on ``a``'s own window.
+    """The complement, on ``a``'s own window, by flipping the side flag.
 
-    An edge coordinate is free for a set iff it is free for its
-    complement: at each residual the complement admits exactly the
-    symbols the set does not, so all-or-none stays all-or-none.  The
-    canonical window of ``a`` is therefore the complement's canonical
-    window, and no trimming pass is needed.
+    A window that is canonical for a set is canonical for its
+    complement (see ``_canonical``), so nothing is trimmed, and the
+    other side is enumerated only on an exact tie.
     """
-    if a.is_empty:
-        return _full_clopen(a.scheme)
-    if a.is_full:
-        return _empty_clopen(a.scheme)
-    total = _count(a.scheme, a.lo, a.hi, cap=True)
-    return ClopenSet(a.scheme, a.lo, a.hi, frozenset(range(total)) - a.codes)
+    return _settle(a.scheme, a.lo, a.hi, a.codes, not a.complemented)
 
 
 def union(a: ClopenSet, b: ClopenSet) -> ClopenSet:
+    """The union, by De Morgan on the held sides: -A u -B = -(A n B)
+    and A u -B = -(B - A)."""
     a2, b2, lo, hi = _refine(a, b)
-    return _canonical(a.scheme, lo, hi, a2 | b2)
+    if a.complemented:
+        codes = a2 & b2 if b.complemented else a2 - b2
+    else:
+        codes = b2 - a2 if b.complemented else a2 | b2
+    return _canonical(a.scheme, lo, hi, codes,
+                      a.complemented or b.complemented)
 
 
 def intersection(a: ClopenSet, b: ClopenSet) -> ClopenSet:
+    """The intersection, by De Morgan on the held sides:
+    -A n -B = -(A u B) and A n -B = A - B."""
     a2, b2, lo, hi = _refine(a, b)
-    return _canonical(a.scheme, lo, hi, a2 & b2)
+    if a.complemented:
+        codes = a2 | b2 if b.complemented else b2 - a2
+    else:
+        codes = a2 - b2 if b.complemented else a2 & b2
+    return _canonical(a.scheme, lo, hi, codes,
+                      a.complemented and b.complemented)
 
 
 def sym_diff(a: ClopenSet, b: ClopenSet) -> ClopenSet:
-    """The symmetric difference; an empty operand leaves the other,
+    """The symmetric difference: the XOR of the held sides, complemented
+    iff exactly one operand is.  An empty operand leaves the other,
     canonical as it stands (the common case of the ``two-copy`` group
     law, whose flip-only generators have an empty region)."""
     if a.scheme == b.scheme and (a.is_empty or b.is_empty):
         return b if a.is_empty else a
     a2, b2, lo, hi = _refine(a, b)
-    return _canonical(a.scheme, lo, hi, a2 ^ b2)
+    return _canonical(a.scheme, lo, hi, a2 ^ b2,
+                      a.complemented is not b.complemented)
 
 
 def _refine(a: ClopenSet, b: ClopenSet):
@@ -664,7 +749,7 @@ def _refine(a: ClopenSet, b: ClopenSet):
     lo_parts = [c.lo for c in (a, b) if c.lo <= c.hi]
     hi_parts = [c.hi for c in (a, b) if c.lo <= c.hi]
     if not lo_parts:
-        anchor = a.scheme.start if a.scheme.kind == "one-sided" else 0
+        anchor = _anchor(a.scheme)
         return a.codes, b.codes, anchor, anchor - 1
     lo, hi = min(lo_parts), max(hi_parts)
     width = hi - lo + 1
@@ -675,12 +760,11 @@ def _refine(a: ClopenSet, b: ClopenSet):
 
 
 def _expand(c: ClopenSet, lo: int, hi: int) -> frozenset:
-    """The codes on lo..hi (a window holding c's) of c's patterns: each
-    prefix p, code m of c and suffix s give (p * mid + m) * suf + s."""
-    if c.is_empty:
-        return frozenset()
-    if c.is_full:
-        return frozenset(range(_count(c.scheme, lo, hi, cap=True)))
+    """The held side of c widened to lo..hi (a window holding c's):
+    each prefix p, held code m and suffix s give (p * mid + m) * suf + s.
+    The empty set and the full space hold no codes."""
+    if not c.codes:
+        return c.codes
     if (c.lo, c.hi) == (lo, hi):
         return c.codes
     pre = _count(c.scheme, lo, c.lo - 1, cap=True)

@@ -22,6 +22,8 @@ from .cantor import (
     Point,
     Scheme,
     Tail,
+    _admitted_codes,
+    _admitted_count,
     _trusted_point,
     canonical_point,
     clopen,
@@ -827,8 +829,8 @@ class TwoCopyGroup(Group):
 
     def sort_key(self, g):
         v, d = g
-        return (len(v), tuple(sorted(v)), len(d.codes), d.lo, d.hi,
-                tuple(sorted(d.codes)))
+        return (len(v), tuple(sorted(v)), _admitted_count(d), d.lo, d.hi,
+                tuple(_admitted_codes(d)))
 
     def format_element(self, g) -> str:
         for name, el in self._named.items():
@@ -841,7 +843,7 @@ class TwoCopyGroup(Group):
         if d.is_empty:
             region = "-"
         else:
-            region = "[%d..%d:%d]" % (d.lo, d.hi, len(d.codes))
+            region = "[%d..%d:%d]" % (d.lo, d.hi, _admitted_count(d))
         return "flips{%s}signs%s" % (flips, region)
 
     def to_json(self) -> dict:
@@ -852,12 +854,13 @@ def _flip_region(d: ClopenSet, v: frozenset) -> ClopenSet:
     """Image of a binary clopen set under flipping the coordinates in v.
 
     A flip at coordinate c toggles the digit of weight 2^(hi - c) in
-    every code, so the image is each code XOR one mask.  It lives on
-    ``d``'s own window and is canonical as it stands: a flip permutes
-    the two symbols at its coordinate, so at an edge it maps the
-    symbols a residual admits onto as many, and inside the window it
-    only renames residuals.  An edge coordinate is free for the image
-    iff it is free for ``d``.
+    every code, so the image is each held code XOR one mask, held on the
+    same side: a flip is a bijection on patterns, so it keeps the
+    admitted count.  It lives on ``d``'s own window and is canonical as
+    it stands: a flip permutes the two symbols at its coordinate, so at
+    an edge it maps the symbols a residual admits onto as many, and
+    inside the window it only renames residuals.  An edge coordinate is
+    free for the image iff it is free for ``d``.
     """
     if d.lo > d.hi or not v:
         return d
@@ -865,7 +868,7 @@ def _flip_region(d: ClopenSet, v: frozenset) -> ClopenSet:
     if not mask:
         return d
     return ClopenSet(d.scheme, d.lo, d.hi,
-                     frozenset([c ^ mask for c in d.codes]))
+                     frozenset([c ^ mask for c in d.codes]), d.complemented)
 
 
 def build_two_copy(m: int = 3) -> FlowSystem:

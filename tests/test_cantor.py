@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
-                            clopen, complement, constant_tail,
-                            depth_cylinder, distance, from_cylinder,
-                            intersection, make_point, periodic_tail,
-                            points_equal, read_symbols, reanchor_tail,
-                            scheme_from_json, sym_diff, union)
+                            _check_symbols, _is_symbol, clopen, complement,
+                            constant_tail, depth_cylinder, distance,
+                            from_cylinder, intersection, make_point,
+                            periodic_tail, points_equal, read_symbols,
+                            reanchor_tail, scheme_from_json, sym_diff, union)
 from zerodim.errors import (DomainError, PreconditionError, RangeError,
                             ResourceCapError)
 from zerodim.flows import (_flip_region, build_full_shift, build_odometer,
@@ -210,6 +210,43 @@ class TestSymbolTypes:
         with pytest.raises(RangeError):
             Cylinder(BIN, 0, 0, (True,))
 
+    @pytest.mark.parametrize("scheme", [BIN, Scheme("two-sided", alphabet=3)])
+    @pytest.mark.parametrize("bad", [True, 1.0, -1, "size"])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_bad_symbol_named_at_its_coordinate(self, scheme, bad, at):
+        size = scheme.alphabet
+        bad = size if bad == "size" else bad
+        symbols = [1] * 5
+        symbols[at] = bad
+        want = "symbol %r invalid at coordinate %d (alphabet %d)" \
+            % (bad, at - 3, size)
+        with pytest.raises(RangeError) as raised:
+            make_point(scheme, symbols, 0, 0, lo=-3)
+        assert str(raised.value) == want
+        with pytest.raises(RangeError) as raised:
+            clopen(scheme, -3, [(0,) * 5, tuple(symbols)])
+        assert str(raised.value) == want
+
+    @given(st.sampled_from(SCHEMES), st.integers(0, 4),
+           st.lists(st.one_of(st.integers(-2, 6), st.booleans(),
+                              st.sampled_from([0.0, 1.0, 0.5])),
+                    max_size=8))
+    @settings(max_examples=400)
+    def test_check_accepts_exactly_the_symbols(self, scheme, offset, symbols):
+        first = scheme.start + offset
+        ok = all(_is_symbol(s, scheme.size(n))
+                 for n, s in enumerate(symbols, first))
+        try:
+            _check_symbols(scheme, first, symbols)
+        except RangeError as e:
+            assert not ok
+            n, s = next((n, s) for n, s in enumerate(symbols, first)
+                        if not _is_symbol(s, scheme.size(n)))
+            assert str(e) == "symbol %r invalid at coordinate %d " \
+                "(alphabet %d)" % (s, n, scheme.size(n))
+        else:
+            assert ok
+
 
 class TestDistance:
     def test_exact_values(self):
@@ -289,13 +326,15 @@ class TestReadSymbols:
 
     @given(st.sampled_from(SCHEMES).flatmap(scheme_points),
            st.sampled_from(["inside", "left-edge", "right-edge", "left-tail",
-                            "right-tail"]),
+                            "right-tail", "both-tails"]),
            st.integers(0, 8), st.integers(0, 8))
     @settings(max_examples=400)
     def test_matches_value_by_region(self, x, region, a, b):
-        # ranges inside the window, straddling one of its edges, or
-        # wholly in one tail
-        if region == "inside":
+        # ranges inside the window, straddling one of its edges or both,
+        # or wholly in one tail
+        if region == "both-tails":
+            lo, hi = x.lo - 1 - a, x.hi + 1 + b
+        elif region == "inside":
             if x.lo > x.hi:
                 return
             lo = x.lo + min(a, x.hi - x.lo)
@@ -310,6 +349,25 @@ class TestReadSymbols:
             lo, hi = x.hi + 1 + a, x.hi + 1 + a + b
         if x.scheme.kind == "one-sided" and lo < x.scheme.start:
             return
+        assert read_symbols(x, lo, hi) == [x.value(c)
+                                           for c in range(lo, hi + 1)]
+
+    @given(st.sampled_from([(0,), (1,), (0, 1), (1, 1, 0), (0, 0, 1)]),
+           st.sampled_from([(0,), (1,), (1, 0), (0, 1, 1), (1, 0, 0)]),
+           st.lists(st.integers(0, 1), max_size=4), st.integers(-4, 4),
+           st.sampled_from(["left-tail", "right-tail", "both-tails"]),
+           st.integers(0, 7), st.integers(0, 13))
+    @settings(max_examples=400)
+    def test_tail_runs_of_periods_one_to_three(self, right, left, window,
+                                               lo, region, a, b):
+        x = make_point(BIN, window, Tail(right), Tail(left), lo=lo)
+        assert (x.right.period(), x.left.period()) == (len(right), len(left))
+        if region == "left-tail":
+            lo, hi = x.lo - 1 - a - b, x.lo - 1 - a
+        elif region == "right-tail":
+            lo, hi = x.hi + 1 + a, x.hi + 1 + a + b
+        else:
+            lo, hi = x.lo - 1 - a, x.hi + 1 + b
         assert read_symbols(x, lo, hi) == [x.value(c)
                                            for c in range(lo, hi + 1)]
 
@@ -477,8 +535,9 @@ CLOPEN_SCHEMES = (BIN, Scheme("two-sided", alphabet=3),
 @st.composite
 def clopen_pairs(draw, schemes=CLOPEN_SCHEMES):
     """Two clopen sets on one scheme, each any subset of the patterns on
-    a window of up to 3 coordinates (4 on the binary scheme), so free
-    edge coordinates and empty or full sets turn up often."""
+    a window of up to 3 coordinates (4 on the binary scheme), or the
+    complement of one, so free edge coordinates, empty or full sets and
+    sets held by either side turn up often."""
     scheme = draw(st.sampled_from(schemes))
     anchor = scheme.start if scheme.kind == "one-sided" else 0
     out = []
@@ -489,9 +548,10 @@ def clopen_pairs(draw, schemes=CLOPEN_SCHEMES):
         keep = draw(st.lists(st.booleans(), min_size=len(universe),
                              max_size=len(universe)))
         pats = [p for p, k in zip(universe, keep) if k]
-        out.append(clopen(scheme, lo, pats) if width else
-                   (clopen(scheme, lo, [(0,), (1,)]) if keep[0]
-                    else clopen(scheme, lo, [])))
+        c = (clopen(scheme, lo, pats) if width else
+             (clopen(scheme, lo, [(0,), (1,)]) if keep[0]
+              else clopen(scheme, lo, [])))
+        out.append(complement(c) if draw(st.booleans()) else c)
     return tuple(out)
 
 
@@ -553,8 +613,10 @@ class TestPatternCodes:
         for c in pair:
             universe = window_patterns(c.scheme, c.lo, c.hi)
             assert all(0 <= k < len(universe) for k in c.codes)
-            assert c.patterns == frozenset(universe[k] for k in c.codes)
-            assert [universe[k] for k in sorted(c.codes)] == \
+            admitted = (frozenset(range(len(universe))) - c.codes
+                        if c.complemented else c.codes)
+            assert c.patterns == frozenset(universe[k] for k in admitted)
+            assert [universe[k] for k in sorted(admitted)] == \
                 sorted(c.patterns)
             assert c.to_json()["patterns"] == \
                 sorted(list(p) for p in c.patterns)
@@ -577,9 +639,70 @@ class TestPatternCodes:
         assert time.perf_counter() - start < 1.0
 
     def test_width_18_complement(self):
+        # half admits 131,073 of the 262,144 patterns, so it holds the
+        # 131,071 it excludes, and its complement holds the same codes
         half = union(clopen(BIN, 0, [(0,)]), clopen(BIN, 0, [(1,) * 18]))
-        assert (half.lo, half.hi, len(half.codes)) == (0, 17, 131073)
-        assert len(complement(half).codes) == 131071
+        assert (half.lo, half.hi, half.complemented, len(half.codes)) == \
+            (0, 17, True, 131071)
+        rest = complement(half)
+        assert (rest.complemented, rest.codes) == (False, half.codes)
+        assert len(rest.patterns) == 131071
+
+
+class TestHeldSide:
+    """A set holds the smaller side of its window: the admitted codes,
+    or the excluded ones when ``complemented``, the admitted on a tie."""
+
+    @given(clopen_pairs())
+    @settings(max_examples=300)
+    def test_held_side_is_never_the_larger(self, pair):
+        a, b = pair
+        for c in (a, b, union(a, b), intersection(a, b), sym_diff(a, b),
+                  complement(a), complement(b)):
+            total = len(window_patterns(c.scheme, c.lo, c.hi))
+            admitted = len(c.patterns)
+            assert c.complemented == (2 * admitted > total)
+            assert 2 * len(c.codes) <= total
+            assert repr(c) == "<clopen [%d..%d] %d patterns>" % (
+                c.lo, c.hi, admitted)
+
+    def test_double_complement_enumerates_nothing(self):
+        a = clopen(BIN, 0, [(1,) * 21])
+        start = time.perf_counter()
+        c = complement(a)
+        back = complement(c)
+        assert time.perf_counter() - start < 0.05
+        assert c.complemented and c.codes == a.codes
+        assert back == a and hash(back) == hash(a)
+
+    def test_complemented_patterns_are_decoded_afresh(self):
+        c = complement(clopen(BIN, 0, [(1, 0)]))
+        assert c.complemented and c.codes == frozenset({2})
+        assert c.patterns == frozenset({(0, 0), (0, 1), (1, 1)})
+        assert c.patterns is not c.patterns
+        assert "patterns" not in vars(c)
+
+    def test_flip_of_a_complemented_region(self):
+        d = complement(clopen(BIN, -1, [(0, 1, 1)]))
+        flips = frozenset({-1, 1, 5})
+        image = _flip_region(d, flips)
+        want = clopen(BIN, -1, [tuple(1 - s if n in flips else s
+                                      for n, s in enumerate(p, -1))
+                                for p in d.patterns])
+        assert d.complemented and image.complemented
+        assert image == want
+
+    def test_held_sides_answer_past_the_expansion_cap(self):
+        # the complement admits 2^21 - 1 patterns on 0..20; widened to
+        # 0..23 they would be 8 times as many, but only 8 are held
+        a = complement(clopen(BIN, 0, [(1,) * 21]))
+        b = clopen(BIN, 3, [(1,) * 21])
+        ones = clopen(BIN, 0, [(1,) * 24])
+        assert intersection(a, b) == sym_diff(b, ones)
+        # the union holds 7 codes but admits 2^24 - 7 patterns
+        with pytest.raises(ResourceCapError,
+                           match="pattern enumeration exceeds cap"):
+            union(a, b)
 
 
 def value_probe(c, x):
