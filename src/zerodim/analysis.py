@@ -21,7 +21,7 @@ from .cantor import (ClopenSet, Point, depth_cylinder, from_cylinder,
                      make_point, read_symbols)
 from .errors import DomainError, PreconditionError, ResourceCapError
 from .flows import FlowSystem
-from .groups import DEFAULT_BALL_CAP, _ball_layers, _check_int, power_set
+from .groups import _ball_layers, _check_int, power_set
 from .verdict import Verdict, fails, holds, inconclusive
 
 CELL_CAP = 8192
@@ -408,7 +408,7 @@ def invariant_core(system: FlowSystem, target: ClopenSet, *, depth: int,
     # an element the depth does not resolve can neither keep a cell in
     # nor move it out: it leaves every cell without a witness unknown
     reach = list(itertools.chain.from_iterable(
-        _ball_layers(system.group, horizon, DEFAULT_BALL_CAP)))
+        _ball_layers(system.group, horizon)))
     resolved = [g for g in reach
                 if system.required_input_depth(g, need_depth) <= depth]
     blind = len(reach) - len(resolved)
@@ -488,7 +488,7 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth, neighbor_depth_max=neighbor_depth_max)
     # no representatives: fail before the search
-    system.neighbor_reps(x, depth)
+    reps = system.neighbor_reps(x, depth)
     own = [im[0] for _, im, _ in system.orbit_layers((x,), horizon)]
     if system.kind == "cylinder-z":
         lo, hi = system.scheme.depth_window(depth)
@@ -503,8 +503,10 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
             return not any(test(images[0]) for test in tests)
     last_failure = None
     for dprime in range(depth, neighbor_depth_max + 1):
+        if dprime > depth:
+            reps = system.neighbor_reps(x, dprime)
         failure = None
-        for rep in system.neighbor_reps(x, dprime):
+        for rep in reps:
             hit = _first_hit(system, (rep,), horizon, escapes)
             if hit is not None:
                 failure = dprime, rep, hit[1]
@@ -512,7 +514,7 @@ def usc_verdict(system: FlowSystem, x, *, horizon: int, depth: int,
         if failure is None:
             return holds(name, params, {
                 "neighbor_depth": dprime,
-                "representatives": len(system.neighbor_reps(x, dprime)),
+                "representatives": len(reps),
             })
         last_failure = failure
     dprime, rep, g = last_failure

@@ -37,7 +37,8 @@ from .cantor import (
 )
 from .errors import (DomainError, PreconditionError, RangeError,
                      ResourceCapError)
-from .groups import DEFAULT_BALL_CAP, Group, IntegerGroup, _check_int
+from . import groups
+from .groups import Group, IntegerGroup, _check_int
 
 KINDS = ("cylinder-z", "cylinder-word", "tower", "quotient")
 LANGUAGE_CAP = 1 << 16   # most words one ``language`` call may enumerate
@@ -126,10 +127,11 @@ class FlowSystem:
         are tried in ``sort_key`` order, so each layer of a free action
         of Z comes out in ``sort_key`` order.  The elements met lie in
         the radius ball and outnumber the images held: ResourceCapError
-        when they exceed ``DEFAULT_BALL_CAP``, never a truncated
+        when they exceed ``groups.DEFAULT_BALL_CAP``, never a truncated
         layer."""
         _check_int(radius, "orbit radius")
         group, act, gens = self.group, self._act, self._moves
+        cap = groups.DEFAULT_BALL_CAP
         multiply, e = group.multiply, group.identity
         points = tuple(points)
         yield 0, points, e
@@ -150,9 +152,9 @@ class FlowSystem:
                     if len(seen) > held:
                         grown.append((moved, b))
                         yield r, moved, b
-                if len(met) > DEFAULT_BALL_CAP:
+                if len(met) > cap:
                     raise ResourceCapError("orbit search exceeded cap %d"
-                                           % DEFAULT_BALL_CAP)
+                                           % cap)
             if not grown:
                 return
             layer = grown

@@ -23,7 +23,7 @@ from typing import (Callable, Collection, Iterable, Iterator, Mapping,
 from .errors import DomainError, PreconditionError, RangeError, ResourceCapError
 from .verdict import Verdict, fails, holds, inconclusive
 
-DEFAULT_BALL_CAP = 1_000_000
+DEFAULT_BALL_CAP = 1_000_000  # the group layer's one cap, read at call time
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ class Group:
         """Exact word length when the variant admits one, else None."""
         return None
 
-    def cone_members(self, g, radius: int, cap: int) -> Collection:
+    def cone_members(self, g, radius: int) -> Collection:
         """A collection equal, as a set, to the elements of
         ``ball(self, radius)`` in the cone layer of g: the entry
         ``cone_approx`` keeps per index and compares with ``==``.  g and
@@ -80,8 +80,7 @@ class Group:
         product and one length per ball element, and the cap rules of
         ``ball`` and ``_cone_member``.  The integers and the lattices
         give the set in closed form."""
-        return frozenset(filter(_cone_member(self, g, cap),
-                                ball(self, radius, cap)))
+        return frozenset(filter(_cone_member(self, g), ball(self, radius)))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -124,7 +123,7 @@ class IntegerGroup(Group):
     def closed_form_length(self, g: int) -> int:
         return abs(g)
 
-    def cone_members(self, g: int, radius: int, cap: int) -> range:
+    def cone_members(self, g: int, radius: int) -> range:
         """The cone layer of g > 0 is the interval [1, 2g-1], so its
         part in the radius ball is [1, min(radius, 2g-1)], negated for
         g < 0: no product, no search, and no cap to meet.  Returned as
@@ -181,7 +180,7 @@ class LatticeGroup(Group):
     def closed_form_length(self, g: tuple) -> int:
         return sum(map(abs, g))
 
-    def cone_members(self, g: tuple, radius: int, cap: int) -> frozenset:
+    def cone_members(self, g: tuple, radius: int) -> frozenset:
         """The lens {c : |c|_1 <= radius, |c - g|_1 <= |g|_1 - 1}, which
         never holds the identity, walked one coordinate at a time.  With
         budgets a and b left of the two norms by the coordinates before
@@ -302,13 +301,20 @@ class FiniteGroup(Group):
         self._inverse = {}
         for a in self.names:
             for b in self.names:
-                if self._table[(a, b)] == identity:
+                product = self._table.get((a, b))
+                if product is None:
+                    raise DomainError("multiplication table has no entry "
+                                      "for %r" % ((a, b),))
+                if product == identity:
                     self._inverse[a] = b
         if set(self._inverse) != set(self.names):
             raise DomainError("multiplication table has no inverse for some element")
         if generators is None:
             gens = set(self.names)
         else:
+            for g in generators:
+                if g not in self._inverse:
+                    raise DomainError("generator %r is not an element" % (g,))
             gens = set(generators) | {identity}
             gens |= {self._inverse[g] for g in generators}
         self._generators = tuple(sorted(gens, key=self.sort_key))
@@ -453,16 +459,16 @@ class _CayleySearch:
     ``layers[k]`` holds the elements of word length k sorted by the
     group's ``sort_key``, ``sizes[k]`` is the size of the closed ball of
     radius k, and ``length`` maps every element found to its word
-    length.  A layer is kept only once it is complete and fits under
-    the caller's cap, so what the search holds, and what a call returns
-    or raises, never depends on which calls came before.  ``views``
-    holds the ``ElementSet`` that ``ball``, ``sphere`` and ``power_set``
-    hand out, keyed by ``(kind, radius)``, and next to a ball or power
-    set its ``sort_key``-ordered tuple, keyed by ``(kind, radius,
-    "sorted")``; each is built on first request.  The search keeps no
-    reference to its group: callers pass it in, and ``group.multiply``
-    is looked up afresh for every layer.  Growth is not locked, so one
-    instance must not be searched from two threads at once.
+    length.  A layer is kept only once it is complete and its closed
+    ball fits under ``DEFAULT_BALL_CAP``, so every layer held fits.
+    ``views`` holds the ``ElementSet`` that ``ball``, ``sphere`` and
+    ``power_set`` hand out, keyed by ``(kind, radius)``, and next to a
+    ball or power set its ``sort_key``-ordered tuple, keyed by ``(kind,
+    radius, "sorted")``; each is built on first request.  The search
+    keeps no reference to its group: callers pass it in, and
+    ``group.multiply`` is looked up afresh for every layer.  Growth is
+    not locked, so one instance must not be searched from two threads
+    at once.
     """
 
     def __init__(self, group: Group):
@@ -474,12 +480,13 @@ class _CayleySearch:
         self.exhausted = False
         self.views = {}
 
-    def _grow(self, group: Group, cap: int) -> bool:
+    def _grow(self, group: Group) -> bool:
         """Add the next layer, or mark the group exhausted when it is
         empty.  False, with nothing kept, when the closed ball through
-        the new layer would have more than ``cap`` elements."""
+        the new layer would have more than ``DEFAULT_BALL_CAP``
+        elements."""
         multiply, length, gens = group.multiply, self.length, self.gens
-        room = max(cap, 1) - self.sizes[-1]
+        room = DEFAULT_BALL_CAP - self.sizes[-1]
         new = set()
         for a in self.layers[-1]:
             for s in gens:
@@ -497,30 +504,24 @@ class _CayleySearch:
         length.update(dict.fromkeys(new, radius))
         return True
 
-    def _fits(self, radius: int, cap: int) -> bool:
-        # the identity alone never exceeds a cap
-        return self.sizes[radius] <= max(cap, 1)
-
-    def reach(self, group: Group, radius: int, cap: int) -> Optional[int]:
+    def reach(self, group: Group, radius: int) -> Optional[int]:
         """Grow through layer ``radius`` and return the top layer held,
         less than ``radius`` once the group is exhausted; None when the
-        closed ball of that radius exceeds ``cap``."""
+        closed ball of that radius exceeds the cap."""
         while len(self.layers) <= radius and not self.exhausted:
-            if not self._grow(group, cap):
+            if not self._grow(group):
                 return None
-        top = min(radius, len(self.layers) - 1)
-        return top if self._fits(top, cap) else None
+        return min(radius, len(self.layers) - 1)
 
-    def word_length(self, group: Group, g, cap: int) -> Optional[int]:
-        """|g|; None when the closed ball of radius |g| exceeds ``cap``."""
+    def word_length(self, group: Group, g) -> Optional[int]:
+        """|g|; None when the closed ball of radius |g| exceeds the cap."""
         while g not in self.length:
             if self.exhausted:
                 raise RangeError("element %s not generated"
                                  % group.format_element(g))
-            if not self._grow(group, cap):
+            if not self._grow(group):
                 return None
-        n = self.length[g]
-        return n if self._fits(n, cap) else None
+        return self.length[g]
 
 
 def _search(group: Group) -> _CayleySearch:
@@ -532,8 +533,7 @@ def _search(group: Group) -> _CayleySearch:
     return search
 
 
-def word_length(group: Group, g, method: str = "auto",
-                cap: int = DEFAULT_BALL_CAP) -> int:
+def word_length(group: Group, g, method: str = "auto") -> int:
     """Least r with g a product of r generators (0 for the identity).
 
     ``method="auto"`` uses the variant's exact closed form when there is
@@ -545,22 +545,20 @@ def word_length(group: Group, g, method: str = "auto",
     and the cone helpers: it grows whole layers and keeps them for as
     long as the instance lives (drop the instance to free it).  It
     raises ResourceCapError iff the closed ball of radius |g| has more
-    than ``cap`` elements, whatever was asked of the instance before.
+    than ``DEFAULT_BALL_CAP`` elements.
     """
     group.validate(g)
-    if method not in ("auto", "bfs", "closed"):
+    if method not in ("auto", "bfs"):
         raise DomainError("unknown word_length method %r" % method)
-    if method != "bfs":
+    if method == "auto":
         closed = group.closed_form_length(g)
         if closed is not None:
             return closed
-        if method == "closed":
-            raise DomainError("no closed form for variant %r" % group.variant)
-    n = _search(group).word_length(group, g, cap)
+    n = _search(group).word_length(group, g)
     if n is None:
         raise ResourceCapError(
             "Cayley search exceeded cap %d before reaching %s"
-            % (cap, group.format_element(g)))
+            % (DEFAULT_BALL_CAP, group.format_element(g)))
     return n
 
 
@@ -606,65 +604,63 @@ def _view(group: Group, kind: str, radius: int,
     return view
 
 
-def ball(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
+def ball(group: Group, radius: int) -> ElementSet:
     """Non-identity elements of word length <= radius, read from the
     instance's shared Cayley search (see ``word_length``).  Raises
-    ResourceCapError iff the closed ball has more than ``cap``
-    elements, whatever was asked before: the cap is checked on every
-    call.  The set is built once per instance and radius and held as
-    long as the instance, so repeated calls return the same object."""
+    ResourceCapError iff the closed ball has more than
+    ``DEFAULT_BALL_CAP`` elements.  The set is built once per instance
+    and radius and held as long as the instance, so repeated calls
+    return the same object."""
     _check_int(radius, "ball radius")
-    layers = _ball_layers(group, radius, cap)
+    layers = _ball_layers(group, radius)
     return _view(group, "ball", radius,
                  itertools.chain.from_iterable(layers[1:]))
 
 
-def sphere(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
+def sphere(group: Group, radius: int) -> ElementSet:
     """Elements of word length exactly radius, read from the instance's
     shared Cayley search; same cap rule, and built and held once per
     instance and radius, as ``ball``."""
     _check_int(radius, "sphere radius")
-    return _view(group, "sphere", radius, _layer(group, radius, cap))
+    return _view(group, "sphere", radius, _layer(group, radius))
 
 
-def _ball_layers(group: Group, radius: int, cap: int) -> list:
+def _ball_layers(group: Group, radius: int) -> list:
     """Layers 0..radius of the instance's Cayley search, each a tuple in
     ``sort_key`` order; shorter once the group is exhausted."""
     search = _search(group)
-    top = search.reach(group, radius, cap)
+    top = search.reach(group, radius)
     if top is None:
-        raise ResourceCapError("ball enumeration exceeded cap %d" % cap)
+        raise ResourceCapError("ball enumeration exceeded cap %d"
+                               % DEFAULT_BALL_CAP)
     return search.layers[:top + 1]
 
 
-def _layer(group: Group, radius: int, cap: int) -> tuple:
+def _layer(group: Group, radius: int) -> tuple:
     """Layer ``radius`` of the instance's Cayley search in ``sort_key``
     order, empty past exhaustion; same cap rule as ``ball``."""
-    search = _search(group)
-    top = search.reach(group, radius, cap)
-    if top is None:
-        raise ResourceCapError("ball enumeration exceeded cap %d" % cap)
-    return search.layers[radius] if top == radius else ()
+    layers = _ball_layers(group, radius)
+    return layers[radius] if radius < len(layers) else ()
 
 
-def power_set(group: Group, radius: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
+def power_set(group: Group, radius: int) -> ElementSet:
     """All products of at most ``radius`` generators: the ball plus the
     identity.  (The generating set contains the identity, so this equals
     the set of products of exactly ``radius`` generators.)  Same cap
     rule, and built and held once per instance and radius, as
     ``ball``."""
     _check_int(radius, "ball radius")
-    layers = _ball_layers(group, radius, cap)
+    layers = _ball_layers(group, radius)
     return _view(group, "power", radius,
                  itertools.chain.from_iterable(layers))
 
 
-def _sorted_view(group: Group, kind: str, radius: int, cap: int) -> tuple:
+def _sorted_view(group: Group, kind: str, radius: int) -> tuple:
     """The ``ball`` (kind ``"ball"``) or ``power_set`` (``"power"``) view
     as a tuple in ``sort_key`` order, sorted once per instance and
     radius and held next to the set.  The view itself is asked for
     first, so the radius and cap checks run on every call."""
-    view = (ball if kind == "ball" else power_set)(group, radius, cap)
+    view = (ball if kind == "ball" else power_set)(group, radius)
     views = _search(group).views
     ordered = views.get((kind, radius, "sorted"))
     if ordered is None:
@@ -677,7 +673,7 @@ def _sorted_view(group: Group, kind: str, radius: int, cap: int) -> tuple:
 # reach sets and cone approximations
 
 
-def cone_layer(group: Group, g, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
+def cone_layer(group: Group, g) -> ElementSet:
     """Left translates of g by all products of |g|-1 generators.
 
     This is the closed ball of radius |g|-1 around g (right-invariant
@@ -691,18 +687,18 @@ def cone_layer(group: Group, g, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
     the integer cones as intervals.  |g| and the shell come
     from the instance's shared Cayley search (see ``word_length``);
     raises ResourceCapError iff the closed ball of radius |g| has more
-    than ``cap`` elements when |g| needs the search, else iff the shell
-    of radius |g|-1 does.
+    than ``DEFAULT_BALL_CAP`` elements when |g| needs the search, else
+    iff the shell of radius |g|-1 does.
     """
-    n = word_length(group, g, cap=cap)
+    n = word_length(group, g)
     if n == 0:
         raise PreconditionError("cone layer undefined at the identity")
-    shell = power_set(group, n - 1, cap)
+    shell = power_set(group, n - 1)
     return ElementSet(frozenset(group.multiply(k, g) for k in shell), None)
 
 
-def _cone_member(group: Group, g, cap: int) -> Callable:
-    """Membership test of ``cone_layer(group, g, cap)`` that builds no
+def _cone_member(group: Group, g) -> Callable:
+    """Membership test of ``cone_layer(group, g)`` that builds no
     shell: c = k*g with |k| <= |g|-1 iff |c*g^-1| <= |g|-1.
 
     That length comes from the variant's closed form, or else from the
@@ -713,9 +709,9 @@ def _cone_member(group: Group, g, cap: int) -> Callable:
     lattices list their ``cone_members`` in closed form instead.
     Raises PreconditionError at the identity, and ResourceCapError iff
     |g| needs the search and the closed ball of radius |g| has more
-    than ``cap`` elements.
+    than ``DEFAULT_BALL_CAP`` elements.
     """
-    n = word_length(group, g, cap=cap)
+    n = word_length(group, g)
     if n == 0:
         raise PreconditionError("cone layer undefined at the identity")
     multiply, g_inv = group.multiply, group.inverse(g)
@@ -812,7 +808,7 @@ class ConeApproximation:
 
 
 def cone_approx(group: Group, seq: SequenceDescriptor, radius: int,
-                max_index: int = 40, cap: int = DEFAULT_BALL_CAP) -> ConeApproximation:
+                max_index: int = 40) -> ConeApproximation:
     """Approximate the directional limit set of ``seq`` at ``radius``.
 
     Word lengths along the sequence must increase strictly (checked).
@@ -821,16 +817,17 @@ def cone_approx(group: Group, seq: SequenceDescriptor, radius: int,
     the examined range.
 
     Entry n is the part of the radius ball in the cone layer of g_n,
-    ``group.cone_members(g_n, radius, cap)``, and no shell is built.
+    ``group.cone_members(g_n, radius)``, and no shell is built.
     On the integers it is an interval, held as a ``range`` and compared
     with the next entry by its bounds; on a lattice it is an L1 lens,
     listed directly; any other variant filters the radius ball with one
     ``_cone_member`` test per element and index.  Only the last entry
     becomes a set, the frozenset ``elements``.  Raises
     ResourceCapError iff the radius ball, or the closed ball of radius
-    |g_n| of some g_n that needs the search, has more than ``cap``
-    elements; a closed-form variant never enumerates the radius
-    |g_n|-1 shell, so its size is no limit.  Nothing is truncated.
+    |g_n| of some g_n that needs the search, has more than
+    ``DEFAULT_BALL_CAP`` elements; a closed-form variant never
+    enumerates the radius |g_n|-1 shell, so its size is no limit.
+    Nothing is truncated.
     ``max_index`` must be an exact int.
     """
     if type(max_index) is not int:
@@ -839,13 +836,13 @@ def cone_approx(group: Group, seq: SequenceDescriptor, radius: int,
     max_index = seq.max_index(max_index)
     if max_index < 1:
         raise PreconditionError("sequence yields no elements")
-    ball(group, radius, cap)  # the radius and cap checks
+    ball(group, radius)  # the radius and cap checks
     members = group.cone_members
     history = []
     prev_len = -1
     for n in range(1, max_index + 1):
         g = seq.element(group, n)
-        glen = word_length(group, g, cap=cap)  # validates g first
+        glen = word_length(group, g)  # validates g first
         if glen <= prev_len:
             raise PreconditionError(
                 "sequence word lengths must increase strictly "
@@ -853,7 +850,7 @@ def cone_approx(group: Group, seq: SequenceDescriptor, radius: int,
         prev_len = glen
         if glen == 0:
             raise PreconditionError("sequence passes through the identity")
-        history.append(members(g, radius, cap))
+        history.append(members(g, radius))
     # longest constant run at the end of the history
     tail = 1
     while tail < len(history) and history[-tail - 1] == history[-1]:
@@ -883,7 +880,7 @@ def _membership(group: Group, subset: SetLike) -> Callable:
 
 
 def is_thick_window(group: Group, subset: SetLike, probe_radius: int,
-                    window: int, cap: int = DEFAULT_BALL_CAP) -> Verdict:
+                    window: int) -> Verdict:
     """Can the full probe ball be translated into the subset?
 
     Placing the ball of radius ``probe_radius`` covers every smaller
@@ -897,8 +894,8 @@ def is_thick_window(group: Group, subset: SetLike, probe_radius: int,
     if probe_radius < 0 or window < probe_radius:
         raise PreconditionError("need 0 <= probe_radius <= window")
     member = _membership(group, subset)
-    probe = power_set(group, probe_radius, cap)
-    candidates = [t for t in _sorted_view(group, "ball", window, cap)
+    probe = power_set(group, probe_radius)
+    candidates = [t for t in _sorted_view(group, "ball", window)
                   if member(t)]
     params = {"probe_radius": probe_radius, "window": window}
     for t in candidates:
@@ -915,7 +912,7 @@ def is_thick_window(group: Group, subset: SetLike, probe_radius: int,
 
 
 def is_syndetic_window(group: Group, subset: SetLike, k_radius: int,
-                       window: int, cap: int = DEFAULT_BALL_CAP) -> Verdict:
+                       window: int) -> Verdict:
     """Does the k-ball of translates of the subset cover the window?
 
     Checks that every g with |g| <= window - k_radius satisfies
@@ -928,8 +925,8 @@ def is_syndetic_window(group: Group, subset: SetLike, k_radius: int,
     if k_radius < 0 or window <= k_radius:
         raise PreconditionError("need 0 <= k_radius < window")
     member = _membership(group, subset)
-    cover = power_set(group, k_radius, cap)
-    targets = _sorted_view(group, "power", window - k_radius, cap)
+    cover = power_set(group, k_radius)
+    targets = _sorted_view(group, "power", window - k_radius)
     params = {"k_radius": k_radius, "window": window}
     for g in targets:
         if not any(member(group.multiply(k, g)) for k in cover):
@@ -948,28 +945,29 @@ def is_syndetic_window(group: Group, subset: SetLike, k_radius: int,
 
 
 def layer_embedding_check(group: Group, finite_set: Iterable, length: int,
-                          g, cap: int = DEFAULT_BALL_CAP) -> Optional[object]:
+                          g) -> Optional[object]:
     """A translate t of word length exactly ``length`` with
     finite_set * t inside the reach set of g, or None.
 
     Costs at most |finite_set| cone membership tests (``_cone_member``)
     per element of the length sphere, and builds no shell.  Raises
     ResourceCapError iff the sphere's closed ball, or the closed ball
-    of radius |g| when |g| needs the search, has more than ``cap``
-    elements; a closed-form variant's radius |g|-1 shell is never
-    enumerated, so its size is no limit.  Nothing is truncated."""
-    member = _cone_member(group, g, cap)
+    of radius |g| when |g| needs the search, has more than
+    ``DEFAULT_BALL_CAP`` elements; a closed-form variant's radius |g|-1
+    shell is never enumerated, so its size is no limit.  Nothing is
+    truncated."""
+    member = _cone_member(group, g)
     _check_int(length, "sphere radius")
     fs = list(finite_set)
-    for t in _layer(group, length, cap):
+    for t in _layer(group, length):
         if all(member(group.multiply(f, t)) for f in fs):
             return t
     return None
 
 
 def layer_embedding_bound(group: Group, finite_set: Iterable, g_bound: int,
-                          n_max: int = 8, probe: Optional[Iterable] = None,
-                          cap: int = DEFAULT_BALL_CAP) -> Verdict:
+                          n_max: int = 8,
+                          probe: Optional[Iterable] = None) -> Verdict:
     """Smallest n <= n_max such that every g with n <= |g| <= g_bound
     admits a sphere-n translate carrying finite_set into g's reach set.
 
@@ -983,16 +981,16 @@ def layer_embedding_bound(group: Group, finite_set: Iterable, g_bound: int,
     _check_int(n_max, "n_max", 1)
     fs = sorted(set(finite_set), key=group.sort_key)
     pool = (list(probe) if probe is not None
-            else _sorted_view(group, "ball", g_bound, cap))
+            else _sorted_view(group, "ball", g_bound))
     params = {"g_bound": g_bound, "n_max": n_max,
               "set_size": len(fs)}
     for n in range(1, n_max + 1):
         witnesses = {}
         ok = True
         for g in pool:
-            if not n <= word_length(group, g, cap=cap) <= g_bound:
+            if not n <= word_length(group, g) <= g_bound:
                 continue
-            t = layer_embedding_check(group, fs, n, g, cap)
+            t = layer_embedding_check(group, fs, n, g)
             if t is None:
                 ok = False
                 break

@@ -31,7 +31,7 @@ from .analysis import (ap_verdict, confinement_verdict,
                        regional_proximal_check, regular_ap_verdict,
                        standard_rp_witness, translate_cover_verdict,
                        type1_verdict, type2_verdict, usc_verdict)
-from .cantor import Cylinder, from_cylinder
+from .cantor import clopen
 from .errors import UsageError
 from .flows import get_system
 from .groups import IntegerGroup, is_syndetic_window, is_thick_window
@@ -395,8 +395,7 @@ def _check_periodic_cells(*, system="successor-map", period_max=8, depth=3,
            ("unit-at(4)", system.family("unit-at", 4))]
     pps = [pointwise_period_verdict(system, p, period_max=period_max)
            for _, p in pts]
-    target = from_cylinder(Cylinder(system.scheme, system.scheme.start,
-                                    system.scheme.start, (0,)))
+    target = clopen(system.scheme, system.scheme.start, [(0,)])
     core = invariant_core(system, target, depth=depth, horizon=horizon)
     core2 = invariant_core(system, target, depth=depth, horizon=2 * horizon)
     claim = ("every sampled point is exactly periodic, with periods "

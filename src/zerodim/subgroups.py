@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, PreconditionError, RangeError
 from .groups import (CyclicSumGroup, ElementSet, FiniteGroup, Group,
@@ -403,8 +403,7 @@ def _perm_name(p: tuple) -> str:
     return "".join("(" + "".join(str(k + 1) for k in c) + ")" for c in cycles)
 
 
-def _group_from_perms(perms: Iterable[tuple], label: str,
-                      generators: Optional[Iterable[tuple]] = None) -> FiniteGroup:
+def _group_from_perms(perms: Iterable[tuple], label: str) -> FiniteGroup:
     perms = sorted(set(perms))
     names = {p: _perm_name(p) for p in perms}
     table = {}
@@ -413,11 +412,8 @@ def _group_from_perms(perms: Iterable[tuple], label: str,
             c = tuple(a[b[i]] for i in range(len(a)))
             table[(names[a], names[b])] = names[c]
     ident = tuple(range(len(perms[0])))
-    gen_names = None
-    if generators is not None:
-        gen_names = [names[g] for g in generators]
     return FiniteGroup([names[p] for p in perms], table, names[ident],
-                       generators=gen_names, label=label)
+                       label=label)
 
 
 def symmetric_group(n: int) -> FiniteGroup:

@@ -79,13 +79,12 @@ def test_criterion_01_word_metric():
     start = time.perf_counter()
     for n in range(-20, 21):
         assert word_length(Z, n, method="bfs") == abs(n)
-        assert word_length(Z, n, method="closed") == abs(n)
+        assert word_length(Z, n) == abs(n)
     for a in range(-20, 21):
         for b in range(-20, 21):
             if abs(a) + abs(b) <= 20:
                 assert word_length(Z2, (a, b), method="bfs") == abs(a) + abs(b)
-                assert word_length(Z2, (a, b), method="closed") == \
-                    abs(a) + abs(b)
+                assert word_length(Z2, (a, b)) == abs(a) + abs(b)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, "metric sweep took %.2fs" % elapsed
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zerodim import cantor, flows
+from zerodim import cantor, flows, groups
 from zerodim.cantor import (Scheme, distance, make_point, periodic_tail,
                             reanchor_tail)
 from zerodim.errors import (DomainError, PreconditionError, RangeError,
@@ -26,8 +26,7 @@ from zerodim.flows import (LANGUAGE_CAP, CirclePoint, McMahonGroup,
                            get_system, level_radius, odometer_add,
                            ring_point, shift_point, step_point,
                            substitution_factors, successor_act)
-from zerodim.groups import (DEFAULT_BALL_CAP, _ball_layers, ball, power_set,
-                            word_length)
+from zerodim.groups import _ball_layers, ball, power_set, word_length
 
 BIN = Scheme("two-sided")
 FULL_SHIFT = build_full_shift()
@@ -1099,7 +1098,7 @@ def reference_orbit_layers(system, points, radius):
     """Image tuples of each Cayley layer, less those of shorter words,
     by acting with every element of the radius ball."""
     seen, out = set(), []
-    for layer in _ball_layers(system.group, radius, DEFAULT_BALL_CAP):
+    for layer in _ball_layers(system.group, radius):
         images = {tuple(system.act(g, p) for p in points) for g in layer}
         out.append(images - seen)
         seen |= images
@@ -1164,11 +1163,23 @@ class TestOrbitLayers:
         # McMahon's action is free: the search meets the whole radius-3
         # ball, 1 + 14 + 43 + 70 = 128 elements, one image each
         for cap in (20, 127):
-            monkeypatch.setattr(flows, "DEFAULT_BALL_CAP", cap)
+            monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", cap)
             with pytest.raises(ResourceCapError, match="orbit search"):
                 list(system.orbit_layers(base, 3))
-        monkeypatch.setattr(flows, "DEFAULT_BALL_CAP", 128)
+        monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 128)
         assert len(list(system.orbit_layers(base, 3))) == 128
+
+    def test_one_cap_for_balls_and_orbits(self, monkeypatch):
+        # the group layer's one cap bounds the orbit search as well
+        system = build_mcmahon()
+        base = (system.point("base"),)
+        monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 127)
+        with pytest.raises(ResourceCapError,
+                           match="^ball enumeration exceeded cap 127$"):
+            ball(system.group, 3)
+        with pytest.raises(ResourceCapError,
+                           match="^orbit search exceeded cap 127$"):
+            list(system.orbit_layers(base, 3))
 
     @pytest.mark.parametrize("radius", [2.0, True, -1])
     def test_radius_must_be_a_nonnegative_int(self, radius):

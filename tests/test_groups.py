@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zerodim import groups
 from zerodim.errors import (DomainError, PreconditionError, RangeError,
                             ResourceCapError)
 from zerodim.flows import McMahonGroup, TwoCopyGroup
-from zerodim.groups import (DEFAULT_BALL_CAP, STABLE_RUN, ConeApproximation,
+from zerodim.groups import (STABLE_RUN, ConeApproximation,
                             CyclicSumGroup, ElementSet, FiniteGroup,
                             FreeGroupVariant, IntegerGroup, LatticeGroup,
                             _ball_layers, _cone_member, _layer,
@@ -104,9 +105,10 @@ class TestBalls:
             assert prev <= cur
             prev = cur
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 100)
         with pytest.raises(ResourceCapError):
-            ball(Z2, 40, cap=100)
+            ball(LatticeGroup(2), 40)
 
     def test_power_set_contains_identity(self):
         assert Z.identity in power_set(Z, 3)
@@ -455,24 +457,26 @@ class TestSharedSearch:
     def test_cap_boundary_ignores_history(self, radius, warm_radius):
         size = len(bfs_lengths(Z2, radius))  # |B(radius)|, identity included
         cold, warm = LatticeGroup(2), LatticeGroup(2)
-        ball(warm, warm_radius)
-        # views at this radius and beyond, built under the default cap
-        for r in (radius, max(radius, warm_radius)):
-            for fn in (ball, sphere, power_set):
-                fn(warm, r)
-        for group in (cold, warm):
-            for fn in (ball, sphere, power_set):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(groups, "DEFAULT_BALL_CAP", size - 1)
+            # views below the radius, built under the same cap
+            for r in range(min(warm_radius, radius - 1) + 1):
+                for fn in (ball, sphere, power_set):
+                    fn(warm, r)
+            for group in (cold, warm):
+                for fn in (ball, sphere, power_set):
+                    with pytest.raises(ResourceCapError):
+                        fn(group, radius)
                 with pytest.raises(ResourceCapError):
-                    fn(group, radius, cap=size - 1)
-            with pytest.raises(ResourceCapError):
-                word_length(group, (radius, 0), method="bfs", cap=size - 1)
-        for group in (cold, warm):
-            # after a cap error a large enough cap answers
-            assert len(ball(group, radius, cap=size)) == size - 1
-            assert len(power_set(group, radius, cap=size)) == size
-            assert len(sphere(group, radius, cap=size)) == 4 * radius
-            assert word_length(group, (radius, 0), method="bfs",
-                               cap=size) == radius
+                    word_length(group, (radius, 0), method="bfs")
+            # after a cap error the same instance answers once it fits
+            m.setattr(groups, "DEFAULT_BALL_CAP", size)
+            for group in (cold, warm):
+                assert len(ball(group, radius)) == size - 1
+                assert len(power_set(group, radius)) == size
+                assert len(sphere(group, radius)) == 4 * radius
+                assert word_length(group, (radius, 0),
+                                   method="bfs") == radius
 
     @PROPERTY
     @given(st.sampled_from(sorted(CLOSED_FORM_CASES)),
@@ -484,18 +488,19 @@ class TestSharedSearch:
         for kind, radius in calls:
             view = fns[kind](group, radius)
             if kind == "sphere":
-                want = frozenset(_layer(group, radius, DEFAULT_BALL_CAP))
+                want = frozenset(_layer(group, radius))
             else:
-                layers = _ball_layers(group, radius, DEFAULT_BALL_CAP)
+                layers = _ball_layers(group, radius)
                 want = frozenset(itertools.chain.from_iterable(
                     layers if kind == "power" else layers[1:]))
             assert view.elements == want
             assert view.radius == radius
             assert view == ElementSet(want, radius)
 
-    def test_identity_alone_never_exceeds_cap(self):
-        assert len(ball(IntegerGroup(), 0, cap=0)) == 0
-        assert word_length(IntegerGroup(), 0, method="bfs", cap=0) == 0
+    def test_identity_alone_never_exceeds_cap(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 0)
+        assert len(ball(IntegerGroup(), 0)) == 0
+        assert word_length(IntegerGroup(), 0, method="bfs") == 0
 
     def test_finite_group_search_is_exhausted(self):
         G = CyclicSumGroup((0,), 5)
@@ -509,6 +514,17 @@ class TestSharedSearch:
         assert word_length(half, "2") == 1
         with pytest.raises(RangeError):
             word_length(half, "1")
+
+    def test_finite_group_names_a_missing_key(self):
+        names = ("0", "1")
+        table = {(a, b): str((int(a) + int(b)) % 2)
+                 for a in names for b in names}
+        with pytest.raises(DomainError, match="generator 'x' is not an "
+                                              "element"):
+            FiniteGroup(names, table, "0", generators=["x"])
+        del table["1", "0"]
+        with pytest.raises(DomainError, match=r"no entry for \('1', '0'\)"):
+            FiniteGroup(names, table, "0")
 
     @PROPERTY
     @given(st.lists(st.integers(0, 9), max_size=4))
@@ -626,20 +642,23 @@ class TestConeMembership:
         n = data.draw(st.integers(1, longest))
         g = draw_element(data, ref, n)
         # a fresh instance whose search holds no more than |g| needs
-        member = _cone_member(make(), g, DEFAULT_BALL_CAP)
+        member = _cone_member(make(), g)
         window = power_set(ref, 2 * n - 1)
         got = {x for x in window if member(x)}
         assert got == set(cone_layer(ref, g).elements)
 
-    def test_identity_and_cap(self):
+    def test_identity_and_cap(self, monkeypatch):
         with pytest.raises(PreconditionError):
-            _cone_member(Z, 0, DEFAULT_BALL_CAP)
+            _cone_member(Z, 0)
         # the search path keeps word_length's cap rule for |g|
         two = TwoCopyGroup(1)
         g = sphere(TwoCopyGroup(1), 3).sorted(two)[0]
+        size = len(power_set(TwoCopyGroup(1), 3))
+        monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", size - 1)
         with pytest.raises(ResourceCapError):
-            _cone_member(two, g, cap=len(power_set(two, 3)) - 1)
-        assert _cone_member(two, g, cap=len(power_set(two, 3)))(g)
+            _cone_member(two, g)
+        monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", size)
+        assert _cone_member(two, g)(g)
 
     @PROPERTY
     @given(st.data())
@@ -693,14 +712,13 @@ class TestConeMembership:
                 for radius in range(2 * n + 2):
                     want = frozenset(x for x in ball(group, radius)
                                      if x in layer)
-                    assert frozenset(group.cone_members(
-                        g, radius, DEFAULT_BALL_CAP)) == want
+                    assert frozenset(group.cone_members(g, radius)) == want
 
     @pytest.mark.parametrize("group, g", [
         (IntegerGroup(), 0), (LatticeGroup(2), (0, 0))])
     def test_cone_members_undefined_at_the_identity(self, group, g):
         with pytest.raises(PreconditionError, match="identity"):
-            group.cone_members(g, 3, DEFAULT_BALL_CAP)
+            group.cone_members(g, 3)
 
     def test_cone_approx_tests_the_ball_once_per_index(self):
         Zc = counting(IntegerGroup)()
@@ -882,26 +900,28 @@ class TestSortedViews:
                                                           fn):
         group = SORTED_VIEW_GROUPS[name]()
         for radius in range(4):
-            view = _sorted_view(group, kind, radius, DEFAULT_BALL_CAP)
+            view = _sorted_view(group, kind, radius)
             assert type(view) is tuple
             assert list(view) == sorted(fn(group, radius),
                                         key=group.sort_key)
-            assert _sorted_view(group, kind, radius,
-                                DEFAULT_BALL_CAP) is view
+            assert _sorted_view(group, kind, radius) is view
 
     @pytest.mark.parametrize("kind", ["ball", "power"])
     @pytest.mark.parametrize("name", sorted(SORTED_VIEW_GROUPS))
-    def test_cap_is_checked_on_every_call(self, name, kind):
+    def test_cap_is_checked_on_every_call(self, name, kind, monkeypatch):
         make = SORTED_VIEW_GROUPS[name]
+        sizes = [len(power_set(make(), radius)) for radius in range(4)]
         for radius in range(1, 4):
             group = make()
-            tight = len(power_set(make(), radius)) - 1
-            # one below the closed ball raises, before and after the
-            # view of a smaller radius, then of this one, was built
-            for built in (radius - 1, radius, None):
+            tight = sizes[radius] - 1
+            monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", tight)
+            # one below the closed ball raises, twice in a row, before
+            # and after the view of the largest smaller radius that fits
+            # (an exhausted group's ball stops growing) was built
+            smaller = max(r for r in range(radius) if sizes[r] <= tight)
+            for built in (smaller, None):
                 for _ in range(2):
                     with pytest.raises(ResourceCapError):
-                        _sorted_view(group, kind, radius, tight)
+                        _sorted_view(group, kind, radius)
                 if built is not None:
-                    _sorted_view(group, kind, built,
-                                 len(power_set(make(), built)))
+                    _sorted_view(group, kind, built)
