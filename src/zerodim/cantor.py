@@ -207,11 +207,23 @@ class Point:
         return data
 
     def __repr__(self) -> str:
-        left = "".join(str(s) for s in reversed(self.left.symbols)) + "..." \
+        left = _symbol_text(self.left.symbols[::-1]) + "..." \
             if self.left else ""
-        win = "".join(str(s) for s in self.window)
-        right = "..." + "".join(str(s) for s in self.right.symbols)
+        win = _symbol_text(self.window)
+        right = "..." + _symbol_text(self.right.symbols)
         return "<point ...%s[%s@%d]%s>" % (left, win, self.lo, right)
+
+
+_DIGITS = {s: str(s) for s in range(10)}
+
+
+def _symbol_text(symbols: Sequence[int]) -> str:
+    """The symbols written in decimal side by side: those in 0..9 from
+    a table, and the whole run through ``str`` when any other occurs."""
+    try:
+        return "".join([_DIGITS[s] for s in symbols])
+    except KeyError:
+        return "".join(map(str, symbols))
 
 
 def _trusted_point(scheme: Scheme, lo: int, hi: int, window: tuple,
@@ -487,7 +499,7 @@ class Cylinder:
                 "pattern": list(self.pattern)}
 
     def __repr__(self) -> str:
-        return "<cyl [%s@%d]>" % ("".join(str(s) for s in self.pattern), self.lo)
+        return "<cyl [%s@%d]>" % (_symbol_text(self.pattern), self.lo)
 
 
 def depth_cylinder(x: Point, depth: int) -> Cylinder:

@@ -256,7 +256,9 @@ class FreeGroupVariant(Group):
                 raise RangeError("word %r is not reduced" % (g,))
 
     def sort_key(self, g: tuple):
-        return (len(g), tuple((abs(x), x < 0) for x in g))
+        # shortlex on letter codes 2|x| + (x < 0): the order of the pairs
+        # (|x|, x < 0), held as one flat tuple of ints per word
+        return (len(g), *[2 * x if x > 0 else 1 - 2 * x for x in g])
 
     def format_element(self, g: tuple) -> str:
         if not g:
@@ -955,10 +957,28 @@ def layer_embedding_check(group: Group, finite_set: Iterable, length: int,
     of radius |g| when |g| needs the search, has more than
     ``DEFAULT_BALL_CAP`` elements; a closed-form variant's radius |g|-1
     shell is never enumerated, so its size is no limit.  Nothing is
-    truncated."""
+    truncated.  Raises RangeError when a member of ``finite_set`` is
+    not an element of the group."""
     member = _cone_member(group, g)
     _check_int(length, "sphere radius")
+    return _first_translate(group, _elements(group, finite_set), length,
+                            member)
+
+
+def _elements(group: Group, finite_set: Iterable) -> list:
+    """The members of ``finite_set`` as a list, each checked by
+    ``group.validate``."""
     fs = list(finite_set)
+    for f in fs:
+        group.validate(f)
+    return fs
+
+
+def _first_translate(group: Group, fs: Sequence, length: int,
+                     member: Callable) -> Optional[object]:
+    """``layer_embedding_check`` on checked arguments: the first t of
+    the length sphere, in ``sort_key`` order, with every f * t passing
+    the cone membership test ``member``."""
     for t in _layer(group, length):
         if all(member(group.multiply(f, t)) for f in fs):
             return t
@@ -975,11 +995,13 @@ def layer_embedding_bound(group: Group, finite_set: Iterable, g_bound: int,
     of the g_bound ball, read in ``sort_key`` order from its sorted
     view, sorted once per instance and radius).  The certificate
     records the bound and one witness per examined g.  ``g_bound`` must
-    be an exact int >= 0 and ``n_max`` one >= 1, probe or not.
+    be an exact int >= 0 and ``n_max`` one >= 1, probe or not, and
+    every member of ``finite_set`` an element of the group (else
+    RangeError).
     """
     _check_int(g_bound, "g_bound")
     _check_int(n_max, "n_max", 1)
-    fs = sorted(set(finite_set), key=group.sort_key)
+    fs = sorted(set(_elements(group, finite_set)), key=group.sort_key)
     pool = (list(probe) if probe is not None
             else _sorted_view(group, "ball", g_bound))
     params = {"g_bound": g_bound, "n_max": n_max,
@@ -990,7 +1012,7 @@ def layer_embedding_bound(group: Group, finite_set: Iterable, g_bound: int,
         for g in pool:
             if not n <= word_length(group, g) <= g_bound:
                 continue
-            t = layer_embedding_check(group, fs, n, g)
+            t = _first_translate(group, fs, n, _cone_member(group, g))
             if t is None:
                 ok = False
                 break

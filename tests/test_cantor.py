@@ -179,6 +179,33 @@ class TestPoints:
         assert q == p
 
 
+def old_point_repr(p):
+    left = "".join(str(s) for s in reversed(p.left.symbols)) + "..." \
+        if p.left else ""
+    win = "".join(str(s) for s in p.window)
+    right = "..." + "".join(str(s) for s in p.right.symbols)
+    return "<point ...%s[%s@%d]%s>" % (left, win, p.lo, right)
+
+
+class TestRepr:
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_the_per_symbol_formula(self, data):
+        # symbols past 9 leave the digit table for str()
+        scheme = data.draw(st.sampled_from((
+            Scheme("two-sided", alphabet=12),
+            Scheme("one-sided", alphabet=12))))
+        sym = st.integers(0, 11)
+        tails = st.lists(sym, min_size=1, max_size=3).map(periodic_tail)
+        left = None if scheme.kind == "one-sided" else data.draw(tails)
+        p = make_point(scheme, data.draw(st.lists(sym, max_size=8)),
+                       data.draw(tails), left)
+        assert repr(p) == old_point_repr(p)
+        c = Cylinder(scheme, p.lo, p.hi, p.window)
+        assert repr(c) == "<cyl [%s@%d]>" % (
+            "".join(str(s) for s in p.window), p.lo)
+
+
 class TestSymbolTypes:
     """Only exact ints are symbols: a float or a bool equal to a valid
     symbol would serialize differently from the point it equals."""

@@ -2,6 +2,7 @@
 breadth-first search and enumeration oracles."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -821,6 +822,23 @@ class TestConeMembership:
         with pytest.raises(PreconditionError, match=message):
             layer_embedding_bound(Z, [0, 1], bad, probe=probe)
 
+    @pytest.mark.parametrize("make, fs, g, message", [
+        (lambda: Z2, [(1,)], (2, 0),
+         "lattice element must be an int 2-tuple"),
+        (lambda: symmetric_group(3), ["e", "nope"], "(12)",
+         "unknown element 'nope'"),
+        (lambda: Z, [0, 1.5], 3, "must be int, got 1.5"),
+        (lambda: Z, [True], 3, "must be int, got True"),
+    ], ids=["short-lattice-tuple", "S3-name", "float", "bool"])
+    def test_layer_embedding_rejects_non_elements(self, make, fs, g,
+                                                  message):
+        # the short tuple zipped into a witness (1, 0), "nope" escaped
+        # as a KeyError, and 1.5 and True were searched as integers
+        with pytest.raises(RangeError, match=message):
+            layer_embedding_check(make(), fs, 1, g)
+        with pytest.raises(RangeError, match=message):
+            layer_embedding_bound(make(), fs, 2)
+
     @PROPERTY
     @given(step=st.integers(1, 9), sign=st.sampled_from((1, -1)),
            offset=st.integers(-5, 5), radius=st.integers(1, 80),
@@ -876,6 +894,48 @@ class TestLatticeKernels:
         assert group.closed_form_length(a) == old_lattice_length(a)
         assert all(type(x) is int
                    for x in group.multiply(a, b) + group.inverse(a))
+
+
+# the per-letter pair form of the free-group key, the oracle of its
+# flat integer form
+def old_free_sort_key(g):
+    return (len(g), tuple((abs(x), x < 0) for x in g))
+
+
+class TestFreeSortKey:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_orders_reduced_words_as_the_pair_key(self, data):
+        rank = data.draw(st.integers(1, 3))
+        group = FreeGroupVariant(rank)
+        letters = [x for x in range(-rank, rank + 1) if x]
+        word = st.lists(st.sampled_from(letters), max_size=8).map(
+            lambda w: group.multiply((), tuple(w)))
+        a, b = data.draw(word), data.draw(word)
+        new, old = group.sort_key(a), group.sort_key(b)
+        assert (new < old) == (old_free_sort_key(a) < old_free_sort_key(b))
+        assert (new == old) == (a == b)
+        assert all(type(x) is int for x in new)
+
+    @pytest.mark.parametrize("kind, fn", [("ball", ball),
+                                          ("power", power_set)])
+    def test_sorted_views_follow_the_pair_key(self, kind, fn):
+        group = FreeGroupVariant(2)
+        for radius in range(5):
+            assert list(_sorted_view(group, kind, radius)) == sorted(
+                fn(group, radius), key=old_free_sort_key)
+
+    def test_sphere_search_peaks_near_what_it_keeps(self):
+        # a layer's keys live only while it is sorted; with one pair per
+        # letter in them the peak was 2.65 times the memory kept
+        tracemalloc.start()
+        try:
+            group = FreeGroupVariant(2)
+            sphere(group, 8)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * kept
 
 
 SORTED_VIEW_GROUPS = {
