@@ -760,7 +760,7 @@ def standard_rp_witness(system: FlowSystem,
     """The canonical witness chains of the two word-group systems."""
     _check_int(depth, "depth", 1)
     count = max(2, depth)
-    m = system.metadata.get("m")
+    m = getattr(system.group, "m", None)
     if m is None or count > m:
         raise DomainError("system %r has no standard witness at depth %d "
                           "(truncation %s)" % (system.system_id, depth, m))

@@ -27,7 +27,6 @@ from .cantor import (
     _trusted_point,
     canonical_point,
     clopen,
-    depth_cylinder,
     distance as cantor_distance,
     make_point,
     periodic_tail,
@@ -70,7 +69,7 @@ class FlowSystem:
                  returns_fn: Optional[Callable] = None,
                  families: Optional[Mapping[str, Callable]] = None,
                  format_point_fn: Optional[Callable] = None,
-                 metadata: Optional[Mapping] = None, summary: str = ""):
+                 summary: str = ""):
         if kind not in KINDS:
             raise DomainError("unknown system kind %r" % kind)
         self.system_id = system_id
@@ -86,7 +85,6 @@ class FlowSystem:
         self._returns = returns_fn
         self._families = dict(families or {})
         self._format_point = format_point_fn
-        self.metadata = dict(metadata or {})
         self.summary = summary
         self._language_cache: dict = {}
 
@@ -184,10 +182,6 @@ class FlowSystem:
         word = read_symbols(x, lo, hi)
         return lambda y: read_symbols(y, lo, hi) == word
 
-    def close(self, x, y, depth: int) -> bool:
-        """Whether y lies in the depth cell of x (see ``cell``)."""
-        return self.cell(x, depth)(y)
-
     def require_integer_action(self) -> None:
         """Raise ``DomainError`` unless the acting group is Z."""
         if self.group.variant != "integers":
@@ -197,7 +191,7 @@ class FlowSystem:
 
     def returns(self, x, depth: int, ns: range):
         """The shifts n of ``ns`` that return x into its own depth cell,
-        ``close(act(n, x), x, depth)``, yielded in the order of ``ns``.
+        ``cell(x, depth)(act(n, x))``, yielded in the order of ``ns``.
 
         By default the orbit is walked in the order of ``ns``: 0 is x
         itself and returns, the first nonzero n is ``act(n, x)``, and
@@ -298,20 +292,6 @@ class FlowSystem:
     def describe(self) -> str:
         return "%s (%s, group %s)" % (self.system_id, self.kind,
                                       self.group.describe())
-
-    def to_json(self) -> dict:
-        data = {
-            "id": self.system_id,
-            "kind": self.kind,
-            "group": self.group.to_json(),
-            "points": sorted(self._points),
-            "families": sorted(self._families),
-            "metadata": dict(sorted(self.metadata.items())),
-            "summary": self.summary,
-        }
-        if self.scheme is not None:
-            data["scheme"] = self.scheme.to_json()
-        return data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<system %s>" % self.system_id
@@ -446,36 +426,38 @@ def _tagged_distance(a, b) -> Fraction:
 
 def _constant_fill_reps(scheme: Scheme):
     """Representative neighbors for symbol-space points: the point
-    itself plus each constant completion of its depth window."""
-    sizes = set()
-    if isinstance(scheme.alphabet, int):
-        sizes.add(scheme.alphabet)
-    elif isinstance(scheme.alphabet, tuple):
-        sizes.update(scheme.alphabet)
-    else:
-        sizes.add(2)
+    itself plus each completion of its depth window by a constant
+    symbol, one that is valid at every coordinate of the scheme."""
+    alphabet = scheme.alphabet
+    if isinstance(alphabet, int):
+        fills = range(alphabet)
+    elif isinstance(alphabet, tuple):
+        fills = range(min(alphabet))
+    else:                       # "index": every coordinate carries >= 2
+        fills = range(2)
+    two_sided = scheme.kind == "two-sided"
 
     def reps(x: Point, depth: int) -> tuple:
-        cyl = depth_cylinder(x, depth)
-        out = [x]
-        seen = {x}
-        for s in range(max(sizes)):
-            try:
-                if scheme.kind == "two-sided":
-                    p = make_point(scheme,
-                                   dict(zip(range(cyl.lo, cyl.hi + 1),
-                                            cyl.pattern)),
-                                   right=s, left=s)
-                else:
-                    p = make_point(scheme, list(cyl.pattern), right=s)
-            except (RangeError, DomainError):
-                continue
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        return tuple(out)
+        lo, hi = scheme.depth_window(depth)
+        word = read_symbols(x, lo, hi)
+        return tuple(dict.fromkeys(
+            [x] + [make_point(scheme, word, s, s if two_sided else None,
+                              lo=lo) for s in fills]))
 
     return reps
+
+
+def _shift_system(system_id: str, scheme: Scheme, language: Callable,
+                  points: Mapping, families: Mapping,
+                  summary: str) -> FlowSystem:
+    """A subshift of the two-sided ``scheme`` under translation by Z:
+    the shift act and its widening input depth, the exact return scan
+    ``shift_returns``, and the constant-fill neighbors."""
+    return FlowSystem(
+        system_id, "cylinder-z", IntegerGroup(), scheme, _shift_act,
+        _widening_depth, points, language_fn=language,
+        reps_fn=_constant_fill_reps(scheme), returns_fn=shift_returns,
+        families=families, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +466,6 @@ def _constant_fill_reps(scheme: Scheme):
 
 def build_full_shift(alphabet: int = 2) -> FlowSystem:
     scheme = Scheme("two-sided", alphabet=alphabet)
-    group = IntegerGroup()
 
     def language(length: int) -> frozenset:
         if alphabet ** length > LANGUAGE_CAP:
@@ -494,9 +475,8 @@ def build_full_shift(alphabet: int = 2) -> FlowSystem:
                                       LANGUAGE_CAP))
         return frozenset(itertools.product(range(alphabet), repeat=length))
 
-    zero = make_point(scheme, {}, right=0, left=0)
     points = {
-        "zero": zero,
+        "zero": make_point(scheme, {}, right=0, left=0),
         "one": make_point(scheme, {}, right=1, left=1),
         "alternating": make_point(scheme, {}, right=periodic_tail((0, 1)),
                                   left=periodic_tail((1, 0))),
@@ -506,14 +486,10 @@ def build_full_shift(alphabet: int = 2) -> FlowSystem:
         "step": lambda i: step_point(scheme, i),
         "single": lambda k: make_point(scheme, {k: 1}, right=0, left=0),
     }
-    return FlowSystem(
-        "full-shift", "cylinder-z", group, scheme, _shift_act,
-        _widening_depth, points,
-        language_fn=language, reps_fn=_constant_fill_reps(scheme),
-        returns_fn=shift_returns,
-        families=families, metadata={"alphabet": alphabet},
-        summary="every bi-infinite word over %d symbols under translation"
-                % alphabet)
+    return _shift_system(
+        "full-shift", scheme, language, points, families,
+        "every bi-infinite word over %d symbols under translation"
+        % alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +558,11 @@ def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
 
 
 def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
-    moduli = tuple(int(m) for m in moduli)
-    if not moduli or any(m < 2 for m in moduli):
+    moduli = tuple(moduli)
+    if not moduli or any(type(m) is not int or m < 2 for m in moduli):
         raise DomainError("odometer moduli must all be >= 2")
     alphabet: object = moduli[0] if len(set(moduli)) == 1 else moduli
     scheme = Scheme("one-sided", start=0, alphabet=alphabet)
-    group = IntegerGroup()
 
     def act(n: int, x: Point) -> Point:
         return odometer_add(scheme, n, x)
@@ -602,9 +577,8 @@ def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
     label = "odometer" if moduli == (2,) else \
         "odometer-" + "".join(str(m) for m in moduli)
     return FlowSystem(
-        label, "cylinder-z", group, scheme, act, _same_depth, points,
+        label, "cylinder-z", IntegerGroup(), scheme, act, _same_depth, points,
         reps_fn=_constant_fill_reps(scheme),
-        metadata={"moduli": list(moduli)},
         summary="carry arithmetic on digit streams with moduli cycling "
                 "through %s" % (list(moduli),))
 
@@ -665,31 +639,17 @@ def reflected_expansion(rules: Mapping[int, tuple], radius: int,
 
 def build_thue_morse() -> FlowSystem:
     scheme = Scheme("two-sided", alphabet=2)
-    group = IntegerGroup()
-
-    def language(length: int) -> frozenset:
-        return substitution_factors(TM_RULES, length)
-
-    points = {
-        "reflection": reflected_expansion(TM_RULES, 64, scheme),
-        "reflection-flipped": reflected_expansion(TM_RULES, 64, scheme,
-                                                  flip_right=True),
-    }
     families = {
         "reflection": lambda radius: reflected_expansion(TM_RULES, radius,
                                                          scheme),
         "reflection-flipped": lambda radius: reflected_expansion(
             TM_RULES, radius, scheme, flip_right=True),
     }
-    return FlowSystem(
-        "thue-morse", "cylinder-z", group, scheme, _shift_act,
-        _widening_depth, points,
-        language_fn=language, reps_fn=_constant_fill_reps(scheme),
-        returns_fn=shift_returns,
-        families=families,
-        metadata={"rules": {str(k): "".join(str(s) for s in v)
-                            for k, v in sorted(TM_RULES.items())}},
-        summary="the doubling substitution 0->01, 1->10 under translation")
+    points = {name: build(64) for name, build in families.items()}
+    return _shift_system(
+        "thue-morse", scheme,
+        functools.partial(substitution_factors, TM_RULES), points, families,
+        "the doubling substitution 0->01, 1->10 under translation")
 
 
 # ---------------------------------------------------------------------------
@@ -740,21 +700,22 @@ def successor_act(n: int, x: Point) -> Point:
 
 def build_successor_map() -> FlowSystem:
     scheme = Scheme("one-sided", start=2, alphabet="index")
-    group = IntegerGroup()
-
-    zero = make_point(scheme, [], right=0)
     points = {
-        "zero": zero,
+        "zero": make_point(scheme, [], right=0),
         "unit": make_point(scheme, [1], right=0),
     }
-    families = {
-        "unit-at": lambda c: make_point(
-            scheme, [0] * (c - scheme.start) + [1], right=0),
-    }
+
+    def unit_at(c: int) -> Point:
+        """The point whose one engaged position is coordinate c."""
+        if type(c) is int:
+            scheme.check_coord(c)
+        _check_int(c, "unit coordinate", scheme.start)
+        return make_point(scheme, [0] * (c - scheme.start) + [1], right=0)
+
     return FlowSystem(
-        "successor-map", "cylinder-z", group, scheme, successor_act,
+        "successor-map", "cylinder-z", IntegerGroup(), scheme, successor_act,
         _same_depth, points, reps_fn=_constant_fill_reps(scheme),
-        families=families, metadata={"start": 2},
+        families={"unit-at": unit_at},
         summary="turn the dial after the first engaged position; "
                 "coordinate n carries n symbols")
 
@@ -763,7 +724,31 @@ def build_successor_map() -> FlowSystem:
 # two-copy sign extension
 
 
-class TwoCopyGroup(Group):
+class _FlipGroup(Group):
+    """A word group whose element pairs a set of flip coordinates in
+    [-m, m] with a second part, which a subclass names and checks."""
+
+    def __init__(self, m: int):
+        if m < 1:
+            raise DomainError("truncation index must be >= 1")
+        self.m = m
+
+    def validate(self, g) -> None:
+        if not (isinstance(g, tuple) and len(g) == 2):
+            raise RangeError("element must be a (flips, %s) pair"
+                             % self.second_part)
+        v = g[0]
+        if not isinstance(v, frozenset) or \
+                any(type(c) is not int for c in v):
+            raise RangeError("flip part must be a frozenset of ints")
+        if any(abs(c) > self.m for c in v):
+            raise RangeError("flip coordinate outside truncation range")
+
+    def to_json(self) -> dict:
+        return {"variant": self.variant, "m": self.m}
+
+
+class TwoCopyGroup(_FlipGroup):
     """Group generated by coordinate flips and region-conditioned sign
     swaps, in exact normal form.
 
@@ -775,11 +760,10 @@ class TwoCopyGroup(Group):
     """
 
     variant = "two-copy-word"
+    second_part = "region"
 
     def __init__(self, m: int):
-        if m < 1:
-            raise DomainError("truncation index must be >= 1")
-        self.m = m
+        super().__init__(m)
         self.scheme = Scheme("two-sided", alphabet=2)
         self._empty = clopen(self.scheme, 0, [])
         gens = {}
@@ -818,15 +802,8 @@ class TwoCopyGroup(Group):
             raise DomainError("no generator named %r" % name)
 
     def validate(self, g) -> None:
-        if not (isinstance(g, tuple) and len(g) == 2):
-            raise RangeError("element must be a (flips, region) pair")
-        v, d = g
-        if not isinstance(v, frozenset) or \
-                any(type(c) is not int for c in v):
-            raise RangeError("flip part must be a frozenset of ints")
-        if any(abs(c) > self.m for c in v):
-            raise RangeError("flip coordinate outside truncation range")
-        if not isinstance(d, ClopenSet):
+        super().validate(g)
+        if not isinstance(g[1], ClopenSet):
             raise RangeError("region part must be a clopen set")
 
     def sort_key(self, g):
@@ -847,9 +824,6 @@ class TwoCopyGroup(Group):
         else:
             region = "[%d..%d:%d]" % (d.lo, d.hi, _admitted_count(d))
         return "flips{%s}signs%s" % (flips, region)
-
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "m": self.m}
 
 
 def _flip_region(d: ClopenSet, v: frozenset) -> ClopenSet:
@@ -897,13 +871,14 @@ def build_two_copy(m: int = 3) -> FlowSystem:
         "o-plus": (zero, 1),
         "o-minus": (zero, -1),
     }
-    families = {
-        "step": lambda i, sign=1: (step_point(scheme, i), sign),
-    }
+    def step(i: int, sign: int = 1):
+        if type(sign) is not int or sign not in (1, -1):
+            raise RangeError("sign must be 1 or -1")
+        return (step_point(scheme, i), sign)
     return FlowSystem(
         "two-copy", "cylinder-word", group, scheme, act, input_depth, points,
-        dist_fn=_tagged_distance, families=families, format_point_fn=fmt,
-        metadata={"m": m},
+        dist_fn=_tagged_distance, families={"step": step},
+        format_point_fn=fmt,
         summary="two copies of the binary shift space glued by "
                 "region-conditioned sign swaps (truncation %d)" % m)
 
@@ -912,7 +887,12 @@ def build_two_copy(m: int = 3) -> FlowSystem:
 # flip-and-count sign extension
 
 
-class McMahonGroup(Group):
+def _check_bit(b) -> None:
+    if type(b) is not int or b not in (0, 1):
+        raise RangeError("parity bit must be 0 or 1")
+
+
+class McMahonGroup(_FlipGroup):
     """Abelian group generated by single-coordinate flip-and-count
     moves, in exact normal form.
 
@@ -923,11 +903,7 @@ class McMahonGroup(Group):
     """
 
     variant = "flip-count-word"
-
-    def __init__(self, m: int):
-        if m < 1:
-            raise DomainError("truncation index must be >= 1")
-        self.m = m
+    second_part = "parity"
 
     @property
     def identity(self):
@@ -950,16 +926,8 @@ class McMahonGroup(Group):
         return tuple(out)
 
     def validate(self, g) -> None:
-        if not (isinstance(g, tuple) and len(g) == 2):
-            raise RangeError("element must be a (flips, parity) pair")
-        s, b = g
-        if not isinstance(s, frozenset) or \
-                any(type(c) is not int for c in s):
-            raise RangeError("flip part must be a frozenset of ints")
-        if any(abs(c) > self.m for c in s):
-            raise RangeError("flip coordinate outside truncation range")
-        if type(b) is not int or b not in (0, 1):
-            raise RangeError("parity bit must be 0 or 1")
+        super().validate(g)
+        _check_bit(g[1])
 
     def sort_key(self, g):
         s, b = g
@@ -979,9 +947,6 @@ class McMahonGroup(Group):
         if b:
             parts.append("s")
         return "*".join(parts)
-
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "m": self.m}
 
 
 def build_mcmahon(m: int = 3) -> FlowSystem:
@@ -1009,15 +974,18 @@ def build_mcmahon(m: int = 3) -> FlowSystem:
         "base": (zero, 0),
         "marked": (zero, 1),
     }
+    def marked(y: Point, bit: int):
+        _check_bit(bit)
+        return (y, bit)
+
     families = {
-        "ring": lambda j, bit=0: (ring_point(scheme, j), bit),
-        "ring-flipped": lambda j, bit=0: (ring_point(scheme, j, flip_at=j),
-                                          bit),
+        "ring": lambda j, bit=0: marked(ring_point(scheme, j), bit),
+        "ring-flipped": lambda j, bit=0: marked(
+            ring_point(scheme, j, flip_at=j), bit),
     }
     return FlowSystem(
         "mcmahon", "cylinder-word", group, scheme, act, input_depth, points,
         dist_fn=_tagged_distance, families=families, format_point_fn=fmt,
-        metadata={"m": m},
         summary="binary shift space with a parity bit fed by the flipped "
                 "coordinate (truncation %d)" % m)
 
@@ -1090,8 +1058,6 @@ def _circle_reps(p: CirclePoint, depth: int) -> tuple:
 
 
 def build_circle_stack() -> FlowSystem:
-    group = IntegerGroup()
-
     def act(n: int, p: CirclePoint) -> CirclePoint:
         if p.level is None:
             return p
@@ -1112,9 +1078,9 @@ def build_circle_stack() -> FlowSystem:
         "limit-at": lambda turn: CirclePoint(None, Fraction(turn)),
     }
     return FlowSystem(
-        "circle-stack", "tower", group, None, act, input_depth, points,
+        "circle-stack", "tower", IntegerGroup(), None, act, input_depth,
+        points,
         dist_fn=circle_distance, reps_fn=_circle_reps, families=families,
-        metadata={"rotation": "1/(level+1)"},
         summary="circles of radius level/(level+1) each rotated by "
                 "1/(level+1), plus a fixed limit circle")
 
@@ -1154,7 +1120,7 @@ def component_projection(base: FlowSystem) -> FlowSystem:
         _same_depth, points, dist_fn=dist, reps_fn=reps,
         families={"level": lambda n: circle_component(
             CirclePoint(n, Fraction(0)))},
-        format_point_fn=fmt, metadata={"base": base.system_id},
+        format_point_fn=fmt,
         summary="components of %s collapsed to points; the action "
                 "becomes trivial" % base.system_id)
 

@@ -59,20 +59,6 @@ class CheckReport:
     asserted: tuple = ()
     notes: tuple = ()
 
-    def render_line(self) -> str:
-        tag = " [asserted: %s]" % ", ".join(self.asserted) \
-            if self.asserted else ""
-        return "[%s] %s @ %s%s" % (self.outcome, self.check_id,
-                                   self.subject, tag)
-
-    def render(self) -> str:
-        lines = [self.render_line(), "  claim: %s" % self.claim]
-        for v in self.verdicts:
-            lines.append("  " + v.render())
-        for n in self.notes:
-            lines.append("  note: %s" % n)
-        return "\n".join(lines)
-
     def to_json(self) -> dict:
         return {
             "check": self.check_id,

@@ -337,11 +337,11 @@ def generation_check(group: Group, sub: Subgroup, n_max: int,
 
 
 def generates_within(group: Group, sub: Subgroup, gens: ElementSet,
-                     radius: int, slack: int = 2) -> Verdict:
+                     radius: int) -> Verdict:
     """Do products of ``gens`` reach every subgroup element in the
-    radius ball?  Exploration is allowed up to slack * radius."""
+    radius ball?  Exploration is allowed up to 2 * radius."""
     target = {g for g in ball(group, radius) if sub.contains(g)}
-    limit = slack * radius
+    limit = 2 * radius
     seen = {group.identity}
     frontier = [group.identity]
     while frontier:

@@ -423,7 +423,7 @@ def reference_type2(system, x, *, horizon, depth):
         best = None
         for c in sorted(layer, key=lambda h: (word_length(group, h),
                                               group.sort_key(h))):
-            if system.close(system.act(c, x), x, depth):
+            if system.cell(system.act(c, x), depth)(x):
                 best = word_length(group, c)
                 break
         minima.append((g, best))
@@ -1036,13 +1036,13 @@ def reference_orbit_symmetry(system, pairs, horizon, depth):
     established, unestablished = [], []
     for x, y in pairs:
         fwd = next((g for g in reach
-                    if system.close(system.act(g, x), y, depth)), None)
+                    if system.cell(system.act(g, x), depth)(y)), None)
         if fwd is None:
             unestablished.append([system.format_point(x),
                                   system.format_point(y)])
             continue
         back = next((h for h in reach
-                     if system.close(system.act(h, y), x, depth)), None)
+                     if system.cell(system.act(h, y), depth)(x)), None)
         if back is None:
             return fails(name, params, {
                 "from": system.format_point(x),
@@ -1093,7 +1093,7 @@ def reference_usc(system, x, *, horizon, depth, neighbor_depth_max):
                 if cellwise:
                     bad = tuple(read_symbols(moved, lo, hi)) not in own
                 else:
-                    bad = all(not system.close(moved, p, depth)
+                    bad = all(not system.cell(moved, depth)(p)
                               for p in own_pts)
                 if bad:
                     failure = (dprime, rep, g)
@@ -1119,7 +1119,7 @@ def own_cell(system, x, depth):
     space, else the points its metric puts within 2^-depth."""
     if system.scheme is not None:
         return depth_ball(x, depth)
-    return lambda p: system.close(p, x, depth)
+    return lambda p: system.cell(p, depth)(x)
 
 
 # the systems with neighborhood representatives
@@ -1312,7 +1312,7 @@ class TestWitnessLengthProperty:
         named = []
         for a, b in ((x, y), (y, x)):
             def test(im, b=b):
-                return system.close(im[0], b, depth)
+                return system.cell(im[0], depth)(b)
             hit = _first_hit(system, (a,), horizon, test)
             if hit is None:
                 assert least_passing_length(system, (a,), horizon,
@@ -1326,7 +1326,7 @@ class TestWitnessLengthProperty:
             assert sym.certificate["witnesses"] == [named]
 
         def cell(p):
-            return system.close(p, x, depth)
+            return system.cell(p, depth)(x)
 
         def leaves(im):
             return not cell(im[0])

@@ -327,8 +327,8 @@ class TestDepthCell:
     def test_matches_distance(self, drawn, depth):
         system, (_, x, y) = drawn
         expected = distance(x, y) <= Fraction(1, 2 ** depth)
-        assert system.close(x, y, depth) == expected
-        assert system.close(y, x, depth) == expected
+        assert system.cell(x, depth)(y) == expected
+        assert system.cell(y, depth)(x) == expected
         assert system.cell(x, depth)(y) == expected
 
     def test_first_disagreement_sets_the_depth(self):
@@ -336,8 +336,8 @@ class TestDepthCell:
         zero = make_point(system.scheme, (), 0, 0)
         for k in range(1, 6):
             y = make_point(system.scheme, {-k: 1}, 0, 0)
-            assert system.close(zero, y, k)
-            assert not system.close(zero, y, k + 1)
+            assert system.cell(zero, k)(y)
+            assert not system.cell(zero, k + 1)(y)
 
 
 class TestReadSymbols:

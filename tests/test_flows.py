@@ -168,8 +168,6 @@ class TestRegistry:
         for sid in available_systems():
             sys = get_system(sid)
             assert sid in sys.describe()
-            data = sys.to_json()
-            assert data["id"] == sid and data["kind"] == sys.kind
 
 
 class TestFullShift:
@@ -321,6 +319,14 @@ class TestOdometer:
         with pytest.raises(DomainError):
             build_odometer((2, 1))
 
+    # a float or a string must not be read as some other modulus
+    @pytest.mark.parametrize("moduli", [(2.5,), ("3",), (True,), (2, 3.0),
+                                        (), (2, -3)])
+    def test_moduli_must_be_exact_ints(self, moduli):
+        with pytest.raises(DomainError,
+                           match="odometer moduli must all be >= 2"):
+            build_odometer(moduli)
+
     def test_elements_must_be_exact_ints(self):
         od = build_odometer()
         for g in (True, False, 1.0):
@@ -406,6 +412,21 @@ class TestSuccessorMap:
             for b in range(-4, 5):
                 assert sm.act(a, sm.act(b, x)) == sm.act(a + b, x)
 
+    # below the start an empty run of zeros would put the 1 at the start
+    def test_unit_at_needs_a_coordinate_of_the_scheme(self):
+        sm = build_successor_map()
+        for c in (-3, 0, 1):
+            with pytest.raises(RangeError,
+                               match="coordinate %d below scheme start 2"
+                               % c):
+                sm.family("unit-at", c)
+        for c in (2.5, True, "3"):
+            with pytest.raises(PreconditionError, match="must be an int"):
+                sm.family("unit-at", c)
+        assert sm.family("unit-at", 2) == sm.point("unit")
+        x = sm.family("unit-at", 5)
+        assert [x.value(n) for n in range(2, 9)] == [0, 0, 0, 1, 0, 0, 0]
+
     @given(successor_points(), st.integers(-200, 200))
     @settings(max_examples=300)
     def test_act_matches_reference(self, x, n):
@@ -454,6 +475,13 @@ class TestTwoCopy:
         lhs = sys2.act(G.multiply(b1, e0), x)
         rhs = sys2.act(b1, sys2.act(e0, x))
         assert sys2.equal(lhs, rhs)
+
+    # a sign of 2 would print as "+", like 1, yet name another point
+    @pytest.mark.parametrize("sign", [0, 2, -2, True, 1.0])
+    def test_step_needs_a_sign(self, sign):
+        sys2 = build_two_copy()
+        with pytest.raises(RangeError, match="sign must be 1 or -1"):
+            sys2.family("step", 0, sign)
 
     def test_sign_distance(self):
         sys2 = build_two_copy()
@@ -595,6 +623,16 @@ class TestMcMahon:
             xj = sysm.family("ring-flipped", j, 1)
             assert sysm.distance(marked, xj) == Fraction(1, 2 ** j)
 
+    @pytest.mark.parametrize("name", ["ring", "ring-flipped"])
+    def test_rings_need_a_parity_bit(self, name):
+        sysm = build_mcmahon()
+        for bit in (5, 2, -1, True, 0.0):
+            with pytest.raises(RangeError, match="parity bit must be 0 or 1"):
+                sysm.family(name, 1, bit)
+        for bit in (0, 1):
+            assert sysm.family(name, 1, bit)[1] == bit
+        assert sysm.format_point(sysm.family(name, 1, 1)).startswith("(1, ")
+
     def test_word_lengths(self):
         G = McMahonGroup(3)
         from zerodim.groups import word_length
@@ -611,6 +649,33 @@ class TestMcMahon:
             with pytest.raises(RangeError, match="parity bit"):
                 G.validate((frozenset({1}), parity))
         G.validate((frozenset({1}), 1))
+
+
+class TestFlipGroups:
+    """The checks the two word groups share."""
+
+    @pytest.mark.parametrize("cls,part", [(TwoCopyGroup, "region"),
+                                          (McMahonGroup, "parity")])
+    def test_shared_checks(self, cls, part):
+        for m in (0, -2):
+            with pytest.raises(DomainError,
+                               match="truncation index must be >= 1"):
+                cls(m)
+        G = cls(2)
+        assert G.to_json() == {"variant": G.variant, "m": 2}
+        for bad in ((frozenset(),), [frozenset(), 0], "e0"):
+            with pytest.raises(RangeError, match=r"element must be a "
+                               r"\(flips, %s\) pair" % part):
+                G.validate(bad)
+        with pytest.raises(RangeError, match="flip part must be"):
+            G.validate(({1}, G.identity[1]))
+        with pytest.raises(RangeError, match="outside truncation range"):
+            G.validate((frozenset({3}), G.identity[1]))
+        with pytest.raises(RangeError, match="part must be a clopen set"
+                           if part == "region" else "parity bit"):
+            G.validate((frozenset({1}), None))
+        for g in G.generators():
+            G.validate(g)
 
 
 class TestCircleStack:
@@ -899,7 +964,7 @@ class TestClose:
         for x in pts:
             for y in pts:
                 for depth in range(1, 7):
-                    assert system.close(x, y, depth) == (
+                    assert system.cell(x, depth)(y) == (
                         system.distance(x, y) <= Fraction(1, 2 ** depth))
 
     @pytest.mark.parametrize("sid", available_systems())
@@ -920,13 +985,11 @@ class TestClose:
         x = system.point(system.point_names()[0])
         with pytest.raises(PreconditionError):
             system.cell(x, depth)
-        with pytest.raises(PreconditionError):
-            system.close(x, x, depth)
 
 
 def reference_returns(system, x, depth, ns):
     """Oracle: act by every shift and ask the depth-closeness test."""
-    return [n for n in ns if system.close(system.act(n, x), x, depth)]
+    return [n for n in ns if system.cell(system.act(n, x), depth)(x)]
 
 
 INTEGER_SYSTEMS = tuple(sid for sid in available_systems()
@@ -1209,3 +1272,74 @@ class TestInputDepth:
         cs = get_system("circle-stack")
         near = cs.neighbor_reps(cs.point("limit"), 4)
         assert any(p.level is not None for p in near)
+
+
+def reference_constant_fill_reps(scheme, x, depth):
+    """Oracle: complete x's depth cylinder by every constant symbol
+    below the largest alphabet size, skip the completions
+    ``make_point`` rejects, and keep the first of equal points."""
+    cyl = cantor.depth_cylinder(x, depth)
+    alphabet = scheme.alphabet
+    sizes = alphabet if isinstance(alphabet, tuple) else \
+        (alphabet if isinstance(alphabet, int) else 2,)
+    out = [x]
+    for s in range(max(sizes)):
+        try:
+            if scheme.kind == "two-sided":
+                p = make_point(scheme, dict(zip(range(cyl.lo, cyl.hi + 1),
+                                                cyl.pattern)),
+                               right=s, left=s)
+            else:
+                p = make_point(scheme, list(cyl.pattern), right=s)
+        except (RangeError, DomainError):
+            continue
+        if p not in out:
+            out.append(p)
+    return tuple(out)
+
+
+def two_sided_points(scheme):
+    sym = st.integers(0, scheme.alphabet - 1)
+    tails = st.lists(sym, min_size=1, max_size=3).map(periodic_tail)
+    return st.builds(
+        lambda win, lo, r, l: make_point(scheme, win, r, l, lo=lo),
+        st.lists(sym, max_size=6), st.integers(-4, 4), tails, tails)
+
+
+def mixed_radix_points(scheme):
+    """Digits valid at their coordinate, then a tail over the digits
+    valid at every coordinate."""
+    sizes = scheme.alphabet if isinstance(scheme.alphabet, tuple) \
+        else (scheme.alphabet,)
+    return st.builds(
+        lambda win, tail: make_point(
+            scheme, [d % sizes[i % len(sizes)] for i, d in enumerate(win)],
+            right=periodic_tail(tail)),
+        st.lists(st.integers(0, max(sizes) - 1), max_size=8),
+        st.lists(st.integers(0, min(sizes) - 1), min_size=1, max_size=3))
+
+
+CONSTANT_FILL_SYSTEMS = {
+    "full-shift": (build_full_shift(), two_sided_points),
+    "full-shift-3": (build_full_shift(3), two_sided_points),
+    "thue-morse": (build_thue_morse(), two_sided_points),
+    "odometer": (build_odometer(), mixed_radix_points),
+    "odometer-23": (build_odometer((2, 3)), mixed_radix_points),
+    "odometer-322": (build_odometer((3, 2, 2)), mixed_radix_points),
+    "successor-map": (build_successor_map(),
+                      lambda scheme: successor_points()),
+}
+
+
+class TestConstantFillReps:
+    """``neighbor_reps`` of every symbol system against completing the
+    depth cylinder, as the catalog once built them."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_FILL_SYSTEMS))
+    @given(data=st.data(), depth=st.integers(1, 5))
+    @settings(max_examples=60)
+    def test_matches_the_cylinder_completion(self, name, data, depth):
+        system, points = CONSTANT_FILL_SYSTEMS[name]
+        x = data.draw(points(system.scheme))
+        assert system.neighbor_reps(x, depth) == \
+            reference_constant_fill_reps(system.scheme, x, depth)

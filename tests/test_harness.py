@@ -48,8 +48,8 @@ class TestDefaultBattery:
         assert len(flagged) == 1
         assert flagged[0].check_id == "recurrent-orbit-trace-continuity"
         assert flagged[0].asserted == ("totally-disconnected=false",)
-        assert "[asserted: totally-disconnected=false]" \
-            in flagged[0].render_line()
+        assert "Asserted hypotheses (not computed): " \
+            "`totally-disconnected=false`" in run.render_markdown()
 
     def test_reports_carry_verdicts(self):
         run = run_config(default_config())
