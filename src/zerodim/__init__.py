@@ -23,10 +23,9 @@ from .analysis import (InvariantCoreApprox, OrbitCells,
 from .cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
                      clopen, complement, constant_tail, depth_cylinder,
                      distance, from_cylinder, intersection, make_point,
-                     periodic_tail, points_equal, reanchor_tail,
-                     scheme_from_json, sym_diff, union)
-from .config import (SCHEMA, default_config, load_config,
-                     negative_control_config, validate_config)
+                     periodic_tail, points_equal, reanchor_tail, sym_diff,
+                     union)
+from .config import SCHEMA, default_config, load_config, validate_config
 from .errors import (DomainError, PreconditionError, RangeError,
                      ResourceCapError, UsageError, WorkbenchError)
 from .flows import (FlowSystem, McMahonGroup, TwoCopyGroup,
@@ -34,8 +33,7 @@ from .flows import (FlowSystem, McMahonGroup, TwoCopyGroup,
 from .groups import (ConeApproximation, CyclicSumGroup, ElementSet,
                      FiniteGroup, FreeGroupVariant, Group, IntegerGroup,
                      LatticeGroup, affine_sequence, ball, cone_approx,
-                     cone_layer, explicit_sequence, group_from_json,
-                     is_syndetic_window, is_thick_window,
+                     cone_layer, explicit_sequence, is_syndetic_window, is_thick_window,
                      layer_embedding_bound, layer_embedding_check,
                      power_set, sphere, word_length)
 from .harness import (CheckReport, HarnessRun, available_checks, run_check,

@@ -103,14 +103,6 @@ class Scheme:
                 "alphabet": self.alphabet}
 
 
-def scheme_from_json(data: Mapping) -> Scheme:
-    alphabet = data.get("alphabet", 2)
-    if isinstance(alphabet, list):
-        alphabet = tuple(alphabet)
-    return Scheme(kind=data["kind"], start=int(data.get("start", 0)),
-                  alphabet=alphabet)
-
-
 # ---------------------------------------------------------------------------
 # tails and points
 
@@ -195,17 +187,6 @@ class Point:
             return max(self.scheme.offset(n) for n in edge)
         return max(self.scheme.offset(self.lo), self.scheme.offset(self.hi))
 
-    def to_json(self) -> dict:
-        data = {
-            "scheme": self.scheme.to_json(),
-            "lo": self.lo,
-            "window": list(self.window),
-            "right": list(self.right.symbols),
-        }
-        if self.left is not None:
-            data["left"] = list(self.left.symbols)
-        return data
-
     def __repr__(self) -> str:
         left = _symbol_text(self.left.symbols[::-1]) + "..." \
             if self.left else ""
@@ -232,7 +213,7 @@ def _trusted_point(scheme: Scheme, lo: int, hi: int, window: tuple,
     nothing.  The dataclass ``__init__`` sets each field through
     ``object.__setattr__``; this writes the instance's ``__dict__``
     directly, in field order, at about a third of the cost.  ``==``,
-    ``hash``, ``repr``, ``to_json`` and frozenness are the class's."""
+    ``hash``, ``repr`` and frozenness are the class's."""
     p = object.__new__(Point)
     d = p.__dict__
     d["scheme"] = scheme
@@ -493,10 +474,6 @@ class Cylinder:
     def member(self, x: Point) -> bool:
         return all(x.value(n) == s
                    for n, s in zip(range(self.lo, self.hi + 1), self.pattern))
-
-    def to_json(self) -> dict:
-        return {"scheme": self.scheme.to_json(), "lo": self.lo,
-                "pattern": list(self.pattern)}
 
     def __repr__(self) -> str:
         return "<cyl [%s@%d]>" % (_symbol_text(self.pattern), self.lo)

@@ -1,9 +1,7 @@
 """Run configurations for the consistency harness and the CLI.
 
 A config is a plain JSON object: a schema tag and a list of check
-entries.  ``default_config`` pins the standard battery;
-``negative_control_config`` deliberately asserts false hypotheses so a
-run demonstrates how a VIOLATION surfaces.
+entries.  ``default_config`` pins the standard battery.
 """
 
 from __future__ import annotations
@@ -55,24 +53,6 @@ def default_config() -> dict:
             {"check": "syndetic-subgroup-normal-core",
              "samples": ["sym-3", "dihedral-4"]},
             {"check": "syndetic-thick-duality", "window": 24},
-        ],
-    }
-
-
-def negative_control_config() -> dict:
-    """Deliberately false assertions: the run must end in VIOLATION."""
-    return {
-        "schema": SCHEMA,
-        "checks": [
-            {"check": "recurrence-vs-reach-symmetry", "system": "full-shift",
-             "horizon": 8, "depth": 2,
-             "asserted": {"pointwise-recurrent": True}},
-            {"check": "recurrent-orbit-trace-continuity",
-             "system": "circle-stack", "point": "limit", "horizon": 8,
-             "depth": 3, "neighbor_depth_max": 4,
-             "asserted": {"totally-disconnected": True}},
-            {"check": "recurrence-vs-reach-symmetry", "system": "odometer",
-             "horizon": 8, "depth": 2},
         ],
     }
 

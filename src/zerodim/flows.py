@@ -361,14 +361,14 @@ def shift_returns(x: Point, depth: int, ns: range):
 
 def step_point(scheme: Scheme, i: int) -> Point:
     """The two-sided point that is 0 at coordinates <= i and 1 above."""
+    _check_int(i, "step coordinate", None)
     return make_point(scheme, {}, right=1, left=0, lo=i + 1)
 
 
 def ring_point(scheme: Scheme, j: int, flip_at: Optional[int] = None) -> Point:
     """The point that is 0 exactly on [-j, j], optionally flipped at
     one coordinate of that block."""
-    if j < 0:
-        raise PreconditionError("ring index must be >= 0")
+    _check_int(j, "ring index")
     window = {c: 0 for c in range(-j, j + 1)}
     if flip_at is not None:
         if flip_at not in window:
@@ -482,10 +482,11 @@ def build_full_shift(alphabet: int = 2) -> FlowSystem:
                                   left=periodic_tail((1, 0))),
         "step": step_point(scheme, 0),
     }
-    families = {
-        "step": lambda i: step_point(scheme, i),
-        "single": lambda k: make_point(scheme, {k: 1}, right=0, left=0),
-    }
+    def single(k: int) -> Point:
+        _check_int(k, "single coordinate", None)
+        return make_point(scheme, {k: 1}, right=0, left=0)
+
+    families = {"step": lambda i: step_point(scheme, i), "single": single}
     return _shift_system(
         "full-shift", scheme, language, points, families,
         "every bi-infinite word over %d symbols under translation"
@@ -623,8 +624,7 @@ def reflected_expansion(rules: Mapping[int, tuple], radius: int,
     description falls back to constant 0, so callers must pick the
     radius beyond every horizon and depth they will probe.
     """
-    if radius < 1:
-        raise PreconditionError("radius must be >= 1")
+    _check_int(radius, "radius", 1)
     seq = (min(rules),)
     while len(seq) <= radius:
         seq = tuple(s for a in seq for s in rules[a])
@@ -744,9 +744,6 @@ class _FlipGroup(Group):
         if any(abs(c) > self.m for c in v):
             raise RangeError("flip coordinate outside truncation range")
 
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "m": self.m}
-
 
 class TwoCopyGroup(_FlipGroup):
     """Group generated by coordinate flips and region-conditioned sign
@@ -791,9 +788,7 @@ class TwoCopyGroup(_FlipGroup):
         return (v, _flip_region(d, v))
 
     def generators(self) -> tuple:
-        order = ["e%d" % j for j in range(-self.m, self.m + 1)] + \
-                ["b%d" % i for i in range(1, self.m + 1)]
-        return (self.identity,) + tuple(self._named[k] for k in order)
+        return (self.identity, *self._named.values())
 
     def named_generator(self, name: str):
         try:

@@ -82,9 +82,6 @@ class Group:
         give the set in closed form."""
         return frozenset(filter(_cone_member(self, g), ball(self, radius)))
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<%s>" % self.describe()
 
@@ -132,9 +129,6 @@ class IntegerGroup(Group):
             raise PreconditionError("cone layer undefined at the identity")
         top = min(radius, 2 * abs(g) - 1)
         return range(1, top + 1) if g > 0 else range(-top, 0)
-
-    def to_json(self) -> dict:
-        return {"variant": self.variant}
 
 
 class LatticeGroup(Group):
@@ -196,9 +190,6 @@ class LatticeGroup(Group):
                     for c, a, b in lens
                     for x in range(max(-a, gi - b), min(a, gi + b) + 1)]
         return frozenset(c for c, _, _ in lens)
-
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "dim": self.dim}
 
     def describe(self) -> str:
         return "lattice(%d)" % self.dim
@@ -272,9 +263,6 @@ class FreeGroupVariant(Group):
     def closed_form_length(self, g: tuple) -> int:
         return len(g)
 
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "rank": self.rank}
-
     def describe(self) -> str:
         return "free(%d)" % self.rank
 
@@ -282,9 +270,8 @@ class FreeGroupVariant(Group):
 class FiniteGroup(Group):
     """A finite group given by element names and a multiplication table.
 
-    By default every element is a generator, which makes the word metric
-    the discrete metric (length 1 off the identity); an explicit smaller
-    symmetric generating set may be supplied.
+    Every element is a generator, which makes the word metric the
+    discrete metric (length 1 off the identity).
     """
 
     variant = "finite"
@@ -292,7 +279,6 @@ class FiniteGroup(Group):
     def __init__(self, names: Sequence[str],
                  table: Mapping[tuple, str],
                  identity: str,
-                 generators: Optional[Sequence[str]] = None,
                  label: str = "finite"):
         self.names = tuple(names)
         self.label = label
@@ -311,15 +297,7 @@ class FiniteGroup(Group):
                     self._inverse[a] = b
         if set(self._inverse) != set(self.names):
             raise DomainError("multiplication table has no inverse for some element")
-        if generators is None:
-            gens = set(self.names)
-        else:
-            for g in generators:
-                if g not in self._inverse:
-                    raise DomainError("generator %r is not an element" % (g,))
-            gens = set(generators) | {identity}
-            gens |= {self._inverse[g] for g in generators}
-        self._generators = tuple(sorted(gens, key=self.sort_key))
+        self._generators = tuple(sorted(self.names, key=self.sort_key))
 
     @property
     def identity(self) -> str:
@@ -349,10 +327,6 @@ class FiniteGroup(Group):
 
     def format_element(self, g: str) -> str:
         return g
-
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "label": self.label,
-                "names": list(self.names)}
 
     def describe(self) -> str:
         return self.label
@@ -429,25 +403,8 @@ class CyclicSumGroup(Group):
     def closed_form_length(self, g: tuple) -> int:
         return sum(min(x, m - x) for x, m in zip(g, self.moduli))
 
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "support": list(self.support),
-                "moduli": list(self.moduli)}
-
     def describe(self) -> str:
         return "cyclic-sum(%d coords)" % len(self.support)
-
-
-def group_from_json(data: Mapping) -> Group:
-    variant = data.get("variant")
-    if variant == "integers":
-        return IntegerGroup()
-    if variant == "lattice":
-        return LatticeGroup(int(data["dim"]))
-    if variant == "free":
-        return FreeGroupVariant(int(data["rank"]))
-    if variant == "cyclic-sum":
-        return CyclicSumGroup(tuple(data["support"]), tuple(data["moduli"]))
-    raise DomainError("cannot rebuild group variant %r from JSON" % variant)
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +523,9 @@ def word_length(group: Group, g, method: str = "auto") -> int:
 
 @dataclass(frozen=True)
 class ElementSet:
-    """A finite set of group elements, tagged with the radius it was
-    enumerated at (None when it did not come from a ball)."""
+    """A finite set of group elements."""
 
     elements: frozenset
-    radius: Optional[int] = None
 
     def __contains__(self, g) -> bool:
         return g in self.elements
@@ -585,13 +540,14 @@ class ElementSet:
         return sorted(self.elements, key=group.sort_key)
 
 
-def _check_int(value, what: str, least: int = 0) -> None:
-    """Radii, horizons and depths are exact ints of at least ``least``:
-    views are keyed by radius, True would run as 1 and alias it, and a
-    float would reach a range or a certificate."""
+def _check_int(value, what: str, least: Optional[int] = 0) -> None:
+    """Radii, horizons and depths are exact ints of at least ``least``
+    (of any size when ``least`` is None): views are keyed by radius,
+    True would run as 1 and alias it, and a float would reach a range
+    or a certificate."""
     if type(value) is not int:
         raise PreconditionError("%s must be an int, got %r" % (what, value))
-    if value < least:
+    if least is not None and value < least:
         raise PreconditionError("%s must be >= %d" % (what, least))
 
 
@@ -602,7 +558,7 @@ def _view(group: Group, kind: str, radius: int,
     views = _search(group).views
     view = views.get((kind, radius))
     if view is None:
-        view = views[kind, radius] = ElementSet(frozenset(members), radius)
+        view = views[kind, radius] = ElementSet(frozenset(members))
     return view
 
 
@@ -696,7 +652,7 @@ def cone_layer(group: Group, g) -> ElementSet:
     if n == 0:
         raise PreconditionError("cone layer undefined at the identity")
     shell = power_set(group, n - 1)
-    return ElementSet(frozenset(group.multiply(k, g) for k in shell), None)
+    return ElementSet(frozenset(group.multiply(k, g) for k in shell))
 
 
 def _cone_member(group: Group, g) -> Callable:
@@ -986,31 +942,28 @@ def _first_translate(group: Group, fs: Sequence, length: int,
 
 
 def layer_embedding_bound(group: Group, finite_set: Iterable, g_bound: int,
-                          n_max: int = 8,
-                          probe: Optional[Iterable] = None) -> Verdict:
+                          n_max: int = 8) -> Verdict:
     """Smallest n <= n_max such that every g with n <= |g| <= g_bound
     admits a sphere-n translate carrying finite_set into g's reach set.
 
-    ``probe`` optionally restricts the elements g examined (default: all
-    of the g_bound ball, read in ``sort_key`` order from its sorted
-    view, sorted once per instance and radius).  The certificate
-    records the bound and one witness per examined g.  ``g_bound`` must
-    be an exact int >= 0 and ``n_max`` one >= 1, probe or not, and
+    The elements g examined are the g_bound ball, read in ``sort_key``
+    order from its sorted view, sorted once per instance and radius.
+    The certificate records the bound and one witness per examined g.
+    ``g_bound`` must be an exact int >= 0 and ``n_max`` one >= 1, and
     every member of ``finite_set`` an element of the group (else
     RangeError).
     """
     _check_int(g_bound, "g_bound")
     _check_int(n_max, "n_max", 1)
     fs = sorted(set(_elements(group, finite_set)), key=group.sort_key)
-    pool = (list(probe) if probe is not None
-            else _sorted_view(group, "ball", g_bound))
+    pool = _sorted_view(group, "ball", g_bound)
     params = {"g_bound": g_bound, "n_max": n_max,
               "set_size": len(fs)}
     for n in range(1, n_max + 1):
         witnesses = {}
         ok = True
         for g in pool:
-            if not n <= word_length(group, g) <= g_bound:
+            if word_length(group, g) < n:
                 continue
             t = _first_translate(group, fs, n, _cone_member(group, g))
             if t is None:

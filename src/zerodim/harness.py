@@ -566,6 +566,9 @@ def _bind(entry: Mapping) -> tuple:
     other key of the entry must be a keyword parameter of the check, of
     the JSON type its default fixes; ``asserted`` may name only the
     hypotheses its default lists."""
+    if not isinstance(entry, Mapping):
+        raise UsageError("check entry must be a JSON object, got %r"
+                         % (entry,))
     cid = entry.get("check")
     if type(cid) is not str or cid not in CHECKS:
         raise UsageError("unknown check %r (have: %s)"

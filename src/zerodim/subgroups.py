@@ -311,7 +311,7 @@ def induced_generating_set(group: Group, sub: Subgroup,
     cube = set()
     for a, b, c in itertools.product(gens, repeat=3):
         cube.add(group.multiply(group.multiply(a, b), c))
-    return ElementSet(frozenset(g for g in cube if sub.contains(g)), None)
+    return ElementSet(frozenset(g for g in cube if sub.contains(g)))
 
 
 def generation_check(group: Group, sub: Subgroup, n_max: int,

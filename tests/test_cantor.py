@@ -14,7 +14,7 @@ from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
                             constant_tail, depth_cylinder, distance,
                             from_cylinder, intersection, make_point,
                             periodic_tail, points_equal, read_symbols,
-                            reanchor_tail, scheme_from_json, sym_diff, union)
+                            reanchor_tail, sym_diff, union)
 from zerodim.errors import (DomainError, PreconditionError, RangeError,
                             ResourceCapError)
 from zerodim.flows import (_flip_region, build_full_shift, build_odometer,
@@ -108,11 +108,6 @@ class TestScheme:
         with pytest.raises(RangeError):
             ONE.check_coord(-1)
         BIN.check_coord(-100)
-
-    def test_json_round_trip(self):
-        for s in (BIN, ONE, Scheme("one-sided", 2, "index"),
-                  Scheme("one-sided", 0, (2, 3))):
-            assert scheme_from_json(s.to_json()) == s
 
 
 class TestTails:

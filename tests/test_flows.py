@@ -662,7 +662,7 @@ class TestFlipGroups:
                                match="truncation index must be >= 1"):
                 cls(m)
         G = cls(2)
-        assert G.to_json() == {"variant": G.variant, "m": 2}
+        assert G.m == 2
         for bad in ((frozenset(),), [frozenset(), 0], "e0"):
             with pytest.raises(RangeError, match=r"element must be a "
                                r"\(flips, %s\) pair" % part):
@@ -856,8 +856,11 @@ class TestPointBuilders:
 
 
 def same_built_point(got, want):
-    """Equal under ``==``, ``hash``, ``repr`` and ``to_json``."""
-    return same_point(got, want) and got.to_json() == want.to_json()
+    """Equal under ``==``, ``hash`` and ``repr``, with the same fields
+    in the same order, each of the same type."""
+    fields = list(vars(got).items()), list(vars(want).items())
+    return same_point(got, want) and fields[0] == fields[1] and \
+        [type(v) for _, v in fields[0]] == [type(v) for _, v in fields[1]]
 
 
 ODOMETER_STEPS = (1, -1, 2, -2, 7, -7, 300, -300)
@@ -985,6 +988,26 @@ class TestClose:
         x = system.point(system.point_names()[0])
         with pytest.raises(PreconditionError):
             system.cell(x, depth)
+
+
+# every family whose first argument is an int coordinate, index or
+# radius; the circle levels also take None and are checked by
+# ``CirclePoint`` itself
+INT_FAMILIES = [("full-shift", "single"), ("full-shift", "step"),
+                ("mcmahon", "ring"), ("mcmahon", "ring-flipped"),
+                ("successor-map", "unit-at"), ("thue-morse", "reflection"),
+                ("thue-morse", "reflection-flipped"), ("two-copy", "step")]
+
+
+class TestFamilyArguments:
+    # 2.5 built a step at a fractional coordinate printed like the step
+    # at 2, True ran as 1, and elsewhere a float escaped as a TypeError
+    @pytest.mark.parametrize("sid, name", INT_FAMILIES)
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_int_arguments_are_exact_ints(self, sid, name, bad):
+        with pytest.raises(PreconditionError,
+                           match="must be an int, got %r" % bad):
+            get_system(sid).family(name, bad)
 
 
 def reference_returns(system, x, depth, ns):

@@ -18,8 +18,7 @@ from zerodim.groups import (STABLE_RUN, ConeApproximation,
                             _ball_layers, _cone_member, _layer,
                             _sorted_view,
                             affine_sequence, ball, cone_approx, cone_layer,
-                            explicit_sequence, group_from_json,
-                            is_syndetic_window, is_thick_window,
+                            explicit_sequence, is_syndetic_window, is_thick_window,
                             layer_embedding_bound, layer_embedding_check,
                             power_set, sphere, word_length)
 from zerodim.subgroups import symmetric_group
@@ -298,12 +297,6 @@ class TestVariants:
         for g, d in oracle.items():
             assert word_length(G, g) == d
 
-    def test_json_round_trip(self):
-        for group in (Z, Z2, F2, CyclicSumGroup((0, 1, 2), (2, 2, 3))):
-            data = group.to_json()
-            back = group_from_json(data)
-            assert back.to_json() == data
-
     @pytest.mark.parametrize("bad", [["e"], {"e": 0}, "(0 1 2 3)"])
     def test_finite_group_rejects_unknown_elements(self, bad):
         # an unhashable value is an unknown element, not a TypeError
@@ -495,8 +488,7 @@ class TestSharedSearch:
                 want = frozenset(itertools.chain.from_iterable(
                     layers if kind == "power" else layers[1:]))
             assert view.elements == want
-            assert view.radius == radius
-            assert view == ElementSet(want, radius)
+            assert view == ElementSet(want)
 
     def test_identity_alone_never_exceeds_cap(self, monkeypatch):
         monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 0)
@@ -508,10 +500,14 @@ class TestSharedSearch:
         assert len(ball(G, 10)) == 4
         assert len(sphere(G, 3)) == 0
         # Z/4 generated by its square reaches only {0, 2}
+        class Half(FiniteGroup):
+            def generators(self):
+                return ("0", "2")
+
         names = ("0", "1", "2", "3")
         table = {(a, b): str((int(a) + int(b)) % 4)
                  for a in names for b in names}
-        half = FiniteGroup(names, table, "0", generators=["2"])
+        half = Half(names, table, "0")
         assert word_length(half, "2") == 1
         with pytest.raises(RangeError):
             word_length(half, "1")
@@ -520,9 +516,6 @@ class TestSharedSearch:
         names = ("0", "1")
         table = {(a, b): str((int(a) + int(b)) % 2)
                  for a in names for b in names}
-        with pytest.raises(DomainError, match="generator 'x' is not an "
-                                              "element"):
-            FiniteGroup(names, table, "0", generators=["x"])
         del table["1", "0"]
         with pytest.raises(DomainError, match=r"no entry for \('1', '0'\)"):
             FiniteGroup(names, table, "0")
@@ -585,11 +578,9 @@ def reference_layer_embedding_check(group, finite_set, length, g):
     return None
 
 
-def reference_layer_embedding_bound(group, finite_set, g_bound, n_max=8,
-                                    probe=None):
+def reference_layer_embedding_bound(group, finite_set, g_bound, n_max=8):
     fs = sorted(set(finite_set), key=group.sort_key)
-    pool = list(probe) if probe is not None else \
-        ball(group, g_bound).sorted(group)
+    pool = ball(group, g_bound).sorted(group)
     params = {"g_bound": g_bound, "n_max": n_max, "set_size": len(fs)}
     for n in range(1, n_max + 1):
         witnesses = {}
@@ -775,19 +766,18 @@ class TestConeMembership:
         assert layer_embedding_check(make(), fs, length, g) == \
             reference_layer_embedding_check(group, fs, length, g)
 
-    @pytest.mark.parametrize("group, fs, g_bound, n_max, probe", [
-        (Z, [0, 1, 2], 12, 8, None),
-        (Z, [0, 3, 4], 12, 8, None),
-        (Z, [-1, 0, 1], 10, 8, None),
-        (Z, [0, 5], 6, 3, None),
-        (Z2, [(0, 0), (1, 0)], 4, 4, None),
-        (F2, [(), (1,)], 3, 3, [(1,), (1, 2), (2, 2, 1), (-1, -1)]),
+    @pytest.mark.parametrize("group, fs, g_bound, n_max", [
+        (Z, [0, 1, 2], 12, 8),
+        (Z, [0, 3, 4], 12, 8),
+        (Z, [-1, 0, 1], 10, 8),
+        (Z, [0, 5], 6, 3),
+        (Z2, [(0, 0), (1, 0)], 4, 4),
+        (F2, [(), (1,)], 3, 3),
     ], ids=str)
     def test_layer_embedding_bound_matches_the_oracle(self, group, fs,
-                                                      g_bound, n_max, probe):
-        v = layer_embedding_bound(group, fs, g_bound, n_max, probe)
-        want = reference_layer_embedding_bound(group, fs, g_bound, n_max,
-                                               probe)
+                                                      g_bound, n_max):
+        v = layer_embedding_bound(group, fs, g_bound, n_max)
+        want = reference_layer_embedding_bound(group, fs, g_bound, n_max)
         assert v.params == want["params"]
         if want["status"] == "holds":
             assert v.holds and v.certificate == {
@@ -808,7 +798,6 @@ class TestConeMembership:
         with pytest.raises(PreconditionError, match=message):
             layer_embedding_bound(Z, [0, 1], 6, bad)
 
-    @pytest.mark.parametrize("probe", [None, [1]], ids=repr)
     @pytest.mark.parametrize("bad, message", [
         (True, "g_bound must be an int, got True"),
         (2.5, "g_bound must be an int, got 2.5"),
@@ -816,11 +805,9 @@ class TestConeMembership:
         (-1, "g_bound must be >= 0"),
     ], ids=repr)
     def test_layer_embedding_bound_g_bound_is_an_exact_int(self, bad,
-                                                           message, probe):
-        # with a probe, True and 2.5 gave a verdict with the bad value in
-        # its params and "3" escaped as a TypeError
+                                                           message):
         with pytest.raises(PreconditionError, match=message):
-            layer_embedding_bound(Z, [0, 1], bad, probe=probe)
+            layer_embedding_bound(Z, [0, 1], bad)
 
     @pytest.mark.parametrize("make, fs, g, message", [
         (lambda: Z2, [(1,)], (2, 0),

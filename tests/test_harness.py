@@ -2,17 +2,24 @@
 ranking, assertion flagging, and report rendering."""
 
 import json
+import pathlib
 
 import pytest
 
 from zerodim import harness, subgroups
-from zerodim.config import (default_config, load_config,
-                            negative_control_config, validate_config)
+from zerodim.config import default_config, load_config, validate_config
 from zerodim.errors import UsageError
 from zerodim.harness import (CONSISTENT, INCONCLUSIVE, VIOLATION,
                              CheckReport, HarnessRun, available_checks,
                              run_check, run_config)
 from zerodim.verdict import holds
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def negative_control():
+    """The shipped battery of deliberately false assertions."""
+    return load_config(str(CONFIGS / "negative-control.json"))
 
 
 class TestCatalogue:
@@ -60,7 +67,7 @@ class TestDefaultBattery:
 
 class TestNegativeControl:
     def test_false_assertions_surface_as_violations(self):
-        run = run_config(negative_control_config())
+        run = run_config(negative_control())
         assert run.outcome == VIOLATION
         by_outcome = {}
         for r in run.reports:
@@ -72,7 +79,7 @@ class TestNegativeControl:
                        "recurrent-orbit-trace-continuity"}
 
     def test_violation_notes_name_the_assertion(self):
-        run = run_config(negative_control_config())
+        run = run_config(negative_control())
         bad = [r for r in run.reports if r.outcome == VIOLATION]
         for r in bad:
             assert r.asserted
@@ -111,6 +118,9 @@ class TestEntryTypes:
          "'point_x' must be a string"),
         ({"check": "joint-returns-under-uniform-modulus",
           "point_y": {"name": "reflection"}}, "'point_y' must be a string"),
+        # entry.get raised a bare AttributeError
+        (1, "check entry must be a JSON object, got 1"),
+        (["check"], r"check entry must be a JSON object, got \['check'\]"),
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_wrong_type_is_usage_error(self, entry, message):
         with pytest.raises(UsageError, match=message):
@@ -328,15 +338,15 @@ class TestConfigHandling:
             load_config(str(p))
 
     def test_shipped_configs_match_builders(self):
-        import pathlib
-        root = pathlib.Path(__file__).resolve().parent.parent
-        for fname, builder in (("default.json", default_config),
-                               ("negative-control.json",
-                                negative_control_config)):
-            on_disk = (root / "configs" / fname).read_text()
-            expect = json.dumps(builder(), indent=2, sort_keys=True) + "\n"
-            assert on_disk == expect
+        on_disk = (CONFIGS / "default.json").read_text()
+        expect = json.dumps(default_config(), indent=2, sort_keys=True) + "\n"
+        assert on_disk == expect
 
     def test_run_config_needs_checks(self):
         with pytest.raises(UsageError):
             run_config({"checks": []})
+
+    def test_run_config_entries_are_objects(self):
+        # entry.get raised a bare AttributeError
+        with pytest.raises(UsageError, match="must be a JSON object"):
+            run_config({"checks": [{"check": "syndetic-thick-duality"}, 1]})
