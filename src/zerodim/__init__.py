@@ -25,7 +25,7 @@ from .cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
                      distance, from_cylinder, intersection, make_point,
                      periodic_tail, points_equal, reanchor_tail, sym_diff,
                      union)
-from .config import SCHEMA, default_config, load_config, validate_config
+from .config import SCHEMA, default_config, load_config
 from .errors import (DomainError, PreconditionError, RangeError,
                      ResourceCapError, UsageError, WorkbenchError)
 from .flows import (FlowSystem, McMahonGroup, TwoCopyGroup,
@@ -38,9 +38,9 @@ from .groups import (ConeApproximation, CyclicSumGroup, ElementSet,
                      power_set, sphere, word_length)
 from .harness import (CheckReport, HarnessRun, available_checks, run_check,
                       run_config)
-from .subgroups import (CyclicSumSubgroup, FiniteSubgroup, IntegerSubgroup,
-                        LatticeSubgroup, Subgroup, all_subgroups,
-                        cyclic_group, dihedral_group, generation_check,
+from .subgroups import (FiniteSubgroup, IntegerSubgroup, LatticeSubgroup,
+                        Subgroup, all_subgroups, cyclic_group,
+                        dihedral_group, generation_check,
                         induced_generating_set, intersect_subgroups,
                         normal_core, subgroup_index, symmetric_group)
 from .verdict import Status, Verdict, fails, holds, inconclusive

@@ -445,16 +445,6 @@ class OrbitCells:
     cells: frozenset
     witnesses: Mapping
 
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "horizon": self.horizon,
-            "window": list(self.window),
-            "cells": sorted(list(c) for c in self.cells),
-            "witnesses": {"".join(map(str, k)): v
-                          for k, v in sorted(self.witnesses.items())},
-        }
-
 
 def orbit_cylinders(system: FlowSystem, x, *, horizon: int,
                     depth: int) -> OrbitCells:

@@ -34,7 +34,7 @@ from .analysis import (ap_verdict, confinement_verdict,
                        translate_cover_verdict, type1_verdict,
                        type2_verdict, uniform_recurrence_verdict,
                        usc_verdict, weak_rigidity_verdict)
-from .config import default_config, load_config, validate_config
+from .config import default_config, load_config
 from .errors import DomainError, UsageError, WorkbenchError
 from .flows import available_systems, get_system
 from .harness import available_checks, run_config
@@ -283,10 +283,7 @@ def _cmd_analyze(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    if ns.config:
-        config = load_config(ns.config)
-    else:
-        config = validate_config(default_config())
+    config = load_config(ns.config) if ns.config else default_config()
     start = time.perf_counter()
     run = run_config(config)
     elapsed = time.perf_counter() - start

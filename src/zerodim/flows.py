@@ -1001,7 +1001,8 @@ def level_radius(level: Optional[int]) -> Fraction:
 class CirclePoint:
     """A point on one circle of the stack: ``level`` is a positive
     integer or None for the limit circle; ``turn`` is the angular
-    position in full turns, stored reduced modulo 1."""
+    position in full turns, an int or Fraction stored reduced modulo 1
+    (a float would bring its binary expansion: 0.1 is not 1/10)."""
 
     level: Optional[int]
     turn: Fraction
@@ -1010,6 +1011,9 @@ class CirclePoint:
         if self.level is not None and (type(self.level) is not int
                                        or self.level < 1):
             raise RangeError("level must be a positive int or None")
+        if type(self.turn) not in (int, Fraction):
+            raise PreconditionError("turn must be an int or Fraction, got %r"
+                                    % (self.turn,))
         object.__setattr__(self, "turn", Fraction(self.turn) % 1)
 
     @property
@@ -1069,8 +1073,8 @@ def build_circle_stack() -> FlowSystem:
         "limit": CirclePoint(None, Fraction(0)),
     }
     families = {
-        "level": lambda n, turn=Fraction(0): CirclePoint(n, Fraction(turn)),
-        "limit-at": lambda turn: CirclePoint(None, Fraction(turn)),
+        "level": lambda n, turn=Fraction(0): CirclePoint(n, turn),
+        "limit-at": lambda turn: CirclePoint(None, turn),
     }
     return FlowSystem(
         "circle-stack", "tower", IntegerGroup(), None, act, input_depth,

@@ -605,6 +605,8 @@ def run_check(entry: Mapping) -> CheckReport:
 
 def run_config(config: Mapping) -> HarnessRun:
     """Run every check of a config, once every entry has bound."""
+    if not isinstance(config, Mapping):
+        raise UsageError("config must be a JSON object, got %r" % (config,))
     entries = config.get("checks")
     if not isinstance(entries, list) or not entries:
         raise UsageError("config needs a non-empty 'checks' list")

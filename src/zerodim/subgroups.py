@@ -1,11 +1,10 @@
 """Finite-index subgroups and the algebra the recurrence analyzers need.
 
 Subgroups are represented per group variant: a modulus for the
-integers, an integer basis matrix for lattices, an explicit closed
-element set for finite groups, and per-coordinate divisors for
-truncated cyclic sums.  Free groups carry no subgroup representation
-here.  Each variant intersects its subgroups and takes their normal
-cores itself.  All operations are exact.
+integers, an integer basis matrix for lattices and an explicit closed
+element set for finite groups.  Free groups and cyclic sums carry no
+subgroup representation here.  Each variant intersects its subgroups
+and takes their normal cores itself.  All operations are exact.
 
 A lattice answers membership, index and intersection from the Hermite
 normal form of its basis.  A cap B is the top-left d x d block of the
@@ -22,13 +21,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DomainError, PreconditionError, RangeError
-from .groups import (CyclicSumGroup, ElementSet, FiniteGroup, Group,
-                     _check_int, ball, power_set, word_length)
+from .groups import (ElementSet, FiniteGroup, Group, _check_int, ball,
+                     power_set, word_length)
 from .verdict import Verdict, fails, holds
 
 
 class Subgroup:
-    """Common interface: membership, index, normality, meet, core, JSON.
+    """Common interface: membership, index, normality, meet, core.
 
     The defaults fit the abelian variants, whose subgroups are normal
     and so are their own cores."""
@@ -52,9 +51,6 @@ class Subgroup:
         """Largest normal subgroup contained in this one."""
         return self
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class IntegerSubgroup(Subgroup):
@@ -75,9 +71,6 @@ class IntegerSubgroup(Subgroup):
 
     def meet(self, other: IntegerSubgroup) -> IntegerSubgroup:
         return IntegerSubgroup(math.lcm(self.modulus, other.modulus))
-
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "modulus": self.modulus}
 
 
 @dataclass(frozen=True)
@@ -175,45 +168,6 @@ class FiniteSubgroup(Subgroup):
             raise DomainError("core of %r is not normal (table inconsistent?)"
                               % (self,))
         return result
-
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "members": sorted(self.members)}
-
-
-@dataclass(frozen=True)
-class CyclicSumSubgroup(Subgroup):
-    """Per-coordinate divisor subgroup of a truncated cyclic sum:
-    coordinate i ranges over divisors[i] * Z_{m_i}."""
-
-    group: CyclicSumGroup
-    divisors: tuple
-    variant = "cyclic-sum"
-
-    def __post_init__(self):
-        mods = self.group.moduli
-        if len(self.divisors) != len(mods):
-            raise DomainError("need one divisor per coordinate")
-        for d, m in zip(self.divisors, mods):
-            if type(d) is not int or d < 1 or m % d != 0:
-                raise DomainError("divisor %r does not divide modulus %d" % (d, m))
-
-    def contains(self, g: tuple) -> bool:
-        if len(g) != len(self.divisors):
-            raise RangeError("cyclic-sum element must be a %d-tuple"
-                             % len(self.divisors))
-        return all(x % d == 0 for x, d in zip(g, self.divisors))
-
-    def index(self) -> int:
-        return math.prod(self.divisors)
-
-    def meet(self, other: CyclicSumSubgroup) -> CyclicSumSubgroup:
-        # d*Z_m has index d; both divisors divide m, so their lcm does
-        # too and generates the intersection
-        return CyclicSumSubgroup(self.group, tuple(
-            math.lcm(a, b) for a, b in zip(self.divisors, other.divisors)))
-
-    def to_json(self) -> dict:
-        return {"variant": self.variant, "divisors": list(self.divisors)}
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +326,6 @@ def _check_pair(group: Group, sub: Subgroup) -> None:
     if sub.variant == "lattice" and len(sub.basis) != group.dim:
         raise DomainError("sublattice of Z^%d does not lie in Z^%d"
                           % (len(sub.basis), group.dim))
-    if sub.variant == "cyclic-sum" and sub.group.moduli != group.moduli:
-        raise DomainError("subgroup of a cyclic sum with moduli %s does not "
-                          "lie in one with moduli %s"
-                          % (list(sub.group.moduli), list(group.moduli)))
 
 
 # ---------------------------------------------------------------------------

@@ -1009,6 +1009,19 @@ class TestFamilyArguments:
                            match="must be an int, got %r" % bad):
             get_system(sid).family(name, bad)
 
+    # 0.1 became 3602879701896397/36028797018963968, True turn 0 and
+    # "1/3" turn 1/3
+    @pytest.mark.parametrize("name, args", [
+        ("limit-at", (0.1,)), ("limit-at", (True,)),
+        ("level", (2, True)), ("level", (2, "1/3")), ("level", (2, 0.5)),
+    ], ids=["float-limit", "bool-limit", "bool-level", "string-level",
+            "float-level"])
+    def test_circle_turns_are_int_or_fraction(self, name, args):
+        with pytest.raises(PreconditionError,
+                           match="turn must be an int or Fraction, got %r"
+                           % (args[-1],)):
+            get_system("circle-stack").family(name, *args)
+
 
 def reference_returns(system, x, depth, ns):
     """Oracle: act by every shift and ask the depth-closeness test."""

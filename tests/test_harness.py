@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from zerodim import harness, subgroups
-from zerodim.config import default_config, load_config, validate_config
+from zerodim.config import default_config, load_config
 from zerodim.errors import UsageError
 from zerodim.harness import (CONSISTENT, INCONCLUSIVE, VIOLATION,
                              CheckReport, HarnessRun, available_checks,
@@ -319,17 +319,11 @@ class TestRendering:
 
 
 class TestConfigHandling:
-    def test_validate_accepts_default(self):
-        cfg = validate_config(default_config())
-        assert cfg["schema"] == "zerodim-verify/1"
-
-    def test_validate_rejects_bad_schema(self):
-        with pytest.raises(UsageError):
-            validate_config({"schema": "other/9", "checks": [{}]})
-
-    def test_validate_rejects_empty_checks(self):
-        with pytest.raises(UsageError):
-            validate_config({"schema": "zerodim-verify/1", "checks": []})
+    def test_load_config_rejects_bad_schema(self, tmp_path):
+        p = tmp_path / "other.json"
+        p.write_text('{"schema": "other/9", "checks": [{}]}')
+        with pytest.raises(UsageError, match="schema must be"):
+            load_config(str(p))
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -345,6 +339,13 @@ class TestConfigHandling:
     def test_run_config_needs_checks(self):
         with pytest.raises(UsageError):
             run_config({"checks": []})
+
+    # config.get raised a bare AttributeError
+    @pytest.mark.parametrize("config", [[1], "x", None],
+                             ids=["list", "string", "null"])
+    def test_run_config_needs_an_object(self, config):
+        with pytest.raises(UsageError, match="config must be a JSON object"):
+            run_config(config)
 
     def test_run_config_entries_are_objects(self):
         # entry.get raised a bare AttributeError

@@ -15,10 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerodim.errors import DomainError, PreconditionError, RangeError
-from zerodim.groups import (CyclicSumGroup, FiniteGroup, IntegerGroup,
-                            LatticeGroup)
-from zerodim.subgroups import (CyclicSumSubgroup, FiniteSubgroup,
-                               IntegerSubgroup, LatticeSubgroup,
+from zerodim.groups import FiniteGroup, IntegerGroup, LatticeGroup
+from zerodim.subgroups import (FiniteSubgroup, IntegerSubgroup,
+                               LatticeSubgroup,
                                all_subgroups, cyclic_group, dihedral_group,
                                generates_within, generation_check,
                                induced_generating_set, intersect_subgroups,
@@ -202,16 +201,6 @@ class TestIntersect:
                      if all(n % m == 0 for m in moduli))
         assert meet.modulus == least
 
-    def test_cyclic_sum_intersection_matches_members(self):
-        G = CyclicSumGroup((0, 1), (12, 6))
-        divisors = [(a, b) for a in (1, 2, 3, 4, 6, 12) for b in (1, 2, 3, 6)]
-        elements = list(itertools.product(range(12), range(6)))
-        for da, db in itertools.product(divisors, repeat=2):
-            a, b = CyclicSumSubgroup(G, da), CyclicSumSubgroup(G, db)
-            meet = intersect_subgroups(G, [a, b])
-            assert all(meet.contains(g) == (a.contains(g) and b.contains(g))
-                       for g in elements)
-
     def test_lattice_intersection(self):
         a = LatticeSubgroup(((2, 0), (0, 1)))
         b = LatticeSubgroup(((1, 0), (0, 3)))
@@ -311,10 +300,7 @@ class TestValidation:
          "basis must be a square integer matrix"),
         (lambda: LatticeSubgroup(((True, 0), (0, 1))),
          "basis must be a square integer matrix"),
-        (lambda: CyclicSumSubgroup(CyclicSumGroup((0, 1), (4, 6)), (2.0, 3)),
-         "does not divide modulus 4"),
-    ], ids=["bool-modulus", "float-modulus", "float-basis", "bool-basis",
-            "float-divisor"])
+    ], ids=["bool-modulus", "float-modulus", "float-basis", "bool-basis"])
     def test_parameters_must_be_exact_ints(self, build, message):
         with pytest.raises(DomainError, match=message):
             build()
@@ -332,33 +318,6 @@ class TestValidation:
         with pytest.raises(DomainError, match="does not lie in Z\\^2"):
             intersect_subgroups(Z2, [plane, LatticeSubgroup(((2,),))])
 
-    def test_cyclic_sum_divisor_must_divide(self):
-        G = CyclicSumGroup((0, 1), (4, 6))
-        with pytest.raises(DomainError):
-            CyclicSumSubgroup(G, (3, 2))
-        sub = CyclicSumSubgroup(G, (2, 3))
-        assert sub.index() == 6
-        assert sub.contains((2, 3)) and not sub.contains((1, 3))
-
-    def test_cyclic_sum_element_length_must_match(self):
-        sub = CyclicSumSubgroup(CyclicSumGroup((0, 1), (4, 6)), (2, 3))
-        with pytest.raises(RangeError, match="must be a 2-tuple"):
-            sub.contains((2,))
-        with pytest.raises(RangeError, match="must be a 2-tuple"):
-            sub.contains((2, 3, 1))
-
-    def test_cyclic_sum_moduli_must_match_group(self):
-        G = CyclicSumGroup((0, 1), (4, 6))
-        line = CyclicSumSubgroup(CyclicSumGroup((0,), (4,)), (2,))
-        with pytest.raises(DomainError, match="does not lie in one with"):
-            subgroup_index(G, line)
-        with pytest.raises(DomainError, match="does not lie in one with"):
-            intersect_subgroups(G, [CyclicSumSubgroup(G, (2, 3)), line])
-        swapped = CyclicSumSubgroup(CyclicSumGroup((0, 1), (6, 4)), (3, 2))
-        with pytest.raises(DomainError, match="does not lie in one with"):
-            normal_core(G, swapped)
-        assert subgroup_index(G, CyclicSumSubgroup(
-            CyclicSumGroup((5, 6), (4, 6)), (2, 3))) == 6
 
 
 def leibniz_det(m) -> int:
