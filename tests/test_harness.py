@@ -336,6 +336,10 @@ class TestConfigHandling:
         expect = json.dumps(default_config(), indent=2, sort_keys=True) + "\n"
         assert on_disk == expect
 
+    def test_validate_rejects_empty_checks(self):
+        with pytest.raises(UsageError, match="checks"):
+            run_config({"schema": "zerodim-verify/1", "checks": []})
+
     def test_run_config_needs_checks(self):
         with pytest.raises(UsageError):
             run_config({"checks": []})
