@@ -195,16 +195,22 @@ class Point:
         return "<point ...%s[%s@%d]%s>" % (left, win, self.lo, right)
 
 
-_DIGITS = {s: str(s) for s in range(10)}
+# byte s -> its decimal digit for s in 0..9, NUL for every other byte
+_DIGITS = bytes(range(ord("0"), ord("9") + 1)).ljust(256, b"\0")
 
 
 def _symbol_text(symbols: Sequence[int]) -> str:
-    """The symbols written in decimal side by side: those in 0..9 from
-    a table, and the whole run through ``str`` when any other occurs."""
+    """The symbols written in decimal side by side.  A run of symbols
+    in 0..9 goes through one byte-table translation; a run with any
+    other symbol, which is not a byte or leaves a NUL, is joined
+    through ``str``."""
     try:
-        return "".join([_DIGITS[s] for s in symbols])
-    except KeyError:
+        text = bytes(symbols).translate(_DIGITS)
+    except ValueError:
+        text = b"\0"
+    if b"\0" in text:
         return "".join(map(str, symbols))
+    return text.decode()
 
 
 def _trusted_point(scheme: Scheme, lo: int, hi: int, window: tuple,

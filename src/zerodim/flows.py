@@ -1145,10 +1145,35 @@ def available_systems() -> tuple:
     return tuple(sorted(SYSTEM_BUILDERS))
 
 
+_BUILT: dict = {}   # builder -> the system it built, once per process
+
+
 def get_system(system_id: str) -> FlowSystem:
+    """A fresh system of the catalog entry ``system_id``.
+
+    Each entry is built once per process, keyed by its
+    ``SYSTEM_BUILDERS`` function, so a builder swapped in later is
+    built in its turn.  Every call returns a new ``FlowSystem`` that
+    shares the built one's immutable parts: the scheme, the named
+    points, the families, the act, input-depth, language, reps and
+    format functions, and the summary.  It has its own group instance,
+    which carries no Cayley search over, an empty language cache and
+    no cached moves.  So a search, a cache or an attribute set on one
+    system is not seen by the next, while ``point(name)`` is the same
+    object on every call.
+    """
     try:
         builder = SYSTEM_BUILDERS[system_id]
     except KeyError:
         raise DomainError("unknown system %r (have: %s)"
                           % (system_id, ", ".join(available_systems())))
-    return builder()
+    built = _BUILT.get(builder)
+    if built is None:
+        built = _BUILT[builder] = builder()
+    fresh = object.__new__(type(built))
+    state = fresh.__dict__
+    state.update(built.__dict__)
+    state.pop("_moves", None)
+    state["group"] = groups._unsearched_copy(built.group)
+    state["_language_cache"] = {}
+    return fresh

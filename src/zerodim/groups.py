@@ -492,6 +492,15 @@ def _search(group: Group) -> _CayleySearch:
     return search
 
 
+def _unsearched_copy(group: Group) -> Group:
+    """A new instance of the group's class sharing its attributes but
+    not its Cayley search: the copy searches from scratch."""
+    twin = object.__new__(type(group))
+    twin.__dict__.update(group.__dict__)
+    twin.__dict__.pop("_cayley_search", None)
+    return twin
+
+
 def word_length(group: Group, g, method: str = "auto") -> int:
     """Least r with g a product of r generators (0 for the identity).
 

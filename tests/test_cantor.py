@@ -6,15 +6,16 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
-                            _check_symbols, _is_symbol, clopen, complement,
-                            constant_tail, depth_cylinder, distance,
-                            from_cylinder, intersection, make_point,
-                            periodic_tail, points_equal, read_symbols,
-                            reanchor_tail, sym_diff, union)
+                            _check_symbols, _is_symbol, _symbol_text,
+                            clopen, complement, constant_tail,
+                            depth_cylinder, distance, from_cylinder,
+                            intersection, make_point, periodic_tail,
+                            points_equal, read_symbols, reanchor_tail,
+                            sym_diff, union)
 from zerodim.errors import (DomainError, PreconditionError, RangeError,
                             ResourceCapError)
 from zerodim.flows import (_flip_region, build_full_shift, build_odometer,
@@ -182,6 +183,17 @@ def old_point_repr(p):
     return "<point ...%s[%s@%d]%s>" % (left, win, p.lo, right)
 
 
+OLD_DIGITS = {s: str(s) for s in range(10)}
+
+
+def old_symbol_text(symbols):
+    """The per-symbol join ``_symbol_text`` replaced."""
+    try:
+        return "".join([OLD_DIGITS[s] for s in symbols])
+    except KeyError:
+        return "".join(map(str, symbols))
+
+
 class TestRepr:
     @given(st.data())
     @settings(max_examples=150)
@@ -199,6 +211,18 @@ class TestRepr:
         c = Cylinder(scheme, p.lo, p.hi, p.window)
         assert repr(c) == "<cyl [%s@%d]>" % (
             "".join(str(s) for s in p.window), p.lo)
+
+    @given(st.lists(st.one_of(st.integers(0, 9), st.integers(-300, 300)),
+                    max_size=40))
+    @settings(max_examples=300)
+    @example([])
+    @example([10])
+    @example([9, 255, 256, -1])
+    def test_symbol_text_matches_the_str_join(self, symbols):
+        # runs in 0..9 take the byte table; any other symbol (past 9,
+        # past a byte, negative) the str join
+        for run in (symbols, tuple(symbols)):
+            assert _symbol_text(run) == old_symbol_text(run)
 
 
 class TestSymbolTypes:

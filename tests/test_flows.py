@@ -170,6 +170,61 @@ class TestRegistry:
             assert sid in sys.describe()
 
 
+class TestFreshSystems:
+    """Each catalog entry is built once per process; every
+    ``get_system`` call hands out a new system over its immutable
+    parts, with its own group instance and caches."""
+
+    @pytest.mark.parametrize("sid", available_systems())
+    def test_calls_give_distinct_systems_groups_and_caches(self, sid):
+        a, b = get_system(sid), get_system(sid)
+        assert a is not b
+        assert a.group is not b.group
+        assert type(a.group) is type(b.group)
+        assert a._language_cache is not b._language_cache
+        assert a.scheme is b.scheme
+        assert a.summary == b.summary
+        for name in a.point_names():
+            assert a.point(name) is b.point(name)
+
+    @pytest.mark.parametrize("sid", available_systems())
+    def test_searches_and_caches_stay_with_their_system(self, sid):
+        a = get_system(sid)
+        ball(a.group, 2)
+        a._moves
+        words = a.language(3)
+        assert "_cayley_search" in vars(a.group)
+        assert (3 in a._language_cache) == (words is not None)
+        b = get_system(sid)
+        assert "_cayley_search" not in vars(b.group)
+        assert "_moves" not in vars(b)
+        assert b._language_cache == {}
+
+    def test_patched_act_is_not_seen_by_the_next_system(self, monkeypatch):
+        a = get_system("odometer")
+        one = a.point("one")
+
+        def broken(g, x):
+            raise AssertionError("patched act reached")
+        monkeypatch.setattr(a, "_act", broken)
+        with pytest.raises(AssertionError):
+            a.act(1, one)
+        b = get_system("odometer")
+        assert b.act(-1, one) == b.point("zero")
+
+    def test_builder_runs_once_per_process(self, monkeypatch):
+        runs = []
+
+        def counted():
+            runs.append(1)
+            return build_odometer()
+        monkeypatch.setitem(flows.SYSTEM_BUILDERS, "odometer", counted)
+        systems = [get_system("odometer") for _ in range(3)]
+        assert len(runs) == 1
+        assert len({id(s) for s in systems}) == 3
+        assert len({id(s.group) for s in systems}) == 3
+
+
 class TestFullShift:
     @given(binary_points(), st.integers(-6, 6), st.integers(-8, 8))
     @settings(max_examples=100)
