@@ -20,11 +20,10 @@ from .analysis import (InvariantCoreApprox, OrbitCells,
                        translate_cover_verdict, type1_verdict,
                        type2_verdict, uniform_recurrence_verdict,
                        usc_verdict, weak_rigidity_verdict)
-from .cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
-                     clopen, complement, constant_tail, depth_cylinder,
-                     distance, from_cylinder, intersection, make_point,
-                     periodic_tail, points_equal, reanchor_tail, sym_diff,
-                     union)
+from .cantor import (ClopenSet, Cylinder, Point, Scheme, clopen,
+                     complement, depth_cylinder, distance, from_cylinder,
+                     intersection, make_point, periodic_tail, points_equal,
+                     reanchor_tail, sym_diff, union)
 from .config import SCHEMA, default_config, load_config
 from .errors import (DomainError, PreconditionError, RangeError,
                      ResourceCapError, UsageError, WorkbenchError)

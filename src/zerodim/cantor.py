@@ -107,49 +107,26 @@ class Scheme:
 # tails and points
 
 
-@dataclass(frozen=True)
-class Tail:
-    """Rule for one infinite side of a point: a constant symbol or a
-    repeating pattern read outward from the window edge."""
-
-    symbols: tuple
-
-    def __post_init__(self):
-        if not self.symbols:
-            raise DomainError("tail needs at least one symbol")
-
-    def at(self, k: int) -> int:
-        """Symbol k steps beyond the anchor (k >= 0, outward)."""
-        return self.symbols[k % len(self.symbols)]
-
-    def period(self) -> int:
-        return len(self.symbols)
-
-
-def constant_tail(symbol: int) -> Tail:
-    return Tail((symbol,))
-
-
-def periodic_tail(pattern: Sequence[int]) -> Tail:
-    return Tail(_primitive(tuple(pattern)))
-
-
-def _primitive(pattern: tuple) -> tuple:
+def periodic_tail(pattern: Sequence[int]) -> tuple:
+    """The tail that repeats ``pattern``, as its primitive period: the
+    shortest prefix whose repeats make up the pattern."""
+    pattern = tuple(pattern)
     n = len(pattern)
-    for p in range(1, n + 1):
-        if n % p == 0 and all(pattern[i] == pattern[i % p] for i in range(n)):
+    if not n:
+        raise DomainError("tail needs at least one symbol")
+    for p in range(1, n):
+        if n % p == 0 and pattern[:p] * (n // p) == pattern:
             return pattern[:p]
     return pattern
 
 
-def reanchor_tail(tail: Tail, steps: int) -> Tail:
+def reanchor_tail(tail: tuple, steps: int) -> tuple:
     """The same infinite tail read from an anchor moved ``steps``
     positions further out (steps >= 0)."""
     if steps < 0:
         raise PreconditionError("reanchor steps must be >= 0")
-    s = tail.symbols
-    k = steps % len(s)
-    return Tail(s[k:] + s[:k]) if k else tail
+    k = steps % len(tail)
+    return tail[k:] + tail[:k] if k else tail
 
 
 @dataclass(frozen=True)
@@ -158,26 +135,31 @@ class Point:
 
     ``window`` holds the symbols at coordinates lo..hi; ``right`` rules
     every coordinate above hi, ``left`` (two-sided schemes only) every
-    coordinate below lo.  Construct through ``make_point`` which
-    canonicalizes, so structural equality is equality of points.
+    coordinate below lo.  A tail is a non-empty tuple of symbols, its
+    primitive period, read outward from the window edge and repeated:
+    the symbol k steps beyond the edge is ``tail[k % len(tail)]``.
+    Construct through ``make_point`` which canonicalizes, so structural
+    equality is equality of points.
     """
 
     scheme: Scheme
     lo: int
     hi: int
     window: tuple
-    right: Tail
-    left: Optional[Tail] = None
+    right: tuple
+    left: Optional[tuple] = None
 
     def value(self, n: int) -> int:
         self.scheme.check_coord(n)
         if self.lo <= n <= self.hi:
             return self.window[n - self.lo]
         if n > self.hi:
-            return self.right.at(n - self.hi - 1)
-        if self.left is None:
+            right = self.right
+            return right[(n - self.hi - 1) % len(right)]
+        left = self.left
+        if left is None:
             raise RangeError("coordinate %d below a one-sided window" % n)
-        return self.left.at(self.lo - 1 - n)
+        return left[(self.lo - 1 - n) % len(left)]
 
     def span(self) -> int:
         """Largest depth offset touched by the explicit window."""
@@ -188,10 +170,9 @@ class Point:
         return max(self.scheme.offset(self.lo), self.scheme.offset(self.hi))
 
     def __repr__(self) -> str:
-        left = _symbol_text(self.left.symbols[::-1]) + "..." \
-            if self.left else ""
+        left = _symbol_text(self.left[::-1]) + "..." if self.left else ""
         win = _symbol_text(self.window)
-        right = "..." + _symbol_text(self.right.symbols)
+        right = "..." + _symbol_text(self.right)
         return "<point ...%s[%s@%d]%s>" % (left, win, self.lo, right)
 
 
@@ -214,7 +195,7 @@ def _symbol_text(symbols: Sequence[int]) -> str:
 
 
 def _trusted_point(scheme: Scheme, lo: int, hi: int, window: tuple,
-                   right: Tail, left: Optional[Tail] = None) -> Point:
+                   right: tuple, left: Optional[tuple] = None) -> Point:
     """A ``Point`` from fields that are already canonical, checking
     nothing.  The dataclass ``__init__`` sets each field through
     ``object.__setattr__``; this writes the instance's ``__dict__``
@@ -232,23 +213,24 @@ def _trusted_point(scheme: Scheme, lo: int, hi: int, window: tuple,
 
 
 def make_point(scheme: Scheme, window: Mapping[int, int] | Sequence[int],
-               right: Tail | int, left: Tail | int | None = None,
-               lo: Optional[int] = None) -> Point:
+               right, left=None, lo: Optional[int] = None) -> Point:
     """Build a canonical point.
 
     ``window`` is either a coordinate->symbol mapping or a sequence laid
-    out from ``lo`` (default: scheme start, or 0).  Tails may be given
-    as bare symbols (constant).  One-sided schemes take no left tail and
-    the window is anchored at the scheme start.  Every symbol must be an
-    ``int`` (not a bool) inside its coordinate's alphabet.
+    out from ``lo`` (default: scheme start, or 0).  Each tail is a tuple
+    or list of symbols, the pattern read outward from the window edge
+    and repeated, or a single symbol for a constant tail; any value
+    other than a tuple or a list counts as one symbol.  One-sided
+    schemes take no left tail and the window is anchored at the scheme
+    start.  Every symbol must be an ``int`` (not a bool) inside its
+    coordinate's alphabet, and an empty tail is a ``DomainError``.
 
     It validates the input, reduces the tails to primitive patterns,
     and hands the rest to ``canonical_point``.
     """
-    if isinstance(right, int):
-        right = constant_tail(right)
-    if isinstance(left, int):
-        left = constant_tail(left)
+    right = _tail_symbols(right)
+    if left is not None:
+        left = _tail_symbols(left)
 
     if isinstance(window, Mapping):
         if window:
@@ -280,39 +262,43 @@ def make_point(scheme: Scheme, window: Mapping[int, int] | Sequence[int],
     # check the tails as given: reducing first would let 1.0 or True
     # merge into a repeat of 1 and vanish unchecked
     _check_tails(scheme, lo, lo + len(symbols) - 1, right, left)
-    right = Tail(_primitive(right.symbols))
+    right = periodic_tail(right)
     if left is not None:
-        left = Tail(_primitive(left.symbols))
+        left = periodic_tail(left)
     return canonical_point(scheme, lo, symbols, right, left)
 
 
-def canonical_point(scheme: Scheme, lo: int, symbols: tuple, right: Tail,
-                    left: Optional[Tail] = None) -> Point:
+def _tail_symbols(tail) -> tuple:
+    """A tail argument of ``make_point`` as a tuple: a tuple or a list
+    as it stands, any other value as a one-symbol tail."""
+    return tuple(tail) if isinstance(tail, (tuple, list)) else (tail,)
+
+
+def canonical_point(scheme: Scheme, lo: int, symbols: tuple, right: tuple,
+                    left: Optional[tuple] = None) -> Point:
     """The one canonical form of a point, shared by ``make_point`` and
     the actions that build points themselves.
 
     It checks nothing: ``symbols`` (a tuple laid out from ``lo``) must
-    be valid at their coordinates and both tails primitive.  It absorbs
-    window edges that merely repeat the tails (the k-th symbol in from
-    an edge is absorbed when it equals the tail's pattern read k steps
-    back across the edge) and anchors an empty window by coordinate, in
-    ``_normalize_empty``.  The absorb step reads only the window and
+    be valid at their coordinates and both tails primitive symbol
+    tuples.  It absorbs window edges that merely repeat the tails (the
+    k-th symbol in from an edge is absorbed when it equals the tail's
+    pattern read k steps back across the edge) and anchors an empty
+    window by coordinate, in ``_normalize_empty``.  The absorb step reads only the window and
     the tails, never a coordinate, so a translate of a canonical point
     with a non-empty window is canonical as it stands (``shift_point``
     relies on this).
     """
     width = end = len(symbols)
-    r = right.symbols
-    while end and symbols[end - 1] == r[(end - width - 1) % len(r)]:
+    while end and symbols[end - 1] == right[(end - width - 1) % len(right)]:
         end -= 1
-    right = reanchor_tail(right, (end - width) % len(r))
+    right = reanchor_tail(right, (end - width) % len(right))
     hi = lo + end - 1
     start = 0
     if left is not None:
-        l = left.symbols
-        while start < end and symbols[start] == l[(-1 - start) % len(l)]:
+        while start < end and symbols[start] == left[(-1 - start) % len(left)]:
             start += 1
-        left = reanchor_tail(left, -start % len(l))
+        left = reanchor_tail(left, -start % len(left))
         lo += start
 
     if start == end:
@@ -351,43 +337,42 @@ def _check_symbols(scheme: Scheme, first: int, symbols: Sequence) -> None:
         _check_symbol(scheme, n, s)
 
 
-def _check_tails(scheme: Scheme, lo: int, hi: int, right: Tail,
-                 left: Optional[Tail]) -> None:
+def _check_tails(scheme: Scheme, lo: int, hi: int, right: tuple,
+                 left: Optional[tuple]) -> None:
     # a tail symbol recurs with the tail period; check it against every
     # alphabet residue it can land on (one residue unless the alphabet
     # cycles); "index" alphabets only grow, so the first coordinate a
     # symbol reaches is the binding one
-    period = len(right.symbols)
     for j in range(scheme.alphabet_period()):
-        _check_symbols(scheme, hi + 1 + j * period, right.symbols)
+        _check_symbols(scheme, hi + 1 + j * len(right), right)
     if left is not None:
-        _check_symbols(scheme, lo - len(left.symbols), left.symbols[::-1])
+        _check_symbols(scheme, lo - len(left), left[::-1])
 
 
-def _normalize_empty(scheme: Scheme, lo: int, left: Optional[Tail],
-                     right: Tail):
+def _normalize_empty(scheme: Scheme, lo: int, left: Optional[tuple],
+                     right: tuple):
     """Canonical boundary for a point with no explicit window."""
     if scheme.kind == "one-sided":
         return scheme.start, scheme.start - 1, None, right
     assert left is not None
     # the point is fully periodic iff the left rule equals the right
     # pattern continued leftward across the boundary
-    L = math.lcm(left.period(), right.period())
-    meshes = all(left.at(k) == right.symbols[(-1 - k) % right.period()]
-                 for k in range(L))
+    p, q = len(right), len(left)
+    meshes = all(left[k % q] == right[(-1 - k) % p]
+                 for k in range(math.lcm(p, q)))
     if meshes:
         # fully periodic point: anchor the boundary at coordinate 0
-        shift = lo % right.period()
-        pat = right.symbols[-shift:] + right.symbols[:-shift] if shift else right.symbols
-        right = Tail(_primitive(pat))
-        left = Tail(_primitive(tuple(right.symbols[(-1 - k) % right.period()]
-                                     for k in range(right.period()))))
+        shift = lo % p
+        right = periodic_tail(right[-shift:] + right[:-shift] if shift
+                              else right)
+        p = len(right)
+        left = periodic_tail(right[(-1 - k) % p] for k in range(p))
         return 0, -1, left, right
     # slide the boundary left while the left rule agrees with the right
     # pattern's continuation; the first disagreement pins a unique anchor
-    while left.at(0) == right.symbols[-1]:
+    while left[0] == right[-1]:
         lo -= 1
-        right = reanchor_tail(right, -1 % right.period())
+        right = reanchor_tail(right, -1 % len(right))
         left = reanchor_tail(left, 1)
     return lo, lo - 1, left, right
 
@@ -403,9 +388,9 @@ def distance(x: Point, y: Point) -> Fraction:
     if x.scheme != y.scheme:
         raise DomainError("points live on different schemes")
     span = max(x.span(), y.span())
-    period = math.lcm(math.lcm(x.right.period(), y.right.period()),
-                  math.lcm(x.left.period() if x.left else 1,
-                       y.left.period() if y.left else 1))
+    period = math.lcm(len(x.right), len(y.right),
+                      len(x.left) if x.left else 1,
+                      len(y.left) if y.left else 1)
     bound = span + period + 1
     for k in range(bound + 1):
         for n in x.scheme.coords_at_offset(k):
@@ -425,7 +410,7 @@ def read_symbols(x: Point, lo: int, hi: int) -> list:
     if xlo <= lo and hi <= xhi:         # inside the window: one slice
         return list(x.window[lo - xlo:hi - xlo + 1])
     if lo > xhi:                        # wholly in the right tail
-        r = x.right.symbols
+        r = x.right
         return _cycled(r, (lo - xhi - 1) % len(r), hi - lo + 1)
     if lo >= xlo:
         out = list(x.window[lo - xlo:])
@@ -433,14 +418,14 @@ def read_symbols(x: Point, lo: int, hi: int) -> list:
         if x.left is None:
             x.scheme.check_coord(lo)
             raise RangeError("coordinate %d below a one-sided window" % lo)
-        rev = x.left.symbols[::-1]
+        rev = x.left[::-1]
         start = (lo - xlo) % len(rev)
         if hi < xlo:                    # wholly in the left tail
             return _cycled(rev, start, hi - lo + 1)
         out = _cycled(rev, start, xlo - lo)
         out += x.window[:hi - xlo + 1]
     if hi > xhi:                        # on into the right tail
-        out += _cycled(x.right.symbols, 0, hi - xhi)
+        out += _cycled(x.right, 0, hi - xhi)
     return out
 
 

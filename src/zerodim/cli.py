@@ -226,8 +226,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise WorkbenchError("cannot write --out: %s" % exc)
     else:
         sys.stdout.write(text)
 
@@ -283,7 +286,11 @@ def _cmd_analyze(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    config = load_config(ns.config) if ns.config else default_config()
+    try:
+        config = load_config(ns.config) if ns.config else default_config()
+    except OSError as exc:      # a config that cannot be opened
+        print("missing file: %s" % exc, file=sys.stderr)
+        return EXIT_NOINPUT
     start = time.perf_counter()
     run = run_config(config)
     elapsed = time.perf_counter() - start
@@ -384,9 +391,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print("missing file: %s" % exc, file=sys.stderr)
-        return EXIT_NOINPUT
     except WorkbenchError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_GENERIC

@@ -62,7 +62,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError("config %s is not valid JSON: %s" % (path, exc))
     if isinstance(data, dict) and data.get("schema") != SCHEMA:
         raise UsageError("config schema must be %r, got %r"

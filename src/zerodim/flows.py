@@ -21,7 +21,6 @@ from .cantor import (
     ClopenSet,
     Point,
     Scheme,
-    Tail,
     _admitted_codes,
     _admitted_count,
     _trusted_point,
@@ -98,14 +97,6 @@ class FlowSystem:
         self.group.validate(g)
         return self._act(g, x)
 
-    @functools.cached_property
-    def _moves(self) -> tuple:
-        """The group's generators other than the identity, in
-        ``sort_key`` order: the moves of ``orbit_layers``."""
-        group = self.group
-        return tuple(sorted((s for s in group.generators()
-                             if s != group.identity), key=group.sort_key))
-
     def orbit_layers(self, points: tuple, radius: int):
         """Yield ``(r, images, g)`` for each tuple ``images = (gp for p
         in points)`` met within word length ``radius``, layer by layer:
@@ -120,15 +111,16 @@ class FlowSystem:
         is known), acts once otherwise, and drops an image already
         seen.  So the search makes at most |gens|*|orbit| products and
         min(|ball|, |gens|*|orbit|) moves of ``len(points)`` acts, and
-        builds no ball of the group.  The generators come from
-        ``group.generators()``, so their acts skip ``validate``; they
-        are tried in ``sort_key`` order, so each layer of a free action
-        of Z comes out in ``sort_key`` order.  The elements met lie in
+        builds no ball of the group.  The moves are the non-identity
+        generators that the group's Cayley search holds, so their acts
+        skip ``validate``; they are tried in ``sort_key`` order, so each
+        layer of a free action of Z comes out in ``sort_key`` order.  The elements met lie in
         the radius ball and outnumber the images held: ResourceCapError
         when they exceed ``groups.DEFAULT_BALL_CAP``, never a truncated
         layer."""
         _check_int(radius, "orbit radius")
-        group, act, gens = self.group, self._act, self._moves
+        group, act = self.group, self._act
+        gens = groups._search(group).gens
         cap = groups.DEFAULT_BALL_CAP
         multiply, e = group.multiply, group.identity
         points = tuple(points)
@@ -267,10 +259,9 @@ class FlowSystem:
 
     def language(self, length: int) -> Optional[frozenset]:
         """Admissible words of the given length, for subshift systems."""
+        _check_int(length, "word length", 1)
         if self._language is None:
             return None
-        if length < 1:
-            raise PreconditionError("word length must be >= 1")
         if length not in self._language_cache:
             self._language_cache[length] = self._language(length)
         return self._language_cache[length]
@@ -335,7 +326,7 @@ def shift_returns(x: Point, depth: int, ns: range):
     pays for no more."""
     if not ns:
         return iter(())
-    p, q = len(x.right.symbols), len(x.left.symbols)
+    p, q = len(x.right), len(x.left)
     top, bottom = x.hi + depth, x.lo - depth
     first = min(max(min(ns[0], ns[-1], 0), bottom - q + 1), top)
     last = max(min(max(ns[0], ns[-1], 0), top + p - 1), bottom)
@@ -536,7 +527,7 @@ def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
         return _trusted_point(scheme, x.lo, x.hi, tuple(digits) + window[i:],
                               x.right)
     if carry:
-        tail = x.right.symbols
+        tail = x.right
         period = len(tail)
         count, place, amount = 0, 1, abs(n)     # count: the digits of |n|
         while place <= amount:
@@ -551,7 +542,7 @@ def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
     if not carry:
         right = reanchor_tail(x.right, i - width)
     elif carry > 0:
-        right = Tail((0,))
+        right = (0,)
     else:
         right = periodic_tail(tuple(sizes[(i + k) % m] - 1
                                     for k in range(m)))
@@ -663,7 +654,7 @@ def _first_active(x: Point) -> Optional[int]:
     for i, s in enumerate(x.window):
         if s:
             return x.lo + i
-    for k, s in enumerate(x.right.symbols):
+    for k, s in enumerate(x.right):
         if s:
             return x.hi + 1 + k
     return None
@@ -683,17 +674,19 @@ def successor_act(n: int, x: Point) -> Point:
     q = p + 1
     idx = q - x.lo
     window = x.window
-    dial = window[idx] if idx < len(window) else x.right.at(idx - len(window))
+    tail = x.right
+    dial = window[idx] if idx < len(window) \
+        else tail[(idx - len(window)) % len(tail)]
     digit = (dial + n) % q
     if idx < len(window) - 1:
         return _trusted_point(x.scheme, x.lo, x.hi,
                               window[:idx] + (digit,) + window[idx + 1:],
                               x.right)
     extra = idx + 1 - len(window)
-    symbols = window[:idx] + tuple(x.right.at(k) for k in range(extra - 1)) \
-        + (digit,)
-    right = reanchor_tail(x.right, extra)
-    if digit != right.symbols[-1]:
+    symbols = window[:idx] + tuple(tail[k % len(tail)]
+                                   for k in range(extra - 1)) + (digit,)
+    right = reanchor_tail(tail, extra)
+    if digit != right[-1]:
         return _trusted_point(x.scheme, x.lo, q, symbols, right)
     return canonical_point(x.scheme, x.lo, symbols, right)
 
@@ -1157,10 +1150,10 @@ def get_system(system_id: str) -> FlowSystem:
     shares the built one's immutable parts: the scheme, the named
     points, the families, the act, input-depth, language, reps and
     format functions, and the summary.  It has its own group instance,
-    which carries no Cayley search over, an empty language cache and
-    no cached moves.  So a search, a cache or an attribute set on one
-    system is not seen by the next, while ``point(name)`` is the same
-    object on every call.
+    which carries no Cayley search over, and an empty language cache.
+    So a search, a cache or an attribute set on one system is not seen
+    by the next, while ``point(name)`` is the same object on every
+    call.
     """
     try:
         builder = SYSTEM_BUILDERS[system_id]
@@ -1173,7 +1166,6 @@ def get_system(system_id: str) -> FlowSystem:
     fresh = object.__new__(type(built))
     state = fresh.__dict__
     state.update(built.__dict__)
-    state.pop("_moves", None)
     state["group"] = groups._unsearched_copy(built.group)
     state["_language_cache"] = {}
     return fresh

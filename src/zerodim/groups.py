@@ -415,8 +415,9 @@ class _CayleySearch:
     """Breadth-first layers of one group instance's Cayley graph, grown
     one whole layer at a time as callers ask for more.
 
-    ``layers[k]`` holds the elements of word length k sorted by the
-    group's ``sort_key``, ``sizes[k]`` is the size of the closed ball of
+    ``gens`` holds the generators other than the identity and
+    ``layers[k]`` the elements of word length k, each sorted by the
+    group's ``sort_key``; ``sizes[k]`` is the size of the closed ball of
     radius k, and ``length`` maps every element found to its word
     length.  A layer is kept only once it is complete and its closed
     ball fits under ``DEFAULT_BALL_CAP``, so every layer held fits.
@@ -432,7 +433,8 @@ class _CayleySearch:
 
     def __init__(self, group: Group):
         e = group.identity
-        self.gens = tuple(x for x in group.generators() if x != e)
+        self.gens = tuple(sorted((x for x in group.generators() if x != e),
+                                 key=group.sort_key))
         self.layers = [(e,)]
         self.sizes = [1]
         self.length = {e: 0}

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, Tail,
+from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme,
                             _check_symbols, _is_symbol, _symbol_text,
-                            clopen, complement, constant_tail,
-                            depth_cylinder, distance, from_cylinder,
+                            clopen, complement, depth_cylinder, distance, from_cylinder,
                             intersection, make_point, periodic_tail,
                             points_equal, read_symbols, reanchor_tail,
                             sym_diff, union)
@@ -113,19 +112,48 @@ class TestScheme:
 
 class TestTails:
     def test_primitive_reduction(self):
-        assert periodic_tail((0, 1, 0, 1)).symbols == (0, 1)
-        assert periodic_tail((1, 1, 1)).symbols == (1,)
+        assert periodic_tail((0, 1, 0, 1)) == (0, 1)
+        assert periodic_tail((1, 1, 1)) == (1,)
+        assert periodic_tail([0, 1, 1]) == (0, 1, 1)
+        assert periodic_tail((0, 1, 0)) == (0, 1, 0)
 
     def test_reanchor_preserves_values(self):
         t = periodic_tail((0, 1, 1))
         for steps in range(7):
             moved = reanchor_tail(t, steps)
+            assert len(moved) == len(t)
             for k in range(9):
-                assert moved.at(k) == t.at(k + steps)
+                assert moved[k % len(moved)] == t[(k + steps) % len(t)]
+        with pytest.raises(PreconditionError):
+            reanchor_tail(t, -1)
 
     def test_empty_tail_rejected(self):
-        with pytest.raises(DomainError):
-            Tail(())
+        with pytest.raises(DomainError, match="tail needs at least one"):
+            periodic_tail(())
+        for right, left in [((), 0), ([], 0), (0, ()), (0, [])]:
+            with pytest.raises(DomainError,
+                               match="tail needs at least one symbol"):
+                make_point(BIN, [], right=right, left=left)
+        with pytest.raises(DomainError, match="tail needs at least one"):
+            make_point(ONE, [1], right=())
+
+    def test_tail_as_tuple_list_or_symbol(self):
+        # a tail is a tuple or list of symbols, or one bare symbol
+        by_tuple = make_point(BIN, [0], right=(0, 1), left=(1, 1))
+        assert make_point(BIN, [0], right=[0, 1], left=1) == by_tuple
+        assert (by_tuple.window, by_tuple.right, by_tuple.left) == \
+            ((0,), (0, 1), (1,))
+        assert make_point(ONE, [1], right=[0, 0]).right == (0,)
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1", range(2),
+                                     frozenset({1})])
+    def test_other_tail_values_are_one_symbol(self, bad):
+        # anything but a tuple or a list (or None, no left tail) is
+        # checked as a single symbol
+        with pytest.raises(RangeError):
+            make_point(BIN, [], right=bad, left=0)
+        with pytest.raises(RangeError):
+            make_point(BIN, [], right=0, left=bad)
 
 
 class TestPoints:
@@ -176,10 +204,10 @@ class TestPoints:
 
 
 def old_point_repr(p):
-    left = "".join(str(s) for s in reversed(p.left.symbols)) + "..." \
+    left = "".join(str(s) for s in reversed(p.left)) + "..." \
         if p.left else ""
     win = "".join(str(s) for s in p.window)
-    right = "..." + "".join(str(s) for s in p.right.symbols)
+    right = "..." + "".join(str(s) for s in p.right)
     return "<point ...%s[%s@%d]%s>" % (left, win, p.lo, right)
 
 
@@ -232,13 +260,13 @@ class TestSymbolTypes:
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
     @pytest.mark.parametrize("where", ["window", "right", "left"])
     def test_non_int_symbol_rejected(self, bad, where):
-        window, right, left = [1, 0, 1], Tail((0,)), Tail((0, 1))
+        window, right, left = [1, 0, 1], (0,), (0, 1)
         if where == "window":
             window = [1, bad, 1]
         elif where == "right":
-            right = Tail((bad, 0))
+            right = (bad, 0)
         else:
-            left = Tail((1, bad))
+            left = [1, bad]
         with pytest.raises(RangeError):
             make_point(BIN, window, right, left)
 
@@ -248,7 +276,9 @@ class TestSymbolTypes:
         with pytest.raises(RangeError):
             make_point(scheme, [1, True], 0)
         with pytest.raises(RangeError):
-            make_point(scheme, [1, 0], Tail((1.0,)))
+            make_point(scheme, [1, 0], (1.0,))
+        with pytest.raises(RangeError):
+            make_point(scheme, [1, 0], 1.0)
         with pytest.raises(RangeError):
             make_point(scheme, [1, 0], True)
 
@@ -406,8 +436,8 @@ class TestReadSymbols:
     @settings(max_examples=400)
     def test_tail_runs_of_periods_one_to_three(self, right, left, window,
                                                lo, region, a, b):
-        x = make_point(BIN, window, Tail(right), Tail(left), lo=lo)
-        assert (x.right.period(), x.left.period()) == (len(right), len(left))
+        x = make_point(BIN, window, right, left, lo=lo)
+        assert (len(x.right), len(x.left)) == (len(right), len(left))
         if region == "left-tail":
             lo, hi = x.lo - 1 - a - b, x.lo - 1 - a
         elif region == "right-tail":

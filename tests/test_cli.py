@@ -160,6 +160,33 @@ class TestVerify:
         assert code == EXIT_NOINPUT
         assert "missing file" in err
 
+    def test_config_that_cannot_be_opened(self, tmp_path, capsys):
+        code, out, err = run(capsys, "verify", "--config", str(tmp_path))
+        assert code == EXIT_NOINPUT
+        assert out == ""
+        assert err.startswith("missing file: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"schema": "zerodim-verify/1", "checks": ["\xe9"]}')
+        code, out, err = run(capsys, "verify", "--config", str(p))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: config %s is not valid JSON"
+                              % p)
+
+    @pytest.mark.parametrize("argv", [("list",), ("verify",),
+                                      ("gallery", "--seed", "1")])
+    def test_out_that_cannot_be_written(self, tmp_path, capsys, argv):
+        for out_path in (tmp_path / "no" / "such" / "out.txt", tmp_path):
+            code, out, err = run(capsys, *argv, "--out", str(out_path))
+            assert code == EXIT_GENERIC
+            assert out == ""
+            assert err.startswith("error: cannot write --out: ")
+            assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     # a config value is an exact int: 8.9 would run as 8, true as 1
     @pytest.mark.parametrize("bad", [8.9, True, "8"])
     def test_inexact_int_is_usage_error(self, tmp_path, capsys, bad):

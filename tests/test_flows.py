@@ -56,7 +56,7 @@ def _materialize(x, upto):
     the right tail re-anchored past them."""
     extra = max(0, upto - x.hi)
     symbols = list(x.window)
-    symbols.extend(x.right.at(k) for k in range(extra))
+    symbols.extend(x.right[k % len(x.right)] for k in range(extra))
     return symbols, reanchor_tail(x.right, extra)
 
 
@@ -69,7 +69,7 @@ def reference_odometer_add(scheme, n, x):
     while prod <= abs(n):
         prod *= scheme.size(scheme.start + k)
         k += 1
-    block = math.lcm(x.right.period(), scheme.alphabet_period())
+    block = math.lcm(len(x.right), scheme.alphabet_period())
     count = max(x.hi - scheme.start + 1, k + 1) + block + 2
     digits, tail = _materialize(x, scheme.start + count - 1)
     carry = n
@@ -93,7 +93,7 @@ def reference_odometer_add(scheme, n, x):
 def reference_successor_act(n, x):
     """Oracle: materialize through the dial, turn it, and rebuild the
     point through ``make_point``."""
-    bound = max(x.hi, x.lo - 1) + x.right.period() + 1
+    bound = max(x.hi, x.lo - 1) + len(x.right) + 1
     active = [c for c in range(x.lo, bound + 1) if x.value(c) != 0]
     if not active:
         return x
@@ -191,13 +191,11 @@ class TestFreshSystems:
     def test_searches_and_caches_stay_with_their_system(self, sid):
         a = get_system(sid)
         ball(a.group, 2)
-        a._moves
         words = a.language(3)
         assert "_cayley_search" in vars(a.group)
         assert (3 in a._language_cache) == (words is not None)
         b = get_system(sid)
         assert "_cayley_search" not in vars(b.group)
-        assert "_moves" not in vars(b)
         assert b._language_cache == {}
 
     def test_patched_act_is_not_seen_by_the_next_system(self, monkeypatch):
@@ -238,6 +236,14 @@ class TestFullShift:
         shift = build_full_shift()
         assert len(shift.language(3)) == 8
         assert len(shift.language(5)) == 32
+
+    @pytest.mark.parametrize("bad", [0, -1, True, 3.0, "3"])
+    def test_language_length_is_an_int_of_at_least_one(self, bad):
+        with pytest.raises(PreconditionError, match="word length"):
+            build_full_shift().language(bad)
+        # a system with no language checks the length all the same
+        with pytest.raises(PreconditionError, match="word length"):
+            build_odometer().language(bad)
 
     @pytest.mark.parametrize("alphabet", [2, 3])
     def test_language_cap_boundary(self, alphabet, monkeypatch):
@@ -988,7 +994,7 @@ class TestTrustedPoints:
                 del x.window
             same = dataclasses.replace(x)
             assert same_built_point(same, x) and same is not x
-            other = dataclasses.replace(x, right=cantor.Tail((1,)))
+            other = dataclasses.replace(x, right=(1,))
             assert other != x and other.window == x.window
             assert [f.name for f in dataclasses.fields(x)] == list(vars(x))
 
