@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cantor import (ClopenSet, Point, depth_cylinder, from_cylinder,
-                     make_point, read_symbols)
+from .cantor import (ClopenSet, Point, canonical_point, depth_cylinder,
+                     from_cylinder, read_symbols)
 from .errors import DomainError, PreconditionError, ResourceCapError
 from .flows import FlowSystem
 from .groups import _ball_layers, _check_int, power_set
@@ -345,10 +345,11 @@ class InvariantCoreApprox:
     """Two-sided approximation of the points whose horizon orbit stays
     in a clopen set, resolved at cylinder-cell granularity.
 
-    ``inner`` holds cells where every horizon element provably maps the
-    cell into the set; ``outer`` holds cells never provably mapped out.
-    Cells with undetermined elements are counted in ``unknown`` and stay
-    in the outer approximation only.
+    ``inner`` holds cells where every element the depth resolves,
+    searched through ``reach``, provably maps the cell into the set;
+    ``outer`` holds cells never provably mapped out.  Cells with
+    undetermined elements are counted in ``unknown`` and stay in the
+    outer approximation only.
     """
 
     depth: int
@@ -386,12 +387,6 @@ def _cells(system: FlowSystem, depth: int) -> list:
     return [lo, hi, list(itertools.product(*(range(s) for s in sizes)))]
 
 
-def _cell_point(system: FlowSystem, lo: int, pattern: tuple) -> Point:
-    scheme = system.scheme
-    left = 0 if scheme.kind == "two-sided" else None
-    return make_point(scheme, pattern, right=0, left=left, lo=lo)
-
-
 def invariant_core(system: FlowSystem, target: ClopenSet, *, depth: int,
                    horizon: int) -> InvariantCoreApprox:
     _require_cells(system)
@@ -403,23 +398,27 @@ def invariant_core(system: FlowSystem, target: ClopenSet, *, depth: int,
         chosen = frozenset(cells) if target.is_full else frozenset()
         return InvariantCoreApprox(depth, horizon, (lo, hi), chosen, chosen,
                                    {}, {})
-    need_depth = max(system.scheme.offset(target.lo),
-                     system.scheme.offset(target.hi)) + 1
+    scheme = system.scheme
+    need_depth = max(scheme.offset(target.lo), scheme.offset(target.hi)) + 1
     # an element the depth does not resolve can neither keep a cell in
-    # nor move it out: it leaves every cell without a witness unknown
-    reach = list(itertools.chain.from_iterable(
-        _ball_layers(system.group, horizon)))
-    resolved = [g for g in reach
-                if system.required_input_depth(g, need_depth) <= depth]
-    blind = len(reach) - len(resolved)
+    # nor move it out.  Every element the depth resolves is searched
+    # through ``reach``, the largest radius whose whole ball it resolves;
+    # each longer element counts as blind, so an input depth that is not
+    # monotone in |g| can only turn a cell unknown, never decide one
+    layers = _ball_layers(system.group, horizon)
+    reach = next((r - 1 for r, layer in enumerate(layers)
+                  if any(system.required_input_depth(g, need_depth) > depth
+                         for g in layer)), horizon)
+    blind = sum(map(len, layers[reach + 1:]))
+    left = (0,) if scheme.kind == "two-sided" else None
     inner, outer = [], []
     excluded, unknown = {}, {}
     for pattern in cells:
-        base = _cell_point(system, lo, pattern)
-        out_witness = next((g for g in resolved
-                            if not target.member(system.act(g, base))), None)
-        if out_witness is not None:
-            excluded[pattern] = system.group.format_element(out_witness)
+        base = canonical_point(scheme, lo, pattern, (0,), left)
+        hit = None if reach < 0 else _first_hit(
+            system, (base,), reach, lambda im: not target.member(im[0]))
+        if hit is not None:
+            excluded[pattern] = system.group.format_element(hit[1])
             continue
         outer.append(pattern)
         if blind:

@@ -32,7 +32,7 @@ from zerodim.cantor import (ClopenSet, Cylinder, Point, Scheme, clopen,
 from zerodim.errors import DomainError, PreconditionError
 from zerodim.flows import (FlowSystem, McMahonGroup, TwoCopyGroup,
                            build_mcmahon, build_two_copy, get_system)
-from zerodim.groups import cone_layer, power_set, word_length
+from zerodim.groups import IntegerGroup, cone_layer, power_set, word_length
 from zerodim.verdict import fails, holds, inconclusive
 
 OD = get_system("odometer")
@@ -595,6 +595,33 @@ class TestInvariantCore:
         assert set(data) == {"depth", "horizon", "window", "inner",
                              "outer", "excluded", "unknown"}
 
+    def test_input_depth_not_monotone_in_length(self, monkeypatch):
+        # odd shifts flip coordinate 0, and the input depth overstates
+        # the need of +-1 alone, so +-2..+-5 are resolved but +-1 is not.
+        # reach is 0: every element of length 1..5 counts as blind, and
+        # the resolved flips +-3 and +-5 beyond reach move no cell out
+        # (the ball walk excluded the cells holding 0 with "3")
+        system = FlowSystem(
+            "odd-flip", "cylinder-z", IntegerGroup(), FS.scheme,
+            lambda n, x: flows._flip_coords(x, (0,)) if n % 2 else x,
+            lambda n, depth: depth + 3 if abs(n) == 1 else depth,
+            {"zero": FS.point("zero")})
+        assert system.required_input_depth(3, 1) == 1
+        acts = counted_acts(monkeypatch, system)
+        U0 = from_cylinder(Cylinder(FS.scheme, 0, 0, (0,)))
+        core = invariant_core(system, U0, depth=2, horizon=5)
+        cells = list(itertools.product((0, 1), repeat=3))
+        assert core.unknown == {p: 10 for p in cells if p[1] == 0}
+        assert core.excluded == {p: "0" for p in cells if p[1] == 1}
+        assert core.outer == frozenset(core.unknown)
+        assert core.inner == frozenset()
+        # the search ran through reach 0, the identity alone
+        assert acts == [0]
+        # at depth 4 the input depth resolves the whole ball
+        core = invariant_core(system, U0, depth=4, horizon=5)
+        assert not core.unknown and not core.inner
+        assert set(core.excluded.values()) == {"0", "1"}
+
 
 def reference_invariant_core(system, target, depth, horizon):
     """``invariant_core`` as a loop over (cell, element) pairs that asks
@@ -663,9 +690,9 @@ CORE_SYSTEMS = (OD, FS, SM)
 
 @st.composite
 def core_cases(draw):
-    system = draw(st.sampled_from(CORE_SYSTEMS))
+    system = draw(st.sampled_from(CORE_SYSTEMS + (TM,)))
     return (system, draw(clopen_targets(system)), draw(st.integers(2, 4)),
-            draw(st.integers(1, 8)))
+            draw(st.integers(1, 16)))
 
 
 class TestInvariantCoreAgainstOracle:
@@ -1489,3 +1516,26 @@ class TestOrbitSearchWork:
         confinement_verdict(system, x, depth_ball(x, 2), horizon=8)
         assert counted == [acts]
 
+    # successor-map orbits are finite: each of the 12 cells whose first
+    # symbol is 0 stays in the target until its orbit closes, so the
+    # count does not grow with the horizon.  The ball walk acted with
+    # every element on every cell: 168 acts at horizon 6, 98,328 at 4096
+    @pytest.mark.parametrize("horizon", [6, 4096])
+    def test_successor_invariant_core(self, monkeypatch, horizon):
+        system = get_system("successor-map")
+        acts = counted_acts(monkeypatch, system)
+        target = from_cylinder(Cylinder(system.scheme, 2, 2, (0,)))
+        core = invariant_core(system, target, depth=3, horizon=horizon)
+        assert len(core.inner) == len(core.excluded) == 12
+        assert acts == [60]
+
+    # each cell stops at its first witness, and no act by the identity:
+    # the ball walk made 20 acts, 8 of them by 0
+    def test_odometer_invariant_core(self, monkeypatch):
+        system = get_system("odometer")
+        acts = counted_acts(monkeypatch, system)
+        target = clopen(system.scheme, 0, [(0, 0), (0, 1), (1, 0)])
+        core = invariant_core(system, target, depth=3, horizon=8)
+        assert sorted(set(core.excluded.values())) == ["-1", "0", "1", "2"]
+        assert len(core.excluded) == 8
+        assert acts == [12]
