@@ -154,18 +154,23 @@ def _syndetic_search(full: list, horizon: int, kmax: int) -> tuple:
 def regular_ap_verdict(system: FlowSystem, x, *, horizon: int,
                        depth: int) -> Verdict:
     """Return times must contain every multiple of a single modulus
-    within the horizon."""
+    within the horizon.
+
+    Only the multiples of each candidate modulus are read, through one
+    ``return_test`` over [-horizon, horizon], in the order the first
+    missing multiple is sought; no return set is built.  So a system
+    that acts per shift acts only at the shifts asked, each once."""
     _check_probe(horizon, depth)
     name = "regular-return"
     params = _params(system, point=system.format_point(x), horizon=horizon,
                      depth=depth)
-    tset = set(return_times(system, x, depth, -horizon, horizon))
+    is_return = system.return_test(x, depth, range(-horizon, horizon + 1))
     obstructions = []
     for kappa in range(1, horizon + 1):
         missing = next((kappa * j * sgn
                         for j in range(1, horizon // kappa + 1)
                         for sgn in (1, -1)
-                        if kappa * j * sgn not in tset), None)
+                        if not is_return(kappa * j * sgn)), None)
         if missing is None:
             return holds(name, params, {
                 "modulus": kappa,
@@ -792,7 +797,7 @@ def translate_cover_verdict(system: FlowSystem, x, *, horizon: int,
     chosen = []
     covered: set = set()
     for c in range(0, cover_cap + 1):
-        gain = {t for t in targets - covered if (t - c) in times}
+        gain = ({t + c for t in times} & targets) - covered
         if gain:
             chosen.append(c)
             covered |= gain

@@ -54,9 +54,9 @@ class FlowSystem:
     with extra structure), "tower" (metric stack of circles),
     "quotient" (collapsed components of a tower).  The group variant,
     not ``kind``, decides which integer analyzers apply: they reach
-    ``returns`` or ``require_integer_action``, which reject any other
-    group.  ``kind`` gates only the cell analyzers, which need
-    "cylinder-z", and the cellwise path of ``usc_verdict``.
+    ``returns``, ``return_test`` or ``require_integer_action``, which
+    reject any other group.  ``kind`` gates only the cell analyzers,
+    which need "cylinder-z", and the cellwise path of ``usc_verdict``.
     """
 
     def __init__(self, system_id: str, kind: str, group: Group,
@@ -65,7 +65,7 @@ class FlowSystem:
                  dist_fn: Optional[Callable] = None,
                  language_fn: Optional[Callable] = None,
                  reps_fn: Optional[Callable] = None,
-                 returns_fn: Optional[Callable] = None,
+                 return_test_fn: Optional[Callable] = None,
                  families: Optional[Mapping[str, Callable]] = None,
                  format_point_fn: Optional[Callable] = None,
                  summary: str = ""):
@@ -81,7 +81,7 @@ class FlowSystem:
         self._dist = dist_fn
         self._language = language_fn
         self._reps = reps_fn
-        self._returns = returns_fn
+        self._return_test = return_test_fn
         self._families = dict(families or {})
         self._format_point = format_point_fn
         self.summary = summary
@@ -163,16 +163,25 @@ class FlowSystem:
     def cell(self, x, depth: int) -> Callable:
         """The test y -> ``distance(x, y) <= 2^-depth``: whether y lies
         in the depth cell of x.  x's side is worked out once.  A
-        symbol-space point is read once over the depth window, and each
-        y compares its own read of that window; a system with its own
-        metric fixes 2^-depth once and asks it."""
+        symbol-space point is read once over the depth window.  Each y
+        compares one slice of its window when the depth window lies
+        inside it, and its own read of the depth window otherwise; a
+        system with its own metric fixes 2^-depth once and asks it."""
         _check_int(depth, "depth", 1)
         if self._dist is not None:
             dist, eps = self._dist, Fraction(1, 2 ** depth)
             return lambda y: dist(x, y) <= eps
         lo, hi = self.scheme.depth_window(depth)
         word = read_symbols(x, lo, hi)
-        return lambda y: read_symbols(y, lo, hi) == word
+        symbols = tuple(word)
+
+        def home(y) -> bool:
+            ylo = y.lo
+            if ylo <= lo and hi <= y.hi:
+                return y.window[lo - ylo:hi - ylo + 1] == symbols
+            return read_symbols(y, lo, hi) == word
+
+        return home
 
     def require_integer_action(self) -> None:
         """Raise ``DomainError`` unless the acting group is Z."""
@@ -181,46 +190,70 @@ class FlowSystem:
                               "system %r has %s"
                               % (self.system_id, self.group.describe()))
 
-    def returns(self, x, depth: int, ns: range):
-        """The shifts n of ``ns`` that return x into its own depth cell,
-        ``cell(x, depth)(act(n, x))``, yielded in the order of ``ns``.
-
-        By default the orbit is walked in the order of ``ns``: 0 is x
-        itself and returns, the first nonzero n is ``act(n, x)``, and
-        every later n is ``act(ns.step, ·)`` of the point before it,
-        which is exact because the integer action is a group action.
-        So each nonzero n costs one act, and an act by a small step is
-        cheap (an odometer carry walks a digit or two).  Each point
-        met is asked x's ``cell``, whose side of x is worked out once.
-        A shift answers exactly without building a point
-        (``shift_returns``):
-
-        - it moves m -> x(m + n), so ``T^n x`` agrees with x at the
-          offsets < depth iff x's symbols on [n - depth + 1,
-          n + depth - 1] equal its symbols on [-depth + 1, depth - 1];
-        - a word that lies wholly in a periodic tail equals the word
-          one tail period further in, so every n may be folded into a
-          hull of the window widened by the depth and the two periods.
-          x is read once over the part of that hull the range reaches,
-          whatever the range's length, and each n compares two list
-          slices.
-        """
+    def _check_return_probe(self, depth: int, ns: range) -> None:
         self.require_integer_action()
         _check_int(depth, "depth", 1)
         if not isinstance(ns, range):
             raise PreconditionError("shifts must be given as a range")
-        if self._returns is not None:
-            return self._returns(x, depth, ns)
+
+    def return_test(self, x, depth: int, ns: range) -> Callable:
+        """The test n -> ``cell(x, depth)(act(n, x))``: whether the
+        shift n returns x into its own depth cell.  It is valid for the
+        n of the range ``ns``, which may be asked in any order.
+
+        A shift reads x once and compares two list slices per n
+        (``shift_return_test``).  Every other integer system acts once,
+        ``act(n, x)``, and asks x's ``cell`` for each n it has not been
+        asked before; the answers are kept for the life of the test, so
+        an n asked again costs nothing.  A caller that reads only some
+        of the n, such as the multiples of a modulus, pays only for
+        those."""
+        self._check_return_probe(depth, ns)
+        if self._return_test is not None:
+            return self._return_test(x, depth, ns)
+        home, act, known = self.cell(x, depth), self.act, {0: True}
+
+        def test(n: int) -> bool:
+            hit = known.get(n)
+            if hit is None:
+                hit = known[n] = home(act(n, x))
+            return hit
+
+        return test
+
+    def returns(self, x, depth: int, ns: range):
+        """The shifts n of ``ns`` that return x into its own depth cell,
+        ``cell(x, depth)(act(n, x))``, yielded in the order of ``ns``.
+        An empty range yields nothing and reads nothing.
+
+        A shift filters ``ns`` through its ``return_test``, which reads
+        x once however long the range is.  Every other system walks the
+        orbit in the order of ``ns``: 0 is x itself and returns, the
+        first nonzero n is ``act(n, x)``, and every later n is
+        ``act(ns.step, ·)`` of the point before it, which is exact
+        because the integer action is a group action.  So each nonzero
+        n costs one act, and an act by a small step is cheap (an
+        odometer carry walks a digit or two).  Each point met is asked
+        x's ``cell``, whose side of x is worked out once.  A caller
+        that needs only some n of the range asks ``return_test``
+        instead, which acts by n itself and only at the n it is asked.
+        """
+        self._check_return_probe(depth, ns)
+        if not ns:
+            return iter(())
+        if self._return_test is not None:
+            return filter(self._return_test(x, depth, ns), ns)
         home = self.cell(x, depth)
 
         def walk():
             act, step = self.act, ns.step
-            for i, n in enumerate(ns):
+            y = start = object()     # no shift acted yet
+            for n in ns:
                 if n == 0:
                     y = x
                     yield n
                     continue
-                y = act(step, y) if i else act(n, x)
+                y = act(n, x) if y is start else act(step, y)
                 if home(y):
                     yield n
 
@@ -311,25 +344,25 @@ def shift_point(x: Point, n: int) -> Point:
     return canonical_point(x.scheme, x.lo - n, (), x.right, x.left)
 
 
-def shift_returns(x: Point, depth: int, ns: range):
-    """``FlowSystem.returns`` for a shift: the n of ``ns`` whose
-    depth word x[n - depth + 1 .. n + depth - 1] equals the central
-    one.
+def shift_return_test(x: Point, depth: int, ns: range) -> Callable:
+    """``FlowSystem.return_test`` for a shift: n -> whether x's depth
+    word x[n - depth + 1 .. n + depth - 1] equals the central one, for
+    n in ``ns``.
 
-    The word at n >= top = x.hi + depth lies in the right tail, so it
-    is the word at n - p (p the right pattern's length) while that
-    stays >= top; likewise below bottom = x.lo - depth with the left
-    period q.  Folding n into [bottom - q + 1, top + p - 1] keeps its
-    word, so x is read once over the folded hull of ``ns`` and 0: a
-    bounded read however far the range reaches, and the words are
-    compared lazily, so a consumer that stops at the first return
-    pays for no more."""
-    if not ns:
-        return iter(())
+    The shift moves m -> x(m + n), so ``T^n x`` agrees with x at the
+    offsets < depth iff those two words are equal.  The word at n >=
+    top = x.hi + depth lies in the right tail, so it is the word at
+    n - p (p the right pattern's length) while that stays >= top;
+    likewise below bottom = x.lo - depth with the left period q.
+    Folding n into [bottom - q + 1, top + p - 1] keeps its word, so x
+    is read once over the folded hull of ``ns`` and 0: a bounded read
+    however far the range reaches.  Each n then compares two list
+    slices, and acts on nothing."""
     p, q = len(x.right), len(x.left)
     top, bottom = x.hi + depth, x.lo - depth
-    first = min(max(min(ns[0], ns[-1], 0), bottom - q + 1), top)
-    last = max(min(max(ns[0], ns[-1], 0), top + p - 1), bottom)
+    ends = (ns[0], ns[-1], 0) if ns else (0,)
+    first = min(max(min(ends), bottom - q + 1), top)
+    last = max(min(max(ends), top + p - 1), bottom)
     symbols = read_symbols(x, first - depth + 1, last + depth - 1)
     width = 2 * depth - 1
 
@@ -340,14 +373,14 @@ def shift_returns(x: Point, depth: int, ns: range):
             return bottom - (bottom - n) % q
         return n
 
-    def scan(word):
-        for n in ns:
-            i = (n if bottom < n < top else fold(n)) - first
-            if symbols[i:i + width] == word:
-                yield n
-
     centre = fold(0) - first
-    return scan(symbols[centre:centre + width])
+    word = symbols[centre:centre + width]
+
+    def test(n: int) -> bool:
+        i = (n if bottom < n < top else fold(n)) - first
+        return symbols[i:i + width] == word
+
+    return test
 
 
 def step_point(scheme: Scheme, i: int) -> Point:
@@ -442,12 +475,13 @@ def _shift_system(system_id: str, scheme: Scheme, language: Callable,
                   points: Mapping, families: Mapping,
                   summary: str) -> FlowSystem:
     """A subshift of the two-sided ``scheme`` under translation by Z:
-    the shift act and its widening input depth, the exact return scan
-    ``shift_returns``, and the constant-fill neighbors."""
+    the shift act and its widening input depth, the exact return test
+    ``shift_return_test``, and the constant-fill neighbors."""
     return FlowSystem(
         system_id, "cylinder-z", IntegerGroup(), scheme, _shift_act,
         _widening_depth, points, language_fn=language,
-        reps_fn=_constant_fill_reps(scheme), returns_fn=shift_returns,
+        reps_fn=_constant_fill_reps(scheme),
+        return_test_fn=shift_return_test,
         families=families, summary=summary)
 
 
@@ -503,29 +537,29 @@ def odometer_add(scheme: Scheme, n: int, x: Point) -> Point:
 
     The result is the same ``Point`` that ``make_point`` would return.
     Every new digit is ``total % size``, so in range.  The carry walks
-    the window first, and the digits of |n| and the walk's bound are
-    worked out only when it leaves the window.  A carry that dies
-    inside the window leaves the last window symbol and the tail as
-    they were, so no edge absorbs and the point is built as it is.
-    Otherwise ``canonical_point`` drops the trailing digits that repeat
-    the re-anchored (or the wrap) tail.
+    a copy of the window first, in place, and the digits of |n| and
+    the walk's bound are worked out only when it leaves the window.  A
+    carry that dies inside the window leaves the last window symbol
+    and the tail as they were, so no edge absorbs and the point is
+    built as it is.  Otherwise ``canonical_point`` drops the trailing
+    digits that repeat the re-anchored (or the wrap) tail.
     """
     if n == 0:
         return x
-    sizes = scheme.alphabet if isinstance(scheme.alphabet, tuple) \
-        else (scheme.alphabet,)
-    m = len(sizes)
+    alphabet = scheme.alphabet
+    m = len(alphabet) if type(alphabet) is tuple else 0   # 0: one size
     window = x.window
     width = len(window)
-    digits = []
+    digits = list(window)
     carry, i = n, 0
     while carry and i < width:
-        carry, digit = divmod(window[i] + carry, sizes[i % m])
-        digits.append(digit)
+        carry, digits[i] = divmod(digits[i] + carry,
+                                  alphabet[i % m] if m else alphabet)
         i += 1
     if not carry and i < width:
-        return _trusted_point(scheme, x.lo, x.hi, tuple(digits) + window[i:],
-                              x.right)
+        return _trusted_point(scheme, x.lo, x.hi, tuple(digits), x.right)
+    sizes = alphabet if m else (alphabet,)
+    m = len(sizes)
     if carry:
         tail = x.right
         period = len(tail)
@@ -556,9 +590,6 @@ def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
     alphabet: object = moduli[0] if len(set(moduli)) == 1 else moduli
     scheme = Scheme("one-sided", start=0, alphabet=alphabet)
 
-    def act(n: int, x: Point) -> Point:
-        return odometer_add(scheme, n, x)
-
     zero = make_point(scheme, [], right=0)
     maxes = tuple(scheme.size(k) - 1 for k in range(scheme.alphabet_period()))
     points = {
@@ -569,7 +600,8 @@ def build_odometer(moduli: Sequence[int] = (2,)) -> FlowSystem:
     label = "odometer" if moduli == (2,) else \
         "odometer-" + "".join(str(m) for m in moduli)
     return FlowSystem(
-        label, "cylinder-z", IntegerGroup(), scheme, act, _same_depth, points,
+        label, "cylinder-z", IntegerGroup(), scheme,
+        functools.partial(odometer_add, scheme), _same_depth, points,
         reps_fn=_constant_fill_reps(scheme),
         summary="carry arithmetic on digit streams with moduli cycling "
                 "through %s" % (list(moduli),))

@@ -179,7 +179,81 @@ class TestAlmostPeriodic:
             ap_verdict(OD, OD.point("zero"), horizon=8, depth=0)
 
 
+def reference_regular_ap(system, x, *, horizon, depth):
+    """Oracle: the return set over the whole of [-horizon, horizon],
+    one act per shift through ``return_times``, then the least modulus
+    whose multiples all lie in it."""
+    name = "regular-return"
+    params = _params(system, point=system.format_point(x), horizon=horizon,
+                     depth=depth)
+    tset = set(return_times(system, x, depth, -horizon, horizon))
+    obstructions = []
+    for kappa in range(1, horizon + 1):
+        missing = next((kappa * j * sgn
+                        for j in range(1, horizon // kappa + 1)
+                        for sgn in (1, -1)
+                        if kappa * j * sgn not in tset), None)
+        if missing is None:
+            return holds(name, params, {
+                "modulus": kappa,
+                "multiples_verified": 2 * (horizon // kappa),
+            })
+        if len(obstructions) < 12:
+            obstructions.append([kappa, missing])
+    return fails(name, params, {
+        "obstructions": obstructions,
+        "moduli_checked": horizon,
+    })
+
+
+@st.composite
+def regular_cases(draw):
+    """``(system, point, horizon, depth)`` for h in 1..80, d in 1..5: an
+    odometer digit point, an eventually periodic full-shift point (a
+    ``single`` spike among them), a thue-morse reflection exact on
+    [-R, R] with R >= h + d, or a named successor-map, circle-stack or
+    component point."""
+    horizon, depth = draw(st.integers(1, 80)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("odometer", "full-shift", "single",
+                                 "thue-morse", "named")))
+    bits = st.integers(0, 1)
+    tails = st.lists(bits, min_size=1, max_size=4).map(periodic_tail)
+    if kind == "odometer":
+        digits = draw(st.lists(bits, max_size=10))
+        return OD, make_point(OD.scheme, digits, right=draw(tails)), \
+            horizon, depth
+    if kind == "full-shift":
+        x = make_point(FS.scheme, draw(st.lists(bits, max_size=8)),
+                       draw(tails), draw(tails), lo=draw(st.integers(-6, 6)))
+        return FS, x, horizon, depth
+    if kind == "single":
+        return FS, FS.family("single", draw(st.integers(-90, 90))), \
+            horizon, depth
+    if kind == "thue-morse":
+        radius = horizon + depth + draw(st.integers(0, 4))
+        family = draw(st.sampled_from(("reflection", "reflection-flipped")))
+        return TM, TM.family(family, radius), horizon, depth
+    system = draw(st.sampled_from((SM, CS, CC)))
+    x = system.point(draw(st.sampled_from(system.point_names())))
+    return system, x, horizon, depth
+
+
 class TestRegularReturns:
+    @given(regular_cases())
+    @example((FS, FS.family("single", 3), 40, 2))
+    @example((OD, OD.point("minus-one"), 20, 5))
+    @example((SM, SM.point("unit"), 80, 5))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_full_return_set(self, case):
+        system, x, horizon, depth = case
+        got = regular_ap_verdict(system, x, horizon=horizon, depth=depth)
+        assert got.to_json() == reference_regular_ap(
+            system, x, horizon=horizon, depth=depth).to_json()
+
+    def test_word_group_rejected(self):
+        with pytest.raises(DomainError, match="integer acting group"):
+            regular_ap_verdict(TC, TC.point("o-plus"), horizon=4, depth=2)
+
     def test_odometer_modulus_stable_across_horizons(self):
         zero = OD.point("zero")
         for d in (1, 2, 3):
@@ -392,6 +466,29 @@ class TestReturnTestWork:
         assert counts["distance"] == 0
         # x and every acted point are read over the depth window
         assert counts["Point.value"] == 0
+
+    @pytest.mark.parametrize("name, horizon, depth, acts", [
+        ("zero", 8, 2, 7), ("one", 512, 4, 79), ("minus-one", 4096, 6, 191)])
+    def test_odometer_regular_return_acts_at_the_multiples_asked(
+            self, counts, name, horizon, depth, acts):
+        # each modulus below 2^d misses at its first multiple, one act
+        # each; 2^d then holds at both signs of every multiple
+        modulus = 2 ** depth
+        v = regular_ap_verdict(OD, OD.point(name), horizon=horizon,
+                               depth=depth)
+        assert v.holds and v.certificate["modulus"] == modulus
+        assert counts["FlowSystem.act"] == acts == \
+            modulus - 1 + 2 * (horizon // modulus)
+        assert counts["FlowSystem.returns"] == 0
+
+    @pytest.mark.parametrize("system, x", [
+        (FS, FS.point("alternating")), (FS, FS.family("single", 5)),
+        (TM, LONG)])
+    def test_shift_regular_return_reads_once(self, counts, system, x):
+        regular_ap_verdict(system, x, horizon=256, depth=4)
+        assert counts["FlowSystem.act"] == 0
+        assert counts["read_symbols"] == 1
+        assert counts["make_point"] == 0
 
     @pytest.mark.parametrize("name", sorted(ODOMETER_POINTS))
     def test_odometer_scan_steps_the_orbit(self, counts, monkeypatch, name):

@@ -1089,6 +1089,21 @@ def reference_returns(system, x, depth, ns):
     return [n for n in ns if system.cell(system.act(n, x), depth)(x)]
 
 
+def assert_returns(system, x, depth, ns):
+    """``returns`` equals the oracle; ``return_test`` answers
+    ``cell(x, depth)(act(n, x))`` at each n of ``ns``, asked last to
+    first and then again first to last, and ``returns`` is the n it
+    passes."""
+    assert list(system.returns(x, depth, ns)) == \
+        reference_returns(system, x, depth, ns)
+    test = system.return_test(x, depth, ns)
+    home = system.cell(x, depth)
+    want = [home(system.act(n, x)) for n in ns]
+    assert [test(n) for n in reversed(ns)] == want[::-1]
+    assert [test(n) for n in ns] == want
+    assert list(system.returns(x, depth, ns)) == [n for n in ns if test(n)]
+
+
 INTEGER_SYSTEMS = tuple(sid for sid in available_systems()
                         if get_system(sid).group.variant == "integers")
 CIRCLES = get_system("circle-stack")
@@ -1134,7 +1149,8 @@ def full_shift_points():
 
 
 class TestReturns:
-    """``FlowSystem.returns`` against acting by every shift."""
+    """``FlowSystem.returns`` and ``FlowSystem.return_test`` against
+    acting by every shift."""
 
     @pytest.mark.parametrize("sid", INTEGER_SYSTEMS)
     def test_named_points(self, sid):
@@ -1143,14 +1159,12 @@ class TestReturns:
             x = system.point(name)
             for depth in range(1, 9):
                 for ns in RANGES:
-                    assert list(system.returns(x, depth, ns)) == \
-                        reference_returns(system, x, depth, ns)
+                    assert_returns(system, x, depth, ns)
 
     @given(full_shift_points(), st.integers(1, 8), shift_ranges())
     @settings(max_examples=400)
     def test_full_shift(self, x, depth, ns):
-        assert list(FULL_SHIFT.returns(x, depth, ns)) == \
-            reference_returns(FULL_SHIFT, x, depth, ns)
+        assert_returns(FULL_SHIFT, x, depth, ns)
 
     @given(st.integers(1, 12), st.booleans(), st.integers(1, 8),
            shift_ranges())
@@ -1159,8 +1173,7 @@ class TestReturns:
         tm = build_thue_morse()
         x = tm.family("reflection-flipped" if flipped else "reflection",
                       radius)
-        assert list(tm.returns(x, depth, ns)) == \
-            reference_returns(tm, x, depth, ns)
+        assert_returns(tm, x, depth, ns)
 
     @given(odometer_cases(), st.integers(1, 8), shift_ranges())
     @settings(max_examples=300)
@@ -1168,15 +1181,13 @@ class TestReturns:
         scheme, x = case
         system = odometer_system(scheme)
         for y in (x,) + tuple(system.point(n) for n in system.point_names()):
-            assert list(system.returns(y, depth, ns)) == \
-                reference_returns(system, y, depth, ns)
+            assert_returns(system, y, depth, ns)
 
     @given(successor_points(), st.integers(1, 8), shift_ranges())
     @settings(max_examples=100)
     def test_successor_map(self, x, depth, ns):
         system = build_successor_map()
-        assert list(system.returns(x, depth, ns)) == \
-            reference_returns(system, x, depth, ns)
+        assert_returns(system, x, depth, ns)
 
     @given(circle_points(), st.integers(1, 8), shift_ranges())
     @settings(max_examples=200)
@@ -1184,21 +1195,26 @@ class TestReturns:
         # the systems with their own metric, which ask ``close``
         for system, x in ((CIRCLES, p),
                           (CIRCLE_COMPONENTS, circle_component(p))):
-            assert list(system.returns(x, depth, ns)) == \
-                reference_returns(system, x, depth, ns)
+            assert_returns(system, x, depth, ns)
 
     def test_word_groups_rejected(self):
         for system in (build_two_copy(3), build_mcmahon(3)):
             x = system.point(system.point_names()[0])
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError) as walk:
                 system.returns(x, 2, range(1, 4))
+            with pytest.raises(DomainError) as test:
+                system.return_test(x, 2, range(1, 4))
+            assert str(test.value) == str(walk.value)
+            assert "integer acting group" in str(walk.value)
 
     def test_bad_depth_and_shifts_rejected(self):
-        x = FULL_SHIFT.point("zero")
-        with pytest.raises(PreconditionError):
-            FULL_SHIFT.returns(x, 0, range(1, 4))
-        with pytest.raises(PreconditionError):
-            FULL_SHIFT.returns(x, 2, [1, 2, 3])
+        for system in (FULL_SHIFT, get_system("odometer")):
+            x = system.point("zero")
+            for method in (system.returns, system.return_test):
+                with pytest.raises(PreconditionError):
+                    method(x, 0, range(1, 4))
+                with pytest.raises(PreconditionError):
+                    method(x, 2, [1, 2, 3])
 
 
 ELEMENTS = st.integers(-300, 300)
