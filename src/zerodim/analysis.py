@@ -21,7 +21,7 @@ from .cantor import (ClopenSet, Point, canonical_point, depth_cylinder,
                      from_cylinder, read_symbols)
 from .errors import DomainError, PreconditionError, ResourceCapError
 from .flows import FlowSystem
-from .groups import _ball_layers, _check_int, power_set
+from .groups import _check_int, power_set
 from .verdict import Verdict, fails, holds, inconclusive
 
 CELL_CAP = 8192
@@ -159,7 +159,9 @@ def regular_ap_verdict(system: FlowSystem, x, *, horizon: int,
     Only the multiples of each candidate modulus are read, through one
     ``return_test`` over [-horizon, horizon], in the order the first
     missing multiple is sought; no return set is built.  So a system
-    that acts per shift acts only at the shifts asked, each once."""
+    that acts per shift acts only at the shifts asked, each once, and
+    one that permutes its depth cells walks its cell's cycle once: each
+    modulus below the cycle length misses at its first multiple."""
     _check_probe(horizon, depth)
     name = "regular-return"
     params = _params(system, point=system.format_point(x), horizon=horizon,
@@ -395,6 +397,7 @@ def _cells(system: FlowSystem, depth: int) -> list:
 def invariant_core(system: FlowSystem, target: ClopenSet, *, depth: int,
                    horizon: int) -> InvariantCoreApprox:
     _require_cells(system)
+    system.require_integer_action()
     _check_probe(horizon, depth)
     if target.scheme != system.scheme:
         raise DomainError("target set lives on a different scheme")
@@ -409,12 +412,15 @@ def invariant_core(system: FlowSystem, target: ClopenSet, *, depth: int,
     # nor move it out.  Every element the depth resolves is searched
     # through ``reach``, the largest radius whose whole ball it resolves;
     # each longer element counts as blind, so an input depth that is not
-    # monotone in |g| can only turn a cell unknown, never decide one
-    layers = _ball_layers(system.group, horizon)
-    reach = next((r - 1 for r, layer in enumerate(layers)
-                  if any(system.required_input_depth(g, need_depth) > depth
-                         for g in layer)), horizon)
-    blind = sum(map(len, layers[reach + 1:]))
+    # monotone in |g| can only turn a cell unknown, never decide one.
+    # Layer r of Z is {r, -r} (the identity at r = 0), so the layers
+    # are scanned only up to the first one the depth does not resolve;
+    # each blind layer holds two elements, the identity's layer one
+    resolves = system.required_input_depth
+    reach = next((r - 1 for r in range(horizon + 1)
+                  if max(resolves(r, need_depth),
+                         resolves(-r, need_depth)) > depth), horizon)
+    blind = 2 * (horizon - reach) - (reach < 0)
     left = (0,) if scheme.kind == "two-sided" else None
     inner, outer = [], []
     excluded, unknown = {}, {}
@@ -577,7 +583,12 @@ def equicontinuity_verdict(system: FlowSystem, *, horizon: int, depth: int,
     The modulus table lists, per radius, the input resolution needed so
     that every element of that radius ball maps it inside the target
     depth.  A table still growing across the top half of the range, or
-    blowing past the cap, refutes uniform control at this horizon."""
+    blowing past the cap, refutes uniform control at this horizon.
+
+    When both generators +-1 have input depth ``depth``, each maps a
+    depth cell into one, and so, by the left-action law, does every
+    element: the table is ``depth`` at every radius, read from those
+    two calls instead of one per element."""
     system.require_integer_action()
     _check_probe(horizon, depth)
     if horizon < 2:
@@ -586,6 +597,10 @@ def equicontinuity_verdict(system: FlowSystem, *, horizon: int, depth: int,
     name = "equicontinuity"
     params = _params(system, horizon=horizon, depth=depth,
                      input_depth_max=input_depth_max)
+    if all(system.required_input_depth(s, depth) == depth for s in (1, -1)):
+        return holds(name, params, {"table": [depth] * horizon,
+                                    "midpoint": (horizon + 1) // 2,
+                                    "modulus": depth})
     table = []
     current = depth
     for h in range(1, horizon + 1):

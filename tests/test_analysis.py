@@ -212,16 +212,24 @@ def regular_cases(draw):
     odometer digit point, an eventually periodic full-shift point (a
     ``single`` spike among them), a thue-morse reflection exact on
     [-R, R] with R >= h + d, or a named successor-map, circle-stack or
-    component point."""
+    component point.  Odometer and successor-map points, whose depth
+    cells the action permutes, also come at d in 6..10, where the
+    cycle of the 2^d odometer cells outruns every horizon."""
     horizon, depth = draw(st.integers(1, 80)), draw(st.integers(1, 5))
     kind = draw(st.sampled_from(("odometer", "full-shift", "single",
-                                 "thue-morse", "named")))
+                                 "thue-morse", "named", "successor")))
     bits = st.integers(0, 1)
     tails = st.lists(bits, min_size=1, max_size=4).map(periodic_tail)
+    if kind in ("odometer", "successor") and draw(st.booleans()):
+        depth = draw(st.integers(6, 10))
     if kind == "odometer":
         digits = draw(st.lists(bits, max_size=10))
         return OD, make_point(OD.scheme, digits, right=draw(tails)), \
             horizon, depth
+    if kind == "successor":
+        x = draw(st.sampled_from([SM.point(n) for n in SM.point_names()])
+                 | st.integers(2, 11).map(lambda c: SM.family("unit-at", c)))
+        return SM, x, horizon, depth
     if kind == "full-shift":
         x = make_point(FS.scheme, draw(st.lists(bits, max_size=8)),
                        draw(tails), draw(tails), lo=draw(st.integers(-6, 6)))
@@ -243,6 +251,8 @@ class TestRegularReturns:
     @example((FS, FS.family("single", 3), 40, 2))
     @example((OD, OD.point("minus-one"), 20, 5))
     @example((SM, SM.point("unit"), 80, 5))
+    @example((OD, OD.point("one"), 64, 16))
+    @example((SM, SM.family("unit-at", 9), 80, 10))
     @settings(max_examples=400, deadline=None)
     def test_matches_the_full_return_set(self, case):
         system, x, horizon, depth = case
@@ -363,7 +373,8 @@ class TestReturnTestWork:
     def counts(self, monkeypatch):
         counts = {"make_point": 0, "distance": 0, "read_symbols": 0,
                   "FlowSystem.distance": 0, "FlowSystem.act": 0,
-                  "FlowSystem.returns": 0, "Scheme.size": 0,
+                  "FlowSystem.returns": 0,
+                  "FlowSystem.required_input_depth": 0, "Scheme.size": 0,
                   "Point.value": 0, "symbols_read": 0}
 
         def counting(name, fn):
@@ -384,7 +395,7 @@ class TestReturnTestWork:
                     for key, value in list(vars(mod).items()):
                         if value is original:
                             monkeypatch.setattr(mod, key, wrapped)
-        for name in ("distance", "act", "returns"):
+        for name in ("distance", "act", "returns", "required_input_depth"):
             monkeypatch.setattr(FlowSystem, name, counting(
                 "FlowSystem." + name, getattr(FlowSystem, name)))
         monkeypatch.setattr(Scheme, "size",
@@ -468,18 +479,42 @@ class TestReturnTestWork:
         assert counts["Point.value"] == 0
 
     @pytest.mark.parametrize("name, horizon, depth, acts", [
-        ("zero", 8, 2, 7), ("one", 512, 4, 79), ("minus-one", 4096, 6, 191)])
+        ("zero", 8, 2, 4), ("one", 512, 4, 16), ("minus-one", 4096, 6, 64)])
     def test_odometer_regular_return_acts_at_the_multiples_asked(
             self, counts, name, horizon, depth, acts):
-        # each modulus below 2^d misses at its first multiple, one act
-        # each; 2^d then holds at both signs of every multiple
+        # +1 permutes the 2^d depth cells in one cycle: each modulus
+        # below 2^d misses at its first multiple, which walks the cycle
+        # one step further, and the step at 2^d closes it.  Acting at
+        # each multiple asked made 2^d - 1 + 2 * (h // 2^d) acts
         modulus = 2 ** depth
         v = regular_ap_verdict(OD, OD.point(name), horizon=horizon,
                                depth=depth)
         assert v.holds and v.certificate["modulus"] == modulus
-        assert counts["FlowSystem.act"] == acts == \
-            modulus - 1 + 2 * (horizon // modulus)
+        assert counts["FlowSystem.act"] == acts == modulus
         assert counts["FlowSystem.returns"] == 0
+
+    def test_successor_regular_return_walks_the_dial(self, counts):
+        # unit's dial sits at coordinate 3, which carries 3 symbols
+        v = regular_ap_verdict(SM, SM.point("unit"), horizon=64, depth=4)
+        assert v.holds and v.certificate["modulus"] == 3
+        assert counts["FlowSystem.act"] == 3
+
+    def test_odometer_regular_return_without_a_cycle_in_reach(self,
+                                                              counts):
+        # the cycle of 2^16 cells is far past the horizon: the walk
+        # stops at 64 and raises nothing
+        v = regular_ap_verdict(OD, OD.point("one"), horizon=64, depth=16)
+        assert v.fails
+        assert v.certificate == {
+            "obstructions": [[k, k] for k in range(1, 13)],
+            "moduli_checked": 64}
+        assert counts["FlowSystem.act"] == 64
+
+    def test_odometer_equicontinuity_reads_the_generators(self, counts):
+        v = equicontinuity_verdict(OD, horizon=512, depth=3)
+        assert v.holds and v.certificate["modulus"] == 3
+        assert counts["FlowSystem.act"] == 0
+        assert counts["FlowSystem.required_input_depth"] == 2
 
     @pytest.mark.parametrize("system, x", [
         (FS, FS.point("alternating")), (FS, FS.family("single", 5)),
@@ -909,7 +944,61 @@ class TestOrbitSymmetry:
             orbit_symmetry_verdict(OD, [], horizon=4, depth=2)
 
 
+def reference_equicontinuity(system, *, horizon, depth, input_depth_max=64):
+    """The analyzer's per-element body: one input-depth call per element
+    of every radius, the running maximum tabled by radius."""
+    system.require_integer_action()
+    if horizon < 2:
+        raise PreconditionError("horizon must be >= 2")
+    name = "equicontinuity"
+    params = _params(system, horizon=horizon, depth=depth,
+                     input_depth_max=input_depth_max)
+    table = []
+    current = depth
+    for h in range(1, horizon + 1):
+        for g in (h, -h):
+            current = max(current, system.required_input_depth(g, depth))
+        if current > input_depth_max:
+            return fails(name, params, {
+                "exceeded_cap_at_radius": h,
+                "value": current,
+                "input_depth_max": input_depth_max,
+                "table": table,
+            })
+        table.append(current)
+    mid = (horizon + 1) // 2
+    cert = {"table": table, "midpoint": mid}
+    if table[-1] == table[mid - 1]:
+        cert["modulus"] = table[-1]
+        return holds(name, params, cert)
+    cert["growth"] = [[mid, table[mid - 1]], [horizon, table[-1]]]
+    return fails(name, params, cert)
+
+
+def outcome(fn, *args, **kwargs):
+    """A verdict's whole ``to_json``, or the type and text it raised."""
+    try:
+        return fn(*args, **kwargs).to_json()
+    except (DomainError, PreconditionError) as err:
+        return type(err), str(err)
+
+
+INTEGER_SYSTEMS = tuple(get_system(sid) for sid in flows.available_systems()
+                        if get_system(sid).group.variant == "integers")
+
+
 class TestEquicontinuity:
+    @pytest.mark.parametrize("system", INTEGER_SYSTEMS,
+                             ids=lambda s: s.system_id)
+    def test_matches_the_per_element_table(self, system):
+        for horizon in range(1, 81):
+            for depth in range(1, 7):
+                for kw in ({}, {"input_depth_max": 12}):
+                    assert outcome(equicontinuity_verdict, system,
+                                   horizon=horizon, depth=depth, **kw) == \
+                        outcome(reference_equicontinuity, system,
+                                horizon=horizon, depth=depth, **kw)
+
     def test_odometer_modulus_equals_depth(self):
         for d in (2, 4):
             v = equicontinuity_verdict(OD, horizon=64, depth=d)

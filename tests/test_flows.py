@@ -1387,6 +1387,108 @@ class TestInputDepth:
         assert any(p.level is not None for p in near)
 
 
+def digits_at(scheme, start, raw):
+    """``raw`` reduced into the alphabet of each coordinate from
+    ``start`` on."""
+    return [d % scheme.size(start + i) for i, d in enumerate(raw)]
+
+
+@st.composite
+def symbol_points(draw, scheme):
+    """A point with a window of up to ten symbols, each valid at its
+    coordinate, and binary tails (valid at every coordinate of every
+    catalog scheme)."""
+    tails = st.lists(st.integers(0, 1), min_size=1,
+                     max_size=3).map(periodic_tail)
+    raw = draw(st.lists(st.integers(0, 11), max_size=10))
+    if scheme.kind == "two-sided":
+        lo = draw(st.integers(-6, 6))
+        return make_point(scheme, digits_at(scheme, lo, raw), draw(tails),
+                          draw(tails), lo=lo)
+    return make_point(scheme, digits_at(scheme, scheme.start, raw),
+                      draw(tails))
+
+
+@st.composite
+def agreeing_points(draw, scheme, x, depth):
+    """A point that agrees with x on the depth window and is drawn
+    freely beyond it: up to six symbols on each side, then new tails."""
+    lo, hi = scheme.depth_window(depth)
+    word = cantor.read_symbols(x, lo, hi)
+    tails = st.lists(st.integers(0, 1), min_size=1,
+                     max_size=3).map(periodic_tail)
+    raw = st.lists(st.integers(0, 11), max_size=6)
+    after = digits_at(scheme, hi + 1, draw(raw))
+    if scheme.kind == "one-sided":
+        return make_point(scheme, word + after, draw(tails))
+    before = draw(raw)
+    start = lo - len(before)
+    return make_point(scheme, digits_at(scheme, start, before) + word + after,
+                      draw(tails), draw(tails), lo=start)
+
+
+def levels_near(level, depth: int) -> list:
+    """Stack levels (None for the limit) whose radius lies within
+    2^-depth of ``level``'s, ``level`` itself among them."""
+    eps = Fraction(1, 2 ** depth)
+    nearby = [None, 2 ** depth - 1, 2 ** depth, 2 ** depth + 3]
+    if level is not None:
+        nearby += [level - 2, level - 1, level + 1, level + 2]
+    return [level] + [m for m in nearby if m != level
+                      and (m is None or m >= 1)
+                      and abs(level_radius(m) - level_radius(level)) <= eps]
+
+
+@st.composite
+def agreeing_pairs(draw, system, depth):
+    """Two points of the system within 2^-depth of each other."""
+    if system.system_id == "circle-stack":
+        x = draw(circle_points())
+        level = draw(st.sampled_from(levels_near(x.level, depth)))
+        # an arc of at most 2^-depth: half that in turns
+        turn = x.turn + Fraction(draw(st.integers(-8, 8)), 16 * 2 ** depth)
+        return x, CirclePoint(level, turn)
+    if system.system_id == "circle-stack-components":
+        x = draw(LEVELS)
+        return x, draw(st.sampled_from(levels_near(x, depth)))
+    x = draw(symbol_points(system.scheme))
+    y = draw(agreeing_points(system.scheme, x, depth))
+    if system.kind == "cylinder-word":
+        # a (symbol point, tag) pair; points that agree share the tag
+        tag = draw(st.sampled_from(sorted(
+            {p[1] for p in map(system.point, system.point_names())})))
+        return (x, tag), (y, tag)
+    return x, y
+
+
+def small_ball(system) -> st.SearchStrategy:
+    """An element of word length <= 40 in Z, <= 2 in a word group."""
+    group = system.group
+    if group.variant == "integers":
+        return st.integers(-40, 40)
+    return st.sampled_from(sorted(power_set(group, 2), key=group.sort_key))
+
+
+class TestInputDepthContract:
+    """Each system's declared input depth is sound: points that agree
+    to depth ``required_input_depth(g, d)`` have images under g that
+    agree to depth d.  Engines that read the declaration (the cell
+    cycle of ``return_test``, the equicontinuity table) rest on it."""
+
+    @pytest.mark.parametrize("sid", available_systems())
+    @given(data=st.data(), depth=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_agreement_to_the_input_depth_survives_the_act(self, sid, data,
+                                                           depth):
+        system = get_system(sid)
+        g = data.draw(small_ball(system))
+        need = system.required_input_depth(g, depth)
+        x, y = data.draw(agreeing_pairs(system, need))
+        assert system.distance(x, y) <= Fraction(1, 2 ** need)
+        assert system.distance(system.act(g, x), system.act(g, y)) <= \
+            Fraction(1, 2 ** depth)
+
+
 def reference_constant_fill_reps(scheme, x, depth):
     """Oracle: complete x's depth cylinder by every constant symbol
     below the largest alphabet size, skip the completions
